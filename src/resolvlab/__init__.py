@@ -9,22 +9,9 @@ __version__ = "0.1.0"
 
 from .regions import (  # noqa: F401
     FluidParams,
-    ReducedParams,
     SectorSpec,
-    SpectralPoint,
     in_gamma_region,
     in_lambda_region,
     in_sigma,
-    reduce_params,
-    sector_inequality_check,
 )
-from .symbols import (  # noqa: F401
-    CoreSymbols,
-    LopatinskiMatrix,
-    SymbolParams,
-    eval_M,
-    eval_core,
-    eval_lopatinski,
-    eval_nJk,
-    eval_QQprime,
-)
+from .symbols import LopatinskiMatrix, SymbolParams  # noqa: F401

@@ -8,8 +8,8 @@ shear map
 whose Jacobian splits as identity + compactly supported perturbation.
 Fields on the curved domain are stored terrain-following, i.e. as arrays
 over the flat grid sampled at Phi(grid), so composition with Phi and
-Phi^-1 along the flat grid is re-indexing; compositions from data given
-on rectangular grids go through cubic interpolation.
+Phi^-1 along the flat grid is re-indexing.  Curved-domain data are
+callables, evaluated at the terrain points.
 
 The transformed system is the flat one plus perturbation operators that
 are all weighted by the Jacobian perturbation (first fundamental form,
@@ -68,10 +68,6 @@ class DiffeoSpec:
         s = np.asarray(s)
         return (4 * s**2 / self.width**4 - 2 / self.width**2) * self.bump(s)
 
-    def bump_d3(self, s):
-        s = np.asarray(s)
-        return (12 * s / self.width**4 - 8 * s**3 / self.width**6) * self.bump(s)
-
     def forward(self, xi1, xi2):
         return xi1, xi2 + self.bump(xi1)
 
@@ -82,16 +78,6 @@ class DiffeoSpec:
     def m1(self) -> float:
         # sup |b'| at s = width/sqrt(2)
         return abs(self.amplitude) * math.sqrt(2.0 / math.e) / self.width
-
-    @property
-    def m2(self) -> float:
-        return float(np.max(np.abs(self.bump_d2(
-            np.linspace(-4 * self.width, 4 * self.width, 2001)))))
-
-    @property
-    def m3(self) -> float:
-        return float(np.max(np.abs(self.bump_d3(
-            np.linspace(-4 * self.width, 4 * self.width, 2001)))))
 
 
 @dataclass
@@ -135,19 +121,11 @@ def pullback_data(f, g, k, spec: DiffeoSpec, geom: SurfaceGeometry,
                   tgrid: TangentialGrid, ngrid: NormalGrid):
     """(F+, G+, K+) on the flat half space from curved-domain data.
 
-    f: interior vector data, g: boundary vector data, k: boundary scalar.
-    Callables are evaluated at the terrain points Phi(grid); arrays are
-    taken as terrain-following samples; (array, (x1_axis, x2_axis))
-    pairs are resampled by cubic interpolation.
+    f: interior vector data, g: boundary vector data, k: boundary scalar,
+    all callables (x1, x2) -> values, evaluated at the terrain points
+    Phi(grid).
     """
-    x1 = tgrid.x
-    x2 = ngrid.nodes
-    X1 = np.broadcast_to(x1[:, None], (tgrid.points, ngrid.points))
-    T1, T2 = spec.forward(X1, np.broadcast_to(x2[None, :], X1.shape))
-
-    fv = _sample(f, (T1, T2), vector=2)
-    gb = _sample(g, (x1, spec.bump(x1)), vector=2)
-    kb = _sample(k, (x1, spec.bump(x1)), vector=0)
+    fv, gb, kb = _sample(f, g, k, spec, tgrid, ngrid)
 
     # A_- is the identity for the shear map; only the area factor enters g
     Fp = HalfSpaceField(fv, tgrid, ngrid)
@@ -156,38 +134,23 @@ def pullback_data(f, g, k, spec: DiffeoSpec, geom: SurfaceGeometry,
     return Fp, Gp, Kp
 
 
-def _sample(data, points, vector):
-    if callable(data):
+def _sample(f, g, k, spec: DiffeoSpec, tgrid: TangentialGrid, ngrid: NormalGrid):
+    """Callable curved-domain data at the terrain points, components last.
+
+    f is evaluated at Phi(grid), g and k on the boundary curve (x1, b(x1)).
+    """
+    x1 = tgrid.x
+    X1 = np.broadcast_to(x1[:, None], (tgrid.points, ngrid.points))
+    T1, T2 = spec.forward(X1, np.broadcast_to(ngrid.nodes[None, :], X1.shape))
+
+    def vector(data, *points):
         out = np.asarray(data(*points), dtype=complex)
-        if vector:
-            if out.shape[0] == vector:
-                out = np.moveaxis(out, 0, -1)
-        else:
-            out = out[..., None]
-        return out
-    if isinstance(data, tuple):
-        values, axes = data
-        return _interp_rectangular(values, axes, points, vector)
-    out = np.asarray(data, dtype=complex)
-    return out if out.ndim > len(np.shape(points[0])) else out[..., None]
+        return np.moveaxis(out, 0, -1) if out.shape[0] == 2 else out
 
-
-def _interp_rectangular(values, axes, points, vector):
-    from scipy.interpolate import RegularGridInterpolator
-
-    values = np.asarray(values)
-    ncomp = vector or 1
-    pts = np.stack([np.asarray(p).ravel() for p in points], axis=-1)
-    cols = []
-    for c in range(ncomp):
-        comp = values[..., c] if values.ndim > len(axes) else values
-        rgi_r = RegularGridInterpolator(axes, comp.real, method="cubic",
-                                        bounds_error=True)
-        rgi_i = RegularGridInterpolator(axes, comp.imag, method="cubic",
-                                        bounds_error=True)
-        cols.append((rgi_r(pts) + 1j * rgi_i(pts)).reshape(np.shape(points[0])))
-    out = np.stack(cols, axis=-1)
-    return out
+    fv = vector(f, T1, T2)
+    gb = vector(g, x1, spec.bump(x1))
+    kb = np.asarray(k(x1, spec.bump(x1)), dtype=complex)[..., None]
+    return fv, gb, kb
 
 
 def pushforward_velocity(w: HalfSpaceField) -> HalfSpaceField:
@@ -217,39 +180,25 @@ def _tangential_d(tgrid, phys):
     return tgrid.inverse(1j * tgrid.xi[..., 0].reshape(shape) * spec)
 
 
-def jacobian_matrices(spec: DiffeoSpec, tgrid: TangentialGrid):
-    """B = grad Phi^T - I and B_- = A_Phi - I on the tangential grid."""
-    bp = spec.bump_d1(tgrid.x)
-    n = tgrid.points
-    B = np.zeros((n, 2, 2))
-    Bm = np.zeros((n, 2, 2))
-    B[:, 0, 1] = bp
-    Bm[:, 0, 1] = -bp
-    return B, Bm
+def _matmul(Xm, Ym):
+    return np.einsum("ik...,kj...->ij...", Xm, Ym)
 
 
-def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
-                       geom: SurfaceGeometry, params: FluidParams, lam,
-                       zeta=0.0):
-    """Perturbation data triple (R1, R2, R3) for the current iterate.
+def _transpose(Xm):
+    return np.einsum("ij...->ji...", Xm)
 
-    R1 collects the interior terms -Div F(w)/gamma1 (+ F0(w) Div A_Phi,
-    which vanishes identically for the shear map since A_Phi's rows are
-    divergence-free); R2 the boundary stress tilt F(w) n0 + G_b(H) n0;
-    R3 the kinematic normal tilt.  gamma1, gamma3 are constant here, so
-    the gamma-deviation terms of the printed operators drop.
+
+def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams, zeta,
+                  tg: TangentialGrid, ng: NormalGrid):
+    """Jw, div w, S(w), A_Phi and F(w) = F1 + F2 of a physical-space iterate.
+
+    Jw[i, j] = d_i w_j; every tensor is indexed (i, j, modes, nodes).
+    B_- = A_Phi - I has the single entry -b' at (0, 1).
     """
-    tg, ng = w.tgrid, w.ngrid
-    wp = w.values if w.space == "physical" else _to_physical(w).values
-    Hp = H.values[..., 0] if H.space == "physical" else \
-        tg.inverse(H.values[..., 0])
-
     mu, nu = params.mu, params.nu
-    g1 = params.gamma1
     zg3 = complex(zeta) * params.gamma3
     bp = geom.bp[:, None]
 
-    # Jw[i, j] = d_i w_j in physical space
     J = np.empty((2, 2) + wp.shape[:-1], dtype=complex)
     for j in range(2):
         J[0, j] = _tangential_d(tg, wp[..., j])
@@ -270,15 +219,12 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
     Aphi[1, 1] = 1.0
     Aphi[0, 1] = -bp
 
-    def matmul(Xm, Ym):
-        return np.einsum("ik...,kj...->ij...", Xm, Ym)
-
     Bm = np.zeros_like(J)
     Bm[0, 1] = -bp * np.ones_like(divw)
 
-    BJ = matmul(Bm, J)
-    JtBt = matmul(np.einsum("ij...->ji...", J), np.einsum("ij...->ji...", Bm))
-    F1 = matmul(S, Bm) + mu * matmul(BJ + JtBt, Aphi)
+    BJ = _matmul(Bm, J)
+    JtBt = _matmul(_transpose(J), _transpose(Bm))
+    F1 = _matmul(S, Bm) + mu * _matmul(BJ + JtBt, Aphi)
     for i in range(2):
         for j in range(2):
             F1[i, j] += (nu - mu) * trBJ * Aphi[i, j]
@@ -288,7 +234,26 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
         for i in range(2):
             for j in range(2):
                 F2[i, j] += zg3 * trBJ * Aphi[i, j]
-    F = F1 + F2
+    return J, divw, S, Aphi, F1 + F2
+
+
+def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
+                       geom: SurfaceGeometry, params: FluidParams, lam,
+                       zeta=0.0):
+    """Perturbation data triple (R1, R2, R3) for the current iterate.
+
+    R1 collects the interior terms -Div F(w)/gamma1 (+ F0(w) Div A_Phi,
+    which vanishes identically for the shear map since A_Phi's rows are
+    divergence-free); R2 the boundary stress tilt F(w) n0 + G_b(H) n0;
+    R3 the kinematic normal tilt.  gamma1, gamma3 are constant here, so
+    the gamma-deviation terms of the printed operators drop.
+    """
+    tg, ng = w.tgrid, w.ngrid
+    wp = w.values if w.space == "physical" else _to_physical(w).values
+    Hp = H.values[..., 0] if H.space == "physical" else \
+        tg.inverse(H.values[..., 0])
+    g1 = params.gamma1
+    _, _, _, _, F = _tensor_split(wp, geom, params, zeta, tg, ng)
 
     # R1 = -(Div F)/gamma1; the F0 Div(A_Phi) term is identically zero here
     R1 = np.empty(wp.shape, dtype=complex)
@@ -324,66 +289,28 @@ def consistency_gap(w: HalfSpaceField, spec: DiffeoSpec, params: FluidParams,
                     zeta=0.0):
     """Max deviation of F0(w) A_Phi - S(w) - zeta g3 div w I - F(w) from zero.
 
-    Transcription check of the printed tensor split; exact algebra, so
-    the gap only carries the differentiation roundoff.
+    Transcription check of the printed tensor split, on the F(w) that
+    apply_perturbation uses; exact algebra, so the gap only carries the
+    differentiation roundoff.
     """
     tg, ng = w.tgrid, w.ngrid
     wp = w.values if w.space == "physical" else _to_physical(w).values
     mu, nu = params.mu, params.nu
     zg3 = complex(zeta) * params.gamma3
     geom = build_geometry(spec, tg)
-    bp = geom.bp[:, None]
+    J, divw, S, Aphi, F = _tensor_split(wp, geom, params, zeta, tg, ng)
 
-    J = np.empty((2, 2) + wp.shape[:-1], dtype=complex)
-    for j in range(2):
-        J[0, j] = _tangential_d(tg, wp[..., j])
-        J[1, j] = wp[..., j] @ ng.diff.T
-    divw = J[0, 0] + J[1, 1]
-
-    Aphi = np.zeros_like(J)
-    Aphi[0, 0] = 1.0
-    Aphi[1, 1] = 1.0
-    Aphi[0, 1] = -bp * np.ones_like(divw)
-
-    def matmul(Xm, Ym):
-        return np.einsum("ik...,kj...->ij...", Xm, Ym)
-
-    AJ = matmul(Aphi, J)
+    AJ = _matmul(Aphi, J)
     trAJ = AJ[0, 0] + AJ[1, 1]
-    F0 = mu * (AJ + np.einsum("ij...->ji...", AJ))
+    F0 = mu * (AJ + _transpose(AJ))
     for i in range(2):
         F0[i, i] += (nu - mu + zg3) * trAJ
 
-    S = np.empty_like(J)
-    for i in range(2):
-        for j in range(2):
-            S[i, j] = mu * (J[i, j] + J[j, i])
-        S[i, i] += (nu - mu) * divw
-
-    lhs = matmul(F0, Aphi)
+    lhs = _matmul(F0, Aphi)
     rhs = S.copy()
     for i in range(2):
         rhs[i, i] += zg3 * divw
-
-    # recompute F through the printed split
-    dummyH = BoundaryField(np.zeros(tg.points, dtype=complex), tg, "physical")
-    R1, _, _ = apply_perturbation(w, dummyH, spec, geom, params, lam=1.0,
-                                  zeta=zeta)
-    # rebuild F for direct comparison
-    trBJ = -bp * J[1, 0]
-    Bm = np.zeros_like(J)
-    Bm[0, 1] = -bp * np.ones_like(divw)
-    BJ = matmul(Bm, J)
-    JtBt = matmul(np.einsum("ij...->ji...", J), np.einsum("ij...->ji...", Bm))
-    Fmat = matmul(S, Bm) + mu * matmul(BJ + JtBt, Aphi)
-    for i in range(2):
-        for j in range(2):
-            Fmat[i, j] += (nu - mu) * trBJ * Aphi[i, j]
-            if zg3 != 0:
-                Fmat[i, j] += zg3 * trBJ * Aphi[i, j]
-    if zg3 != 0:
-        Fmat += zg3 * divw * Bm
-    gap = np.abs(lhs - rhs - Fmat)
+    gap = np.abs(lhs - rhs - F)
     scale = max(float(np.abs(lhs).max()), 1e-300)
     return float(gap.max()) / scale
 
@@ -557,12 +484,7 @@ def bent_residual(v: HalfSpaceField, h: BoundaryField, f, g, k,
         lap[..., j] = dx(Dv[0, j], 0) + dx(Dv[1, j], 1)
         graddiv[..., j] = dx(divv, j)
 
-    x1 = tgrid.x
-    X1 = np.broadcast_to(x1[:, None], (tgrid.points, ngrid.points))
-    T1, T2 = spec.forward(X1, np.broadcast_to(ngrid.nodes[None, :], X1.shape))
-    fv = _sample(f, (T1, T2), vector=2)
-    gb = _sample(g, (x1, spec.bump(x1)), vector=2)
-    kb = _sample(k, (x1, spec.bump(x1)), vector=0)
+    fv, gb, kb = _sample(f, g, k, spec, tgrid, ngrid)
 
     r_int = (lam * vp - (mu * lap + (nu + zg3) * graddiv) / g1 - fv)
 

@@ -25,16 +25,17 @@ import numpy as np
 
 from . import bent as bent_mod
 from . import evolution, fieldio, scans, verification
-from .config import ConfigError, RunConfig, canonical_json, config_hash, parse_config
+from .config import ConfigError, RunConfig, canonical_json, config_hash, config_section
 from .grids import BoundaryField, HalfSpaceField
 from .halfspace import ResolventData, SolverError, solve_full_resolvent
 from .regions import DegenerateCaseError, RegionError
-from .symbols import BranchError, NearSingularError, SingularSymbolError
+from .symbols import NearSingularError, SingularSymbolError
 
-NUMERICAL_ERRORS = (SolverError, RegionError, DegenerateCaseError, BranchError,
+NUMERICAL_ERRORS = (SolverError, RegionError, DegenerateCaseError,
                     NearSingularError, SingularSymbolError, scans.ScanError,
-                    evolution.ContourError, bent_mod.DivergenceError,
-                    bent_mod.GeometryError, np.linalg.LinAlgError)
+                    evolution.ContourError, evolution.DimensionCapError,
+                    bent_mod.DivergenceError, bent_mod.GeometryError,
+                    np.linalg.LinAlgError)
 
 
 def ordered_map(fn, items, threads):
@@ -60,6 +61,9 @@ def _tol(cfg: RunConfig, key: str, default: float) -> float:
 
 
 def _builtin_gaussian_data(tg, ng, block):
+    if tg.dims != 1:
+        raise ConfigError(f"invalid [grid]: the built-in solve data are 1-D, "
+                          f"got dims = {tg.dims}")
     amp = float(block.get("amplitude", 1.0))
     wx = float(block.get("width", 1.0))
     x = tg.x
@@ -241,10 +245,11 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
     tg, ng = cfg.grids()
     cblock = cfg.raw.get("contour", {})
     eblock = cfg.raw.get("evolve", {})
-    spec = evolution.ContourSpec(
-        angle=float(cblock.get("angle", 0.7)),
-        offset=float(cblock.get("offset", 1.0)),
-        nodes=int(cblock.get("nodes", 48)))
+    with config_section("contour"):
+        spec = evolution.ContourSpec(
+            angle=float(cblock.get("angle", 0.7)),
+            offset=float(cblock.get("offset", 1.0)),
+            nodes=int(cblock.get("nodes", 48)))
     xi = [float(eblock.get("mode_xi", 0.5))]
     gen = evolution.build_generator(xi, cfg.fluid, ng)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
@@ -270,8 +275,9 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
 def cmd_bent(cfg: RunConfig, out_dir, threads):
     tg, ng = cfg.grids()
     block = cfg.raw.get("bent", {})
-    spec = bent_mod.DiffeoSpec(amplitude=float(block.get("amplitude", 0.05)),
-                               width=float(block.get("width", 2.0)))
+    with config_section("bent"):
+        spec = bent_mod.DiffeoSpec(amplitude=float(block.get("amplitude", 0.05)),
+                                   width=float(block.get("width", 2.0)))
     lam = complex(float(block.get("lambda_re", 16.0)),
                   float(block.get("lambda_im", 0.0)))
     amp = float(block.get("data_amplitude", 1.0))
@@ -345,6 +351,13 @@ def main(argv=None) -> int:
     report = {"command": args.command, "gitDescribe": git_describe(),
               "verdicts": [], "artifacts": []}
 
+    def fail(error, label, status):
+        report["error"] = error
+        report["wallTime"] = time.time() - started
+        write_report(args.out, report)
+        print(f"{label}: {error['message']}", file=sys.stderr)
+        return status
+
     try:
         overrides = {}
         for item in args.tol_override:
@@ -360,11 +373,7 @@ def main(argv=None) -> int:
         if cfg.seed is not None:
             report["seed"] = cfg.seed
     except (OSError, ConfigError) as exc:
-        report["error"] = {"type": "config", "message": str(exc)}
-        report["wallTime"] = time.time() - started
-        write_report(args.out, report)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return fail({"type": "config", "message": str(exc)}, "config error", 2)
 
     try:
         verdicts, payload, artifacts = COMMANDS[args.command](cfg, args.out,
@@ -372,13 +381,11 @@ def main(argv=None) -> int:
         report["verdicts"] = verdicts
         report["result"] = payload
         report["artifacts"] = artifacts
+    except ConfigError as exc:
+        return fail({"type": "config", "message": str(exc)}, "config error", 2)
     except NUMERICAL_ERRORS as exc:
-        report["error"] = {"type": "numerical", "class": type(exc).__name__,
-                           "message": str(exc)}
-        report["wallTime"] = time.time() - started
-        write_report(args.out, report)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return fail({"type": "numerical", "class": type(exc).__name__,
+                     "message": str(exc)}, "numerical failure", 3)
 
     report["wallTime"] = time.time() - started
     write_report(args.out, report)

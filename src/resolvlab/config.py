@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .grids import NormalGrid, TangentialGrid
@@ -25,6 +26,15 @@ from .regions import FluidParams, SectorSpec
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def config_section(name: str):
+    """Report a ValueError raised while building [name]'s objects as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid [{name}]: {exc}") from exc
 
 
 def _parse_scalar(tok: str):
@@ -158,7 +168,7 @@ class RunConfig:
             raise ConfigError(f"missing required block(s) {missing} for {command}")
 
         f = cfg.get("fluid", {})
-        try:
+        with config_section("fluid"):
             fluid = FluidParams(
                 mu=float(f.get("mu", 1.0)), nu=float(f.get("nu", 1.0)),
                 sigma=float(f.get("sigma", 1.0)), m=float(f.get("m", 1.0)),
@@ -169,20 +179,16 @@ class RunConfig:
                 rho2=float(f.get("rho2", f.get("gamma1", 1.0))),
                 rho3=float(f.get("rho3", f.get("gamma3", 1.0))),
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid [fluid]: {exc}") from exc
 
         sector = None
         if "sector" in cfg:
             s = cfg["sector"]
-            try:
+            with config_section("sector"):
                 sector = SectorSpec(
                     epsilon=float(s.get("epsilon", math.pi / 4)),
                     lambda0=float(s.get("lambda0", 1.0)),
                     zeta_case=s.get("zeta_case", "C3"),
                     rho3_over_nu=fluid.rho3 / fluid.nu)
-            except ValueError as exc:
-                raise ConfigError(f"invalid [sector]: {exc}") from exc
 
         run_seed = seed
         if run_seed is None:
@@ -202,9 +208,10 @@ class RunConfig:
 
     def grids(self):
         g = self.raw.get("grid", {})
-        tg = TangentialGrid(dims=int(g.get("dims", 1)),
-                            points=int(g.get("tangential_points", 64)),
-                            half_length=float(g.get("half_length", 8.0)))
-        ng = NormalGrid(points=int(g.get("normal_points", 96)),
-                        truncation=float(g.get("truncation", 20.0)))
+        with config_section("grid"):
+            tg = TangentialGrid(dims=int(g.get("dims", 1)),
+                                points=int(g.get("tangential_points", 64)),
+                                half_length=float(g.get("half_length", 8.0)))
+            ng = NormalGrid(points=int(g.get("normal_points", 96)),
+                            truncation=float(g.get("truncation", 20.0)))
         return tg, ng

@@ -1,4 +1,4 @@
-"""Per-mode generators, contour-quadrature propagation and regularity norms.
+"""Per-mode generators and contour-quadrature propagation.
 
 The evolution semigroup is realized by inverse-Laplace quadrature on a
 left-opening hyperbola
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .grids import NormalGrid, TangentialGrid
+from .grids import NormalGrid
 from .regions import FluidParams, SectorSpec, in_lambda_region
 
 EXPM_DIM_CAP = 2000
@@ -185,14 +185,11 @@ class ContourSpec:
     Lambda region: pi/2 + delta < pi - epsilon and offset >= lambda0.
     """
 
-    family: str = "hyperbolic"
     angle: float = 0.7
     offset: float = 1.0
     nodes: int = 48
 
     def __post_init__(self):
-        if self.family != "hyperbolic":
-            raise ValueError("only the hyperbolic family is implemented")
         if not (0 < self.angle < math.pi / 2):
             raise ValueError("angle must lie in (0, pi/2)")
         if self.offset <= 0:
@@ -256,63 +253,3 @@ def matrix_exponential_oracle(gen, U0, t: float):
     if A.shape[0] > EXPM_DIM_CAP:
         raise DimensionCapError(f"dimension {A.shape[0]} exceeds {EXPM_DIM_CAP}")
     return expm(t * A) @ np.asarray(U0, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# maximal-regularity norms
-# ---------------------------------------------------------------------------
-
-def maximal_regularity_norms(gen: PerModeGenerator, forcing, t_final: float,
-                             n_steps: int, params: FluidParams,
-                             gamma0: float = 1.0, p: float = 2.0) -> dict:
-    """Discrete two-sided maximal-regularity quantities for one mode.
-
-    forcing(t) returns the reduced-state data vector (d, f, k rows) of
-    the inhomogeneous problem at time t; the state starts at zero and is
-    advanced with an exponential midpoint rule.  The left side collects
-    the weighted L_p-in-time norms of d_t U and the graph norms; the
-    half-power weight applies the multiplier |gamma0 + i tau|^(1/2) on
-    the Laplace side through an FFT in time.
-
-    Returns the measured left/right quotient and both sides.
-    """
-    if t_final <= 0 or n_steps < 8:
-        raise ValueError("need positive horizon and at least 8 steps")
-    A = gen.matrix
-    dt = t_final / n_steps
-    Eh = expm(dt * A)
-    Em = expm(0.5 * dt * A)
-    times = dt * np.arange(n_steps + 1)
-    dim = A.shape[0]
-    U = np.zeros((n_steps + 1, dim), dtype=complex)
-    F = np.array([np.asarray(forcing(t), dtype=complex) for t in times])
-    for k in range(n_steps):
-        U[k + 1] = Eh @ U[k] + dt * (Em @ forcing(times[k] + 0.5 * dt))
-
-    dU = np.gradient(U, dt, axis=0)
-    AU = U @ A.T
-
-    weight = np.exp(-gamma0 * times)
-
-    def lp_time(vals):
-        return float(np.trapezoid((weight * vals) ** p, times) ** (1.0 / p))
-
-    def half_power(series):
-        # multiply by lam^(1/2), lam = gamma0 + i tau, on the Laplace side
-        damped = series * weight[:, None]
-        pad = np.zeros((len(times) * 3, dim), dtype=complex)
-        pad[: len(times)] = damped
-        tau = 2 * math.pi * np.fft.fftfreq(len(pad), d=dt)
-        mult = np.sqrt(gamma0 + 1j * tau)[:, None]
-        out = np.fft.ifft(mult * np.fft.fft(pad, axis=0), axis=0)[: len(times)]
-        return np.abs(out)
-
-    lhs = (lp_time(np.linalg.norm(dU, axis=1))
-           + lp_time(np.linalg.norm(U, axis=1))
-           + lp_time(np.linalg.norm(AU, axis=1))
-           + float(np.trapezoid(
-               (np.linalg.norm(half_power(U), axis=1)) ** p, times) ** (1.0 / p)))
-    rhs = lp_time(np.linalg.norm(F, axis=1))
-    ratio = 0.0 if rhs == 0 else lhs / rhs
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio,
-            "gamma0": gamma0, "p": p, "steps": n_steps}

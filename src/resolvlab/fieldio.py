@@ -9,7 +9,6 @@ dtype, space} and is required for reimport.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 

@@ -156,14 +156,6 @@ class NormalGrid:
         return (self.truncation / 2.0) * clenshaw_curtis_weights(self.points)
 
 
-def choose_truncation(lam: complex, alpha: float, minimum: float = 20.0) -> float:
-    """X = max(minimum, 10 / min-mode Re B); the slowest decay sits at xi = 0."""
-    reb = np.sqrt(complex(lam) / alpha).real
-    if reb <= 0:
-        raise ValueError("lambda outside the admissible sector")
-    return max(minimum, 10.0 / reb)
-
-
 @dataclass
 class HalfSpaceField:
     """Complex field indexed (mode axes..., normal node, component)."""

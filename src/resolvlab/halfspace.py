@@ -1,20 +1,22 @@
 """Half-space resolvent solvers.
 
-Four layers, each per tangential Fourier mode:
+Three runtime layers, each per tangential Fourier mode:
 
   * solve_surface_homogeneous - the explicit boundary-symbol formulas for
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
     the velocity profiles are combinations of exp(-B x) and the mollified
     exponential M weighted by the n_Jk symbols.
-  * solve_surface_volevich - the same operator in its trace-free form:
-    normal-direction integrals of decaying kernels against (m - Lap')k,
-    d_N k and grad' d_N k, evaluated by graded Gauss-Legendre panels.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per mode (the literature formula
     the construction delegates to is replaced by this solver; equivalence
     is established through manufactured-solution and residual tests).
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition and density recovery.
+
+solve_surface_volevich is the oracle for the first layer: the same
+operator in its trace-free form, as normal-direction integrals of
+decaying kernels against (m - Lap')k, d_N k and grad' d_N k, evaluated by
+graded Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .grids import (
 )
 from .regions import FluidParams, SectorSpec, in_gamma_region
 from .symbols import (
-    N_FLOOR,
     SymbolParams,
     core_values,
     lopatinski_values,
@@ -88,7 +89,7 @@ def _check_region(lam, sector: SectorSpec | None, params: FluidParams):
 # ---------------------------------------------------------------------------
 
 def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
-                          p: SymbolParams, khat, floor: float = N_FLOOR):
+                          p: SymbolParams, khat):
     """Spectral solution profiles u(x), h and their analytic x-derivatives.
 
     khat holds the per-mode boundary values of the surface datum.
@@ -99,10 +100,10 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     xi_norm = np.sqrt(xi_sq)
     A, B = core_values(lam, xi_sq, p)
     L = lopatinski_values(lam, xi_sq, p)
-    if np.any(np.abs(L.N) < n_floor(lam, xi_norm, floor)):
+    if np.any(np.abs(L.N) < n_floor(lam, xi_norm)):
         from .symbols import SingularSymbolError
         raise SingularSymbolError("N(A, B) below threshold on some mode")
-    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, floor=floor, check=False)
+    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, check=False)
 
     x = ngrid.nodes
     Ax, Bx = A[..., None], B[..., None]
@@ -134,14 +135,13 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
                               ngrid: NormalGrid, *, zeta=None,
-                              sector: SectorSpec | None = None,
-                              floor: float = N_FLOOR):
+                              sector: SectorSpec | None = None):
     """Surface-driven solve: returns (u, h-trace) in k's tangential space."""
     _check_region(lam, sector, params)
     p = SymbolParams.from_fluid(params, zeta=zeta)
     ks = _require_spectral(k)
     khat = ks.values[..., 0]
-    u, _, _, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat, floor)
+    u, _, _, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
     uf = HalfSpaceField(u, k.tgrid, ngrid, "spectral")
     hf = BoundaryField(hhat, k.tgrid, "spectral")
     return _match_space(uf, k.space), _match_space(hf, k.space)
@@ -213,7 +213,6 @@ def chebyshev_interp_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarra
 
 def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
                            zeta=None, sector: SectorSpec | None = None,
-                           floor: float = N_FLOOR,
                            quad: VolevichQuadrature | None = None,
                            quad_rtol: float = 1e-6):
     """Surface solve through the trace-free kernel integrals.
@@ -231,9 +230,8 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
     dkhat = khat @ ng.diff.T                      # d_N k per mode
 
     quad = quad or VolevichQuadrature(truncation=ng.truncation)
-    uq = _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, None, floor)
-    uq2 = _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, 2 * quad.points_per_panel,
-                             floor)
+    uq = _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, None)
+    uq2 = _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, 2 * quad.points_per_panel)
     # data-trace scale guards the zero-trace case, where u vanishes identically
     scale = max(np.max(np.abs(uq2)), np.max(np.abs(khat)), 1e-300)
     achieved = float(np.max(np.abs(uq - uq2)) / scale)
@@ -247,11 +245,11 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
             achieved)
 
 
-def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp, floor):
+def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp):
     xi = tg.xi
     xi_sq = tg.xi_sq
     A, B = core_values(lam, xi_sq, p)
-    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, floor=floor, check=False)
+    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, check=False)
 
     yq, wq = quad.nodes_weights(ppp)
     interp = chebyshev_interp_matrix(ng.nodes, yq)   # (ny, nx_cheb)
@@ -414,8 +412,7 @@ class ResolventSolution:
 
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
                             params: FluidParams, lam, *, zeta=None,
-                            sector: SectorSpec | None = None,
-                            floor: float = N_FLOOR) -> ResolventSolution:
+                            sector: SectorSpec | None = None) -> ResolventSolution:
     """Velocity-height solve without the density row.
 
     zeta is the effective (reduced) compressibility parameter; defaults
@@ -432,8 +429,7 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
 
     k_surf = BoundaryField(Ks.values[..., 0] - v.values[..., 0, tg.dims], tg,
                            "spectral")
-    w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta,
-                                     floor=floor)
+    w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta)
     u = HalfSpaceField(v.values + w.values, tg, ng, "spectral")
     h_ext = extend_height(h.values[..., 0], tg, ng)
     return ResolventSolution(eta=None, u=u, h=h, h_ext=h_ext, v=v, w=w)
@@ -441,7 +437,6 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
 
 def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
                          sector: SectorSpec | None = None,
-                         floor: float = N_FLOOR,
                          check_support: bool = True) -> ResolventSolution:
     """The density-coupled free-surface resolvent on the flat half space.
 
@@ -478,7 +473,7 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
 
     sol = solve_reduced_resolvent(HalfSpaceField(fvals, tg, ng, "spectral"),
                                   BoundaryField(gvals, tg, "spectral"), ds.K,
-                                  params, lam, zeta=zeta_eff, floor=floor)
+                                  params, lam, zeta=zeta_eff)
 
     div_u = _divergence(sol.u, tg, ng)
     eta_vals = (dhat - g1 * div_u) / lam
@@ -493,14 +488,3 @@ def _divergence(u: HalfSpaceField, tg: TangentialGrid, ng: NormalGrid):
     for j in range(tg.dims):
         div = div + 1j * tg.xi[..., j][..., None] * us.values[..., j]
     return div
-
-
-def laplace_beltrami_resolvent_flat(f: BoundaryField, lam) -> BoundaryField:
-    """(lam - Lap')^-1 on the flat boundary: division by lam + |xi|^2."""
-    fs = _require_spectral(f)
-    mult = lam + f.tgrid.xi_sq
-    if np.any(np.abs(mult) < 1e-14):
-        raise SolverError("lambda + |xi|^2 vanishes on some mode")
-    shape = mult.shape + (1,) * (fs.values.ndim - mult.ndim)
-    out = BoundaryField(fs.values / mult.reshape(shape), f.tgrid, "spectral")
-    return _match_space(out, f.space)

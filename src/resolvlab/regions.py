@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,33 +79,6 @@ class FluidParams:
 
 
 @dataclass(frozen=True)
-class ReducedParams:
-    """Rescaled coefficients used by the half-space solvers."""
-
-    alpha: float
-    beta: float
-    zeta_prime: complex
-    sigma_prime: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.alpha + self.beta <= 0:
-            raise ValueError("alpha + beta = nu/gamma1 must be positive")
-
-
-def reduce_params(params: FluidParams) -> ReducedParams:
-    """Rescale (mu, nu, zeta, sigma) by 1/gamma1."""
-    g = params.gamma1
-    return ReducedParams(
-        alpha=params.mu / g,
-        beta=(params.nu - params.mu) / g,
-        zeta_prime=params.gamma3 * params.zeta / g,
-        sigma_prime=params.sigma / g,
-    )
-
-
-@dataclass(frozen=True)
 class SectorSpec:
     """Shape of the admissible lambda region."""
 
@@ -142,26 +115,6 @@ def classify_zeta(zeta: complex, epsilon: float) -> str:
     if abs(cmath.phase(zeta)) <= math.pi - epsilon:
         return "C2"
     raise DegenerateCaseError("zeta with Re < 0 lies outside Sigma(eps)")
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A resolvent parameter paired with a tangential frequency vector."""
-
-    lam: complex
-    xi: np.ndarray  # shape (N-1,)
-
-    def __init__(self, lam, xi):
-        object.__setattr__(self, "lam", complex(lam))
-        object.__setattr__(self, "xi", np.atleast_1d(np.asarray(xi, dtype=float)))
-
-    @property
-    def tau(self) -> float:
-        return self.lam.imag
-
-    @property
-    def xi_norm(self) -> float:
-        return float(np.linalg.norm(self.xi))
 
 
 def in_sigma(lam, epsilon, lambda0=0.0, tol=BOUNDARY_TOL):
@@ -202,23 +155,3 @@ def in_gamma_region(lam, spec: SectorSpec, params: FluidParams, tol=BOUNDARY_TOL
             raise RegionError("case C3 requires Re zeta >= 0")
         out = lam.real >= spec.lambda0 - tol
     return bool(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SectorInequalityReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def sector_inequality_check(sample: SpectralPoint, a: float, epsilon: float,
-                            tol=BOUNDARY_TOL) -> SectorInequalityReport:
-    """Check |a*lam + |xi|^2| >= sin(eps/2) (a|lam| + |xi|^2) for lam in Sigma(eps)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if not in_sigma(sample.lam, epsilon):
-        raise RegionError(f"lambda {sample.lam} outside Sigma({epsilon})")
-    xi_sq = sample.xi_norm**2
-    lhs = abs(a * sample.lam + xi_sq)
-    rhs = math.sin(epsilon / 2) * (a * abs(sample.lam) + xi_sq)
-    return SectorInequalityReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs - tol)

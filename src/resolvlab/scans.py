@@ -21,8 +21,7 @@ A scan measures
     (see multiplier_class_scan),
   * the smallest lam0 for which  |N| >= c (|lam|+|xi|)(|lam|^1/2+|xi|)^2
     holds with a positive floor, plus the certified c,
-  * sampled sector angles (arg of AB, the Lemma-basic(2) quotients) and
-    the decay constant c' of exp(-B x_N).
+  * the decay constant c' of exp(-B x_N).
 
 Derivatives are central finite differences with relative step
 1e-4*(|lam|^1/2+|xi|) in xi and 1e-4*|lam| in tau, Richardson-extrapolated
@@ -428,31 +427,6 @@ def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:
     _, B = core_values(lam, np.sum(np.asarray(xi) ** 2, axis=-1), sp)
     scale = np.sqrt(np.abs(lam)) + np.linalg.norm(xi, axis=-1)
     return 0.99 * float(np.min(B.real / scale))
-
-
-def measured_sector_angles(lam, xi, sp: SymbolParams) -> dict:
-    """Sampled sector containment: AB in Sigma(eps0) and the basic-(2) quotients."""
-    xi_sq = np.sum(np.asarray(xi) ** 2, axis=-1)
-    A, B = core_values(lam, xi_sq, sp)
-    ab_margin = math.pi - float(np.max(np.abs(np.angle(A * B))))
-    quotients = {}
-    for s in (1, 2, 3):
-        z = lam / (s * sp.alpha + sp.beta + sp.zeta)
-        quotients[f"s{s}"] = math.pi - float(np.max(np.abs(np.angle(z))))
-    lower = np.abs(A * B + xi_sq) / (np.abs(lam) + xi_sq)
-    return {"eps0_AB": ab_margin, "eps_prime": quotients,
-            "int_AB_constant": float(np.min(lower))}
-
-
-def abl_envelope(lam, xi, sp: SymbolParams) -> dict:
-    """Measured c, C with c(|lam|^1/2+|xi|) <= |A|,|B| <= C(|lam|^1/2+|xi|)."""
-    xi_sq = np.sum(np.asarray(xi) ** 2, axis=-1)
-    A, B = core_values(lam, xi_sq, sp)
-    scale = np.sqrt(np.abs(lam)) + np.linalg.norm(xi, axis=-1)
-    return {
-        "A": (float(np.min(np.abs(A) / scale)), float(np.max(np.abs(A) / scale))),
-        "B": (float(np.min(np.abs(B) / scale)), float(np.max(np.abs(B) / scale))),
-    }
 
 
 def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,

@@ -12,14 +12,12 @@ its determinant combines with the surface term into
 
     N(A, B) = lambda det L + sigma L11 (m + xi2),
 
-whose reciprocal multiplies every solution symbol n_Jk.  Two printed
-forms of L are evaluated: the direct rational entries and the
-P-factored form with P = lambda / (AB - xi2); their agreement is a
-cross-check recorded on every call.
+whose reciprocal multiplies every solution symbol n_Jk.  L is evaluated
+from its direct rational entries; the paper's second printed form, the
+P-factored one with P = lambda / (AB - xi2), is the test oracle these
+entries are checked against.
 
-All low-level evaluators broadcast over numpy arrays; the eval_*
-wrappers operate on a single SpectralPoint and validate branch and
-singularity conditions.
+All evaluators broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -28,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import FluidParams, ReducedParams, SpectralPoint, reduce_params
+from .regions import FluidParams
 
 NEAR_SINGULAR_REL = 1e-14
 M_TAYLOR_SWITCH = 1e-6
 N_FLOOR = 1e-10
-
-
-class BranchError(ArithmeticError):
-    """Principal square root left the right half plane (lambda outside sector)."""
 
 
 class NearSingularError(ArithmeticError):
@@ -59,11 +53,15 @@ class SymbolParams:
 
     @classmethod
     def from_fluid(cls, params: FluidParams, zeta=None) -> "SymbolParams":
-        """Reduce FluidParams; zeta overrides the effective (already reduced) zeta."""
-        red = reduce_params(params)
-        z = red.zeta_prime if zeta is None else complex(zeta)
-        return cls(alpha=red.alpha, beta=red.beta, zeta=z,
-                   sigma=red.sigma_prime, m=params.m)
+        """Rescale (mu, nu, zeta, sigma) by 1/gamma1.
+
+        zeta overrides the effective (already reduced) zeta; by default it
+        is gamma3 zeta / gamma1.
+        """
+        g = params.gamma1
+        z = params.gamma3 * params.zeta / g if zeta is None else complex(zeta)
+        return cls(alpha=params.mu / g, beta=(params.nu - params.mu) / g, zeta=z,
+                   sigma=params.sigma / g, m=params.m)
 
     @property
     def two_ab_z(self) -> complex:
@@ -75,16 +73,6 @@ class SymbolParams:
         return (self.alpha + self.beta + self.zeta) / self.alpha
 
 
-BASELINE = SymbolParams(alpha=1.0, beta=0.0, zeta=0.0, sigma=1.0, m=1.0)
-
-
-@dataclass(frozen=True)
-class CoreSymbols:
-    A: object
-    B: object
-    eta_coef: complex
-
-
 @dataclass(frozen=True)
 class LopatinskiMatrix:
     L11: object
@@ -92,12 +80,7 @@ class LopatinskiMatrix:
     L21: object
     L22: object
     detL: object
-    P: object
-    D: object
     N: object
-    Ntilde: object
-    E: object
-    form_rel_diff: float  # worst relative gap between the two printed forms
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +127,12 @@ def mollified_exp_derivatives(A, B, x):
 
 
 def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> LopatinskiMatrix:
-    """Both printed forms of the boundary matrix plus the derived determinants.
+    """The boundary matrix L, its determinant and N(A, B).
 
     The quantities B^2 - xi2, A^2 - xi2 and AB - xi2 are evaluated by
     substituting the defining relations (lambda/a, lambda/(2a+b+z) and the
     rationalized product form); the literal differences lose ~6 digits at
-    |xi| ~ 1e3 and would break the 1e-12 cross-form agreement.
+    |xi| ~ 1e3 and would break the 1e-12 agreement with the P-factored form.
     """
     lam = np.asarray(lam, dtype=complex)
     xi_sq = np.asarray(xi_sq)
@@ -170,28 +153,8 @@ def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> Lopati
     L21 = (2 * a * A * B_minus_A - bz * (lam / s2)) / den
     L22 = s2 * B * (lam / s2) / den
     detL = L11 * L22 - L12 * L21
-
-    slope = A / (A + B) - (bz / s2) * B / (A + B)
-    D = A * B * P - xi_sq * (2 * a - P) * slope
-    L11b = A * P
-    L12b = xi_sq * (2 * a - P)
-    L21b = slope * P
-    L22b = B * P
-
-    mxi2 = p.m + xi_sq
-    N = lam * detL + p.sigma * L11 * mxi2
-    Ntilde = lam * D + p.sigma * A * mxi2
-    E = lam * L22 + p.sigma * mxi2
-
-    def gap(u, v):
-        s = np.abs(u) + np.abs(v)
-        return float(np.max(np.abs(u - v) / np.where(s > 0, s, 1.0)))
-
-    form_rel_diff = max(gap(L11, L11b), gap(L12, L12b), gap(L21, L21b),
-                        gap(L22, L22b), gap(detL, P * D))
-    return LopatinskiMatrix(L11=L11, L12=L12, L21=L21, L22=L22, detL=detL,
-                            P=P, D=D, N=N, Ntilde=Ntilde, E=E,
-                            form_rel_diff=form_rel_diff)
+    N = lam * detL + p.sigma * L11 * (p.m + xi_sq)
+    return LopatinskiMatrix(L11=L11, L12=L12, L21=L21, L22=L22, detL=detL, N=N)
 
 
 def q_values(lam, xi_sq, p: SymbolParams):
@@ -207,13 +170,13 @@ def q_values(lam, xi_sq, p: SymbolParams):
     return Q, Qp
 
 
-def n_floor(lam, xi_norm, c: float = N_FLOOR):
-    """Certified lower-bound shape c (|lam| + |xi|) (|lam|^1/2 + |xi|)^2."""
+def n_floor(lam, xi_norm):
+    """Certified lower bound N_FLOOR (|lam| + |xi|) (|lam|^1/2 + |xi|)^2 of |N|."""
     al = np.abs(np.asarray(lam, dtype=complex))
-    return c * (al + xi_norm) * (np.sqrt(al) + xi_norm) ** 2
+    return N_FLOOR * (al + xi_norm) * (np.sqrt(al) + xi_norm) ** 2
 
 
-def njk_values(lam, xi, p: SymbolParams, floor: float = N_FLOOR, check: bool = True):
+def njk_values(lam, xi, p: SymbolParams, check: bool = True):
     """Solution-operator symbols n_J1, n_J2 for one or many modes.
 
     xi has shape (..., N-1); returns (n_t1, n_t2, n_N1, n_N2) where the
@@ -225,7 +188,7 @@ def njk_values(lam, xi, p: SymbolParams, floor: float = N_FLOOR, check: bool = T
     A, B = core_values(lam, xi_sq, p)
     L = lopatinski_values(lam, xi_sq, p, check=check)
     if check:
-        bad = np.abs(L.N) < n_floor(lam, np.sqrt(xi_sq), floor)
+        bad = np.abs(L.N) < n_floor(lam, np.sqrt(xi_sq))
         if np.any(bad):
             raise SingularSymbolError("N(A, B) below certified lower bound")
 
@@ -237,46 +200,6 @@ def njk_values(lam, xi, p: SymbolParams, floor: float = N_FLOOR, check: bool = T
     n_N1 = p.sigma * A * common
     n_N2 = p.sigma * L.L11 / L.N
     return n_t1, n_t2, n_N1, n_N2
-
-
-# ---------------------------------------------------------------------------
-# single-point wrappers
-# ---------------------------------------------------------------------------
-
-def eval_core(point: SpectralPoint, params: SymbolParams) -> CoreSymbols:
-    A, B = core_values(point.lam, point.xi_norm**2, params)
-    A, B = complex(A), complex(B)
-    if A.real <= 0 or B.real <= 0:
-        raise BranchError(f"Re A = {A.real}, Re B = {B.real}: lambda outside sector")
-    return CoreSymbols(A=A, B=B, eta_coef=params.eta_coef)
-
-
-def eval_M(core: CoreSymbols, x_n: float) -> complex:
-    if x_n < 0:
-        raise ValueError("x_n must be nonnegative")
-    return complex(mollified_exp(core.A, core.B, x_n))
-
-
-def eval_lopatinski(point: SpectralPoint, params: SymbolParams) -> LopatinskiMatrix:
-    L = lopatinski_values(point.lam, point.xi_norm**2, params)
-    return LopatinskiMatrix(**{k: (complex(v) if k != "form_rel_diff" else v)
-                               for k, v in vars(L).items()})
-
-
-def eval_QQprime(point: SpectralPoint, params: SymbolParams):
-    Q, Qp = q_values(point.lam, point.xi_norm**2, params)
-    return complex(Q), complex(Qp)
-
-
-def eval_nJk(point: SpectralPoint, params: SymbolParams, floor: float = N_FLOOR):
-    """All 2N symbols at one point, as an (N, 2) complex array."""
-    n_t1, n_t2, n_N1, n_N2 = njk_values(point.lam, point.xi, params, floor)
-    out = np.empty((point.xi.size + 1, 2), dtype=complex)
-    out[:-1, 0] = n_t1
-    out[:-1, 1] = n_t2
-    out[-1, 0] = n_N1
-    out[-1, 1] = n_N2
-    return out
 
 
 def symbol_registry(p: SymbolParams):

@@ -17,11 +17,11 @@ the maximum observed quotient is a lower estimate of the R-bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
+from .grids import HalfSpaceField
 from .halfspace import ResolventData, ResolventSolution, _require_spectral
 from .regions import FluidParams
 
@@ -114,13 +114,6 @@ def discrete_norm(fld, spec: NormSpec) -> float:
     return total ** (1.0 / spec.q)
 
 
-def time_weighted_norm(times, values, p: float = 2.0, gamma: float = 0.0) -> float:
-    """(integral (e^{-gamma t} v(t))^p dt)^(1/p) by trapezoid on the given grid."""
-    times = np.asarray(times, dtype=float)
-    vals = (np.exp(-gamma * times) * np.asarray(values, dtype=float)) ** p
-    return float(np.trapezoid(vals, times) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # residual evaluation
 # ---------------------------------------------------------------------------
@@ -131,12 +124,6 @@ class ResidualReport:
     absolute: dict
     scales: dict
     worst_mode: dict
-    verdicts: dict = field(default_factory=dict)
-
-    def check(self, tolerances: dict) -> "ResidualReport":
-        self.verdicts = {k: self.relative[k] <= tol
-                         for k, tol in tolerances.items() if k in self.relative}
-        return self
 
 
 def _rel(residual, *terms, weights, q=2.0):
@@ -146,7 +133,7 @@ def _rel(residual, *terms, weights, q=2.0):
 
 
 def pde_residual(sol: ResolventSolution, data: ResolventData,
-                 params: FluidParams, lam, tolerances: dict | None = None) -> ResidualReport:
+                 params: FluidParams, lam) -> ResidualReport:
     """Relative residuals of the flat free-surface system.
 
     Equations: density row, momentum rows, tangential and normal
@@ -237,11 +224,8 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     add("kinematic", r_kin, lam * hhat, u0[..., nd], ds.K.values[..., 0],
         weights=wbdy)
 
-    rep = ResidualReport(relative=report["relative"], absolute=report["absolute"],
-                         scales=report["scales"], worst_mode=report["worst"])
-    if tolerances:
-        rep.check(tolerances)
-    return rep
+    return ResidualReport(relative=report["relative"], absolute=report["absolute"],
+                          scales=report["scales"], worst_mode=report["worst"])
 
 
 # ---------------------------------------------------------------------------
@@ -330,36 +314,3 @@ def rbound_estimate(family, test_vectors, trials: int = 200, seed: int = 0,
     return RBoundReport(family_label=label, n_operators=len(ops), trials=trials,
                         estimate=best, max_singleton=max_singleton, band=band,
                         q=q, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# semigroup estimate measurement
-# ---------------------------------------------------------------------------
-
-def semigroup_estimate_check(gen, U0, times, gamma0: float = 1.0,
-                             propagate=None) -> dict:
-    """Smallest C with ||U|| + t(||dU/dt|| + ||U||_dom) <= C e^(gamma0 t) ||U0||.
-
-    The domain norm is the discrete graph norm ||U|| + ||gen U||; the
-    propagator defaults to the scaling-and-squaring exponential.
-    """
-    from .evolution import matrix_exponential_oracle
-
-    U0 = np.asarray(U0, dtype=complex)
-    nrm0 = float(np.linalg.norm(U0))
-    prop = propagate or (lambda t: matrix_exponential_oracle(gen, U0, t))
-    rows = []
-    C = 0.0
-    for t in np.asarray(times, dtype=float):
-        U = np.asarray(prop(t))
-        dU = gen @ U
-        lhs = (np.linalg.norm(U)
-               + t * (np.linalg.norm(dU)
-                      + np.linalg.norm(U) + np.linalg.norm(dU)))
-        if nrm0 == 0:
-            rows.append({"t": float(t), "lhs": float(lhs), "quotient": 0.0})
-            continue
-        quot = lhs / (math.exp(gamma0 * t) * nrm0)
-        rows.append({"t": float(t), "lhs": float(lhs), "quotient": float(quot)})
-        C = max(C, quot)
-    return {"C_measured": C, "gamma0_used": gamma0, "per_time": rows}

@@ -163,6 +163,35 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     assert rep["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("command, key, value, section", [
+    ("solve", "tangential_points", "60", "grid"),      # not a power of two
+    ("solve", "normal_points", "4", "grid"),           # below 8 nodes
+    ("solve", "dims", "2", "grid"),                    # built-in data are 1-D
+    ("evolve", "angle", "2.0", "contour"),             # outside (0, pi/2)
+    ("bent", "width", "-1.0", "bent"),                 # bump width not positive
+])
+def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section):
+    cfgp = small_cfg(tmp_path, **{key: value})
+    rc = main([command, "--config", cfgp, "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 2
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["type"] == "config"
+    assert rep["error"]["message"].startswith(f"invalid [{section}]")
+    assert rep["verdicts"] == []
+
+
+def test_cli_exit_3_on_expm_dimension_cap(tmp_path, monkeypatch):
+    from resolvlab import evolution
+
+    monkeypatch.setattr(evolution, "EXPM_DIM_CAP", 10)
+    rc = main(["evolve", "--config", small_cfg(tmp_path, normal_points="24"),
+               "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 3
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["type"] == "numerical"
+    assert rep["error"]["class"] == "DimensionCapError"
+
+
 def test_cli_exit_3_on_numerical_failure(tmp_path):
     cfgp = small_cfg(tmp_path, lambda_re="0.5")  # below lambda0: region error
     rc = main(["solve", "--config", cfgp, "--out", str(tmp_path)])

@@ -11,7 +11,6 @@ from resolvlab.evolution import (
     apply_full,
     build_generator,
     matrix_exponential_oracle,
-    maximal_regularity_norms,
     pack_state,
     propagate_contour,
     unpack_state,
@@ -208,37 +207,3 @@ def test_generator_evolution_vs_oracle():
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)
 
-
-# -- maximal regularity -----------------------------------------------------
-
-def test_maxreg_zero_forcing():
-    gen = build_generator([0.5], BASE, NormalGrid(points=16, truncation=20.0))
-    rep = maximal_regularity_norms(gen, lambda t: np.zeros(gen.dim), 4.0, 64, BASE)
-    assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
-
-
-def test_maxreg_scaling_invariance():
-    gen = build_generator([0.5], BASE, NormalGrid(points=16, truncation=20.0))
-    rng = np.random.default_rng(7)
-    f0 = rng.standard_normal(gen.dim)
-
-    def forcing(t, amp=1.0):
-        return amp * math.exp(-2 * t) * math.sin(3 * t) * f0
-
-    r1 = maximal_regularity_norms(gen, lambda t: forcing(t, 1.0), 4.0, 128, BASE)
-    r10 = maximal_regularity_norms(gen, lambda t: forcing(t, 10.0), 4.0, 128, BASE)
-    assert r10["lhs"] == pytest.approx(10 * r1["lhs"], rel=1e-10)
-    assert r10["ratio"] == pytest.approx(r1["ratio"], rel=1e-10)
-
-
-def test_maxreg_refinement_stability():
-    gen = build_generator([0.5], BASE, NormalGrid(points=16, truncation=20.0))
-    rng = np.random.default_rng(8)
-    f0 = rng.standard_normal(gen.dim)
-
-    def forcing(t):
-        return math.exp(-2 * t) * math.sin(3 * t) * f0
-
-    r1 = maximal_regularity_norms(gen, forcing, 4.0, 128, BASE)
-    r2 = maximal_regularity_norms(gen, forcing, 4.0, 256, BASE)
-    assert abs(r1["ratio"] - r2["ratio"]) <= 0.10 * r2["ratio"]

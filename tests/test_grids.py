@@ -9,7 +9,6 @@ from resolvlab.grids import (
     NormalGrid,
     TangentialGrid,
     chebyshev_matrix,
-    choose_truncation,
     clenshaw_curtis_weights,
     edge_support_ratio,
     transform_tangential,
@@ -87,13 +86,6 @@ def test_clenshaw_curtis_exactness():
     _, x = chebyshev_matrix(16)
     for k in range(0, 14, 2):
         assert w @ x**k == pytest.approx(2.0 / (k + 1), rel=1e-12)
-
-
-def test_choose_truncation():
-    assert choose_truncation(1.0, 1.0) == 20.0
-    assert choose_truncation(0.01, 1.0) == pytest.approx(100.0)
-    with pytest.raises(ValueError):
-        choose_truncation(-1.0 + 0j, 1.0)
 
 
 def test_edge_support_ratio():

@@ -16,7 +16,6 @@ from resolvlab.halfspace import (
     VolevichQuadrature,
     chebyshev_interp_matrix,
     extend_boundary_datum,
-    laplace_beltrami_resolvent_flat,
     smooth_cutoff,
     solve_full_resolvent,
     solve_lame_bvp,
@@ -333,24 +332,3 @@ def test_full_resolvent_linearity():
                         (s12.eta, s1.eta, s2.eta)):
         lin = a * f1.values + b * f2.values
         assert np.max(np.abs(fld.values - lin)) <= 1e-12 * max(np.abs(lin).max(), 1e-30)
-
-
-def test_laplace_beltrami_flat():
-    f = delta_boundary(TG, 1.0, mode=4)  # |xi| = pi 4/8
-    out = laplace_beltrami_resolvent_flat(f, 1.0)
-    xi2 = TG.xi_sq[4]
-    assert out.values[4, 0] == pytest.approx(1.0 / (1.0 + xi2), rel=1e-14)
-
-    # applying (lam - Lap') after the inverse returns the input
-    g = gaussian_boundary(TG)
-    inv = laplace_beltrami_resolvent_flat(g, 2.5)
-    gs = transform_tangential(g, "forward")
-    invs = transform_tangential(inv, "forward")
-    back = (2.5 + TG.xi_sq)[:, None] * invs.values
-    assert np.max(np.abs(back - gs.values)) <= 1e-13 * np.abs(gs.values).max()
-
-    # m as the spectral parameter reproduces the (m - Lap')^-1 factor
-    m_out = laplace_beltrami_resolvent_flat(g, BASE.m)
-    ms = transform_tangential(m_out, "forward")
-    assert np.allclose((BASE.m + TG.xi_sq)[:, None] * ms.values, gs.values,
-                       rtol=0, atol=1e-13 * np.abs(gs.values).max())

@@ -8,13 +8,11 @@ from resolvlab.regions import (
     FluidParams,
     RegionError,
     SectorSpec,
-    SpectralPoint,
     in_gamma_region,
     in_lambda_region,
     in_sigma,
-    reduce_params,
-    sector_inequality_check,
 )
+from resolvlab.symbols import SymbolParams
 
 
 def test_in_sigma_basic_points():
@@ -93,14 +91,14 @@ def test_gamma_c3_rejects_negative_re_zeta():
 
 
 def test_reduce_params_examples():
-    red = reduce_params(FluidParams())
-    assert red.alpha == 1 and red.beta == 0 and red.zeta_prime == 0 and red.sigma_prime == 1
+    red = SymbolParams.from_fluid(FluidParams())
+    assert red.alpha == 1 and red.beta == 0 and red.zeta == 0 and red.sigma == 1
 
-    red = reduce_params(FluidParams(mu=1, nu=2, gamma1=2, rho1=1, rho2=2))
+    red = SymbolParams.from_fluid(FluidParams(mu=1, nu=2, gamma1=2, rho1=1, rho2=2))
     assert red.alpha == 0.5 and red.beta == 0.5
 
-    red = reduce_params(FluidParams(gamma3=3, zeta=1j, rho3=3))
-    assert red.zeta_prime == 3j
+    red = SymbolParams.from_fluid(FluidParams(gamma3=3, zeta=1j, rho3=3))
+    assert red.zeta == 3j
 
 
 def test_reduce_params_roundtrip():
@@ -114,31 +112,11 @@ def test_reduce_params_roundtrip():
         z = rng.normal() * 0.3 + 1j * rng.normal() * 0.3
         fp = FluidParams(mu=mu, nu=nu, sigma=sg, gamma1=g1, gamma3=g3, zeta=z,
                          zeta0=5.0, rho1=g1, rho2=g1, rho3=g3)
-        red = reduce_params(fp)
+        red = SymbolParams.from_fluid(fp)
         assert abs(red.alpha * g1 - mu) <= 1e-15 * mu
         assert abs((red.alpha + red.beta) * g1 - nu) <= 1e-15 * nu
-        assert abs(red.zeta_prime * g1 / g3 - z) <= 1e-15 * abs(z)
-        assert abs(red.sigma_prime * g1 - sg) <= 1e-15 * max(sg, 1)
-
-
-def test_sector_inequality_examples():
-    eps = math.pi / 4
-    rep = sector_inequality_check(SpectralPoint(1.0, [0.0]), 1.0, eps)
-    assert rep.holds
-    assert rep.lhs == pytest.approx(1.0)
-    assert rep.rhs == pytest.approx(math.sin(math.pi / 8))
-
-    rep = sector_inequality_check(SpectralPoint(1j, [1.0]), 1.0, eps)
-    assert rep.holds
-    assert rep.lhs == pytest.approx(math.sqrt(2))
-    assert rep.rhs == pytest.approx(math.sin(math.pi / 8) * 2)
-
-    lam_edge = complex(math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4))
-    rep = sector_inequality_check(SpectralPoint(lam_edge, [1.0]), 2.0, eps)
-    assert rep.holds
-
-    with pytest.raises(RegionError):
-        sector_inequality_check(SpectralPoint(-1.0, [0.0]), 1.0, eps)
+        assert abs(red.zeta * g1 / g3 - z) <= 1e-15 * abs(z)
+        assert abs(red.sigma * g1 - sg) <= 1e-15 * max(sg, 1)
 
 
 def test_sector_inequality_bulk_samples():

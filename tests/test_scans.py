@@ -7,10 +7,8 @@ from resolvlab.regions import FluidParams, SectorSpec, in_gamma_region
 from resolvlab.scans import (
     MultiplierClassSpec,
     SamplingPlan,
-    abl_envelope,
     draw_samples,
     fit_exp_decay_constant,
-    measured_sector_angles,
     multiplier_class_scan,
     nab_lower_bound_scan,
 )
@@ -81,18 +79,6 @@ def test_exp_decay_constant_positive():
     lam, xi = draw_samples(SamplingPlan(n_samples=2000, seed=6), spec, BASE)
     c = fit_exp_decay_constant(lam, xi, SymbolParams.from_fluid(BASE))
     assert 0 < c < 1
-
-
-def test_measured_sector_angles_positive():
-    spec = SectorSpec(zeta_case="C3")
-    lam, xi = draw_samples(SamplingPlan(n_samples=5000, seed=7), spec, BASE)
-    rep = measured_sector_angles(lam, xi, SymbolParams.from_fluid(BASE))
-    assert rep["eps0_AB"] > 0
-    assert all(v > 0 for v in rep["eps_prime"].values())
-    assert rep["int_AB_constant"] > 0
-    env = abl_envelope(lam, xi, SymbolParams.from_fluid(BASE))
-    assert 0 < env["A"][0] <= env["A"][1] < np.inf
-    assert 0 < env["B"][0] <= env["B"][1] < np.inf
 
 
 def test_nab_scan_baseline():

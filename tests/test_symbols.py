@@ -4,25 +4,53 @@ import mpmath
 import numpy as np
 import pytest
 
-from resolvlab.regions import SpectralPoint
 from resolvlab.symbols import (
-    BASELINE,
-    BranchError,
     NearSingularError,
     SymbolParams,
     core_values,
-    eval_M,
-    eval_QQprime,
-    eval_core,
-    eval_lopatinski,
-    eval_nJk,
     lopatinski_values,
     mollified_exp,
     mollified_exp_derivatives,
     njk_values,
+    q_values,
 )
 
 SQ2 = math.sqrt(2.0)
+BASELINE = SymbolParams(alpha=1.0, beta=0.0, zeta=0.0, sigma=1.0, m=1.0)
+
+
+def factored_form(lam, xi_sq, p: SymbolParams, L):
+    """The P-factored printed form of the boundary matrix: the oracle for L.
+
+    P = lambda / (AB - xi2) in its rationalized form, and with
+    slope = A/(A+B) - ((b+z)/(2a+b+z)) B/(A+B):
+
+        L = [[A P, xi2 (2a - P)], [slope P, B P]],   det L = P D,
+        D = AB P - xi2 (2a - P) slope,   N = P Ntilde,
+        Ntilde = lambda D + sigma A (m + xi2),
+        N = L11 E - lambda L12 L21 with E = lambda L22 + sigma (m + xi2).
+
+    form_rel_diff is the worst relative gap between the entries of this
+    form and those of L, the direct form lopatinski_values returns.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    A, B = core_values(lam, xi_sq, p)
+    a, bz, s2 = p.alpha, p.beta + p.zeta, p.two_ab_z
+    s3 = 3 * a + p.beta + p.zeta
+    P = a * s2 * (A * B + xi_sq) / (lam + s3 * xi_sq)
+    slope = A / (A + B) - (bz / s2) * B / (A + B)
+    D = A * B * P - xi_sq * (2 * a - P) * slope
+    mxi2 = p.m + xi_sq
+
+    def gap(u, v):
+        s = np.abs(u) + np.abs(v)
+        return float(np.max(np.abs(u - v) / np.where(s > 0, s, 1.0)))
+
+    form_rel_diff = max(gap(L.L11, A * P), gap(L.L12, xi_sq * (2 * a - P)),
+                        gap(L.L21, slope * P), gap(L.L22, B * P),
+                        gap(L.detL, P * D))
+    return {"P": P, "D": D, "Ntilde": lam * D + p.sigma * A * mxi2,
+            "E": lam * L.L22 + p.sigma * mxi2, "form_rel_diff": form_rel_diff}
 
 
 def sample_region_points(n, seed, lam0=1.0, lam_hi=1e4, xi_lo=1e-3, xi_hi=1e3):
@@ -37,22 +65,16 @@ def sample_region_points(n, seed, lam0=1.0, lam_hi=1e4, xi_lo=1e-3, xi_hi=1e3):
 
 
 def test_core_baseline():
-    core = eval_core(SpectralPoint(1.0, [0.0]), BASELINE)
-    assert core.A == pytest.approx(1 / SQ2, abs=1e-15)
-    assert core.B == pytest.approx(1.0, abs=1e-15)
-    assert core.eta_coef == 1.0
+    A, B = core_values(1.0, 0.0, BASELINE)
+    assert complex(A) == pytest.approx(1 / SQ2, abs=1e-15)
+    assert complex(B) == pytest.approx(1.0, abs=1e-15)
+    assert BASELINE.eta_coef == 1.0
 
 
 def test_core_principal_branch():
-    core = eval_core(SpectralPoint(1j, [1.0]), BASELINE)
-    assert core.B == pytest.approx(complex(mpmath.sqrt(1 + 1j)), abs=1e-15)
-    assert core.B.real > 0
-
-
-def test_core_branch_error_off_sector():
-    # lambda on the negative real axis makes B purely imaginary
-    with pytest.raises(BranchError):
-        eval_core(SpectralPoint(-4.0, [0.0]), BASELINE)
+    _, B = core_values(1j, 1.0, BASELINE)
+    assert complex(B) == pytest.approx(complex(mpmath.sqrt(1 + 1j)), abs=1e-15)
+    assert B.real > 0
 
 
 def test_branch_consistency_bulk():
@@ -64,21 +86,20 @@ def test_branch_consistency_bulk():
 
 
 def test_M_at_zero_and_equal_roots():
-    core = eval_core(SpectralPoint(1.0, [0.0]), BASELINE)
-    assert eval_M(core, 0.0) == 0.0
+    A, B = core_values(1.0, 0.0, BASELINE)
+    assert mollified_exp(A, B, 0.0) == 0.0
     # removable singularity: M -> -x e^{-Ax} as B -> A
-    from resolvlab.symbols import CoreSymbols
-    m = eval_M(CoreSymbols(A=1.0, B=1.0, eta_coef=1.0), 1.0)
+    m = mollified_exp(1.0, 1.0, 1.0)
     assert m == pytest.approx(-math.exp(-1.0), rel=1e-12)
 
 
 def test_M_baseline_against_mpmath():
-    core = eval_core(SpectralPoint(1.0, [0.0]), BASELINE)
+    A, B = core_values(1.0, 0.0, BASELINE)
     with mpmath.workdps(40):
         a = mpmath.mpf(1) / mpmath.sqrt(2)
         exact = (mpmath.e**-1 - mpmath.e**-a) / (1 - a)
-    assert eval_M(core, 1.0) == pytest.approx(float(exact), rel=1e-14)
-    assert eval_M(core, 1.0) == pytest.approx(-0.4274228359774083, rel=1e-12)
+    assert mollified_exp(A, B, 1.0) == pytest.approx(float(exact), rel=1e-14)
+    assert mollified_exp(A, B, 1.0) == pytest.approx(-0.4274228359774083, rel=1e-12)
 
 
 def test_M_taylor_branch_matches_direct():
@@ -108,20 +129,24 @@ def test_M_derivative_identity():
 
 
 def test_lopatinski_baseline_values():
-    L = eval_lopatinski(SpectralPoint(1.0, [0.0]), BASELINE)
-    assert L.L11 == pytest.approx(1.0, abs=1e-14)
-    assert L.L12 == 0.0
-    assert L.L21 == pytest.approx(2 * (1 - 1 / SQ2), abs=1e-14)
-    assert L.L22 == pytest.approx(SQ2, abs=1e-14)
-    assert L.detL == pytest.approx(SQ2, abs=1e-14)
-    assert L.P == pytest.approx(SQ2, abs=1e-14)
-    assert L.D == pytest.approx(1.0, abs=1e-14)
-    assert L.N == pytest.approx(SQ2 + 1, abs=1e-14)
-    assert L.Ntilde == pytest.approx(1 + 1 / SQ2, abs=1e-14)
-    assert L.detL == pytest.approx(L.P * L.D, rel=1e-12)
-    assert L.N == pytest.approx(L.P * L.Ntilde, rel=1e-12)
-    assert L.N == pytest.approx(L.L11 * L.E - L.P * 0, rel=1e-12)  # L12 = 0 here
-    assert L.form_rel_diff < 1e-13
+    L = lopatinski_values(1.0, 0.0, BASELINE)
+    F = factored_form(1.0, 0.0, BASELINE, L)
+    L11, L12, L21, L22 = (complex(v) for v in (L.L11, L.L12, L.L21, L.L22))
+    detL, N = complex(L.detL), complex(L.N)
+    P, D, Ntilde, E = (complex(F[k]) for k in ("P", "D", "Ntilde", "E"))
+    assert L11 == pytest.approx(1.0, abs=1e-14)
+    assert L12 == 0.0
+    assert L21 == pytest.approx(2 * (1 - 1 / SQ2), abs=1e-14)
+    assert L22 == pytest.approx(SQ2, abs=1e-14)
+    assert detL == pytest.approx(SQ2, abs=1e-14)
+    assert P == pytest.approx(SQ2, abs=1e-14)
+    assert D == pytest.approx(1.0, abs=1e-14)
+    assert N == pytest.approx(SQ2 + 1, abs=1e-14)
+    assert Ntilde == pytest.approx(1 + 1 / SQ2, abs=1e-14)
+    assert detL == pytest.approx(P * D, rel=1e-12)
+    assert N == pytest.approx(P * Ntilde, rel=1e-12)
+    assert N == pytest.approx(L11 * E - P * 0, rel=1e-12)  # L12 = 0 here
+    assert F["form_rel_diff"] < 1e-13
 
 
 @pytest.mark.parametrize("params", [
@@ -132,11 +157,12 @@ def test_lopatinski_baseline_values():
 def test_lopatinski_factorizations_bulk(params):
     lam, xi = sample_region_points(10_000, seed=17)
     L = lopatinski_values(lam, xi**2, params)
-    assert L.form_rel_diff < 1e-12
+    F = factored_form(lam, xi**2, params, L)
+    assert F["form_rel_diff"] < 1e-12
     scale = np.abs(L.N)
-    assert np.max(np.abs(L.N - L.P * L.Ntilde) / scale) < 1e-12
-    assert np.max(np.abs(L.N - (L.L11 * L.E - lam * L.L12 * L.L21)) / scale) < 1e-12
-    assert np.max(np.abs(L.detL - L.P * L.D) / np.abs(L.detL)) < 1e-12
+    assert np.max(np.abs(L.N - F["P"] * F["Ntilde"]) / scale) < 1e-12
+    assert np.max(np.abs(L.N - (L.L11 * F["E"] - lam * L.L12 * L.L21)) / scale) < 1e-12
+    assert np.max(np.abs(L.detL - F["P"] * F["D"]) / np.abs(L.detL)) < 1e-12
 
 
 def test_lopatinski_near_singular_guard():
@@ -146,9 +172,9 @@ def test_lopatinski_near_singular_guard():
 
 
 def test_q_values_baseline():
-    Q, Qp = eval_QQprime(SpectralPoint(1.0, [0.0]), BASELINE)
-    assert Q == pytest.approx(-1 / SQ2, abs=1e-14)
-    assert Qp == pytest.approx(SQ2, abs=1e-14)
+    Q, Qp = q_values(1.0, 0.0, BASELINE)
+    assert complex(Q) == pytest.approx(-1 / SQ2, abs=1e-14)
+    assert complex(Qp) == pytest.approx(SQ2, abs=1e-14)
 
 
 def test_q_limits_along_xi_ray():
@@ -157,7 +183,6 @@ def test_q_limits_along_xi_ray():
     # multiplier class asserts) while Q' decays like |xi|^-2.
     lam = 2.0 + 1.0j
     xis = 10.0 ** np.linspace(0, 3, 8)
-    from resolvlab.symbols import q_values
     Q = np.array([q_values(lam, x**2, BASELINE)[0] for x in xis])
     Qp = np.array([q_values(lam, x**2, BASELINE)[1] for x in xis])
     assert abs(Q[-1] - (-2.0 / 3.0)) < 1e-5
@@ -167,27 +192,27 @@ def test_q_limits_along_xi_ray():
 
 
 def test_njk_baseline():
-    n = eval_nJk(SpectralPoint(1.0, [0.0]), BASELINE)
-    assert n.shape == (2, 2)
-    assert n[0, 0] == 0 and n[0, 1] == 0  # i xi_j factor at xi = 0
-    assert n[1, 1] == pytest.approx(1 / (1 + SQ2), abs=1e-14)
+    n_t1, n_t2, n_N1, n_N2 = njk_values(1.0, [0.0], BASELINE)
+    assert n_t1.shape == n_t2.shape == (1,)
+    assert n_t1[0] == 0 and n_t2[0] == 0  # i xi_j factor at xi = 0
+    assert complex(n_N2) == pytest.approx(1 / (1 + SQ2), abs=1e-14)
     # at xi = 0, Q = -A/B so n_N1 = -sigma A^2 / ((A+B) N)
     expect = -0.5 / ((1 / SQ2 + 1) * (SQ2 + 1))
-    assert n[1, 0] == pytest.approx(expect, abs=1e-14)
-    assert n[1, 0] == pytest.approx(-0.12132034355964258, rel=1e-12)
+    assert complex(n_N1) == pytest.approx(expect, abs=1e-14)
+    assert complex(n_N1) == pytest.approx(-0.12132034355964258, rel=1e-12)
 
 
 def test_njk_vectorized_matches_pointwise():
     lam, xi = sample_region_points(50, seed=23)
     nt1, nt2, nN1, nN2 = njk_values(lam, xi[:, None], BASELINE)
     for i in range(0, 50, 7):
-        single = eval_nJk(SpectralPoint(lam[i], [xi[i]]), BASELINE)
-        assert single[0, 0] == pytest.approx(nt1[i, 0], rel=1e-14)
-        assert single[1, 0] == pytest.approx(nN1[i], rel=1e-14)
-        assert single[1, 1] == pytest.approx(nN2[i], rel=1e-14)
+        st1, _, sN1, sN2 = njk_values(lam[i], [xi[i]], BASELINE)
+        assert complex(st1[0]) == pytest.approx(nt1[i, 0], rel=1e-14)
+        assert complex(sN1) == pytest.approx(nN1[i], rel=1e-14)
+        assert complex(sN2) == pytest.approx(nN2[i], rel=1e-14)
 
 
 def test_core_region_rejection_happens_at_solver_level():
     # symbol evaluation itself is pure algebra; |lambda| < lambda0 is fine here
-    core = eval_core(SpectralPoint(1e-4, [0.0]), BASELINE)
-    assert core.B.real > 0
+    _, B = core_values(1e-4, 0.0, BASELINE)
+    assert B.real > 0

@@ -11,8 +11,6 @@ from resolvlab.verification import (
     discrete_norm,
     pde_residual,
     rbound_estimate,
-    semigroup_estimate_check,
-    time_weighted_norm,
 )
 
 BASE = FluidParams()
@@ -62,13 +60,6 @@ def test_norm_axioms_on_random_fields():
             pytest.approx(abs(c) * na, rel=1e-12)
 
 
-def test_time_weighted_norm_exponential():
-    t = np.linspace(0, 10, 4001)
-    # (e^{-0.5 t} e^{-t})^2 integrates to (1 - e^{-30})/3
-    out = time_weighted_norm(t, np.exp(-t), p=2.0, gamma=0.5)
-    assert out == pytest.approx(math.sqrt((1 - math.exp(-30)) / 3), rel=1e-5)
-
-
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(q=1.0)
@@ -115,10 +106,14 @@ def test_residual_zero_solution_equals_data_norm():
 
 
 def test_residual_verdicts():
+    # the solve command's residual.<row> verdicts compare these values with
+    # tolerances.residual (default 1e-6)
     data = make_data()
     sol = solve_full_resolvent(data, BASE, 4.0)
-    rep = pde_residual(sol, data, BASE, 4.0, tolerances={"momentum": 1e-6})
-    assert rep.verdicts == {"momentum": True}
+    rep = pde_residual(sol, data, BASE, 4.0)
+    assert set(rep.relative) == {"density", "momentum", "stress_tangential",
+                                 "stress_normal", "kinematic"}
+    assert all(v <= 1e-6 for v in rep.relative.values())
 
 
 # -- R-bound estimator ------------------------------------------------------
@@ -169,33 +164,3 @@ def test_rbound_deterministic_under_seed():
     r1 = rbound_estimate(fam, _vectors(), trials=50, seed=9)
     r2 = rbound_estimate(fam, _vectors(), trials=50, seed=9)
     assert r1.estimate == r2.estimate and r1.band == r2.band
-
-
-# -- semigroup measurement --------------------------------------------------
-
-def test_semigroup_zero_initial_state():
-    gen = -np.eye(3)
-    rep = semigroup_estimate_check(gen, np.zeros(3), [0.1, 1.0], gamma0=0.0)
-    assert rep["C_measured"] == 0.0
-
-
-def test_semigroup_scalar_decay():
-    gen = np.array([[-1.0 + 0j]])
-    ts = np.linspace(0.05, 5, 40)
-    rep = semigroup_estimate_check(gen, np.array([1.0 + 0j]), ts, gamma0=0.0)
-    # t ||dU/dt|| = t e^-t stays below e^{gamma0 t} = 1
-    assert max(t * math.exp(-t) for t in ts) <= 1.0
-    assert rep["C_measured"] == pytest.approx(
-        max((1 + 3 * t) * math.exp(-t) for t in ts), rel=1e-12)
-
-
-def test_semigroup_measurement_stable_under_refinement():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((12, 12))
-    A = A - (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(12)
-    U0 = rng.standard_normal(12)
-    t1 = np.linspace(0.05, 3, 30)
-    t2 = np.linspace(0.05, 3, 60)
-    r1 = semigroup_estimate_check(A, U0, t1, gamma0=0.5)
-    r2 = semigroup_estimate_check(A, U0, t2, gamma0=0.5)
-    assert abs(r1["C_measured"] - r2["C_measured"]) <= 0.05 * r2["C_measured"]
