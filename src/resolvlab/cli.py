@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, canonical_json, config_hash, config_
 from .grids import BoundaryField, HalfSpaceField
 from .halfspace import ResolventData, SolverError, solve_full_resolvent
 from .regions import DegenerateCaseError, RegionError
-from .symbols import NearSingularError, SingularSymbolError
+from .symbols import SYMBOLS, NearSingularError, SingularSymbolError
 
 NUMERICAL_ERRORS = (SolverError, RegionError, DegenerateCaseError,
                     NearSingularError, SingularSymbolError, scans.ScanError,
@@ -58,6 +58,10 @@ def git_describe():
 
 def _tol(cfg: RunConfig, key: str, default: float) -> float:
     return float(cfg.tolerances.get(key, default))
+
+
+def _verdict(name, passed, value, tolerance):
+    return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
 
 
 def _builtin_gaussian_data(tg, ng, block):
@@ -96,8 +100,8 @@ def cmd_solve(cfg: RunConfig, out_dir, threads):
     sol = solve_full_resolvent(data, cfg.fluid, lam, sector=cfg.sector)
     tol = _tol(cfg, "residual", 1e-6)
     rep = verification.pde_residual(sol, data, cfg.fluid, lam)
-    verdicts = [{"name": f"residual.{k}", "passed": v <= tol, "value": v,
-                 "tolerance": tol} for k, v in rep.relative.items()]
+    verdicts = [_verdict(f"residual.{k}", v <= tol, v, tol)
+                for k, v in rep.relative.items()]
     artifacts = []
     for name, fld in (("u", sol.u), ("eta", sol.eta), ("h_ext", sol.h_ext)):
         base = os.path.join(out_dir, name)
@@ -107,18 +111,6 @@ def cmd_solve(cfg: RunConfig, out_dir, threads):
     payload = {"lambda": lam, "residuals": rep.relative,
                "worstMode": rep.worst_mode}
     return verdicts, payload, artifacts
-
-
-SYMBOL_CLASSES = {
-    "A": (1.0, 1, 0.0), "B": (1.0, 1, 0.0),
-    "L11": (1.0, 1, 0.0), "L12": (2.0, 1, 0.0), "L21": (0.0, 1, 0.0),
-    "L22": (1.0, 1, 0.0), "detL": (2.0, 1, 0.0), "detL_inv": (-2.0, 1, 0.0),
-    "Q": (0.0, 1, 0.0), "Qprime": (-2.0, 1, 0.0),
-    "n11": (-2.0, 1, 0.0), "n12": (-2.0, 1, 0.0),
-    "nN1": (-2.0, 1, 0.0), "nN2": (-2.0, 1, 0.0),
-    "detL_over_N": (0.0, 1, -1.0), "N_inv": (-2.0, 1, -1.0),
-    "exp_BxN": (0.0, 1, 0.0),
-}
 
 
 def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
@@ -132,52 +124,51 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     by less than tolerances.refinement_growth from n to 2n samples, i.e.
     that the sup estimate has converged.  Results do not depend on
     threads: each symbol's scan is deterministic and self-contained.
+    The symbols and their classes are symbols.SYMBOLS.
     """
     block = cfg.raw.get("scan", {})
-    symbols = block.get("symbols", ["A", "B", "L11", "L12", "L21", "L22",
-                                    "detL", "detL_inv", "Q", "Qprime",
-                                    "n11", "n12", "nN1", "nN2", "detL_over_N"])
+    symbols = list(block.get("symbols", [s for s, c in SYMBOLS.items() if c.default]))
+    unknown = [s for s in symbols if s not in SYMBOLS]
+    if unknown:
+        raise ConfigError(f"invalid [scan]: unknown symbol(s) {unknown}; "
+                          f"known: {list(SYMBOLS)}")
     n = int(block.get("samples", 10_000))
-    seed = cfg.seed if cfg.seed is not None else int(block.get("seed", 0))
     growth_cap = _tol(cfg, "refinement_growth", 0.05)
 
     def one(sym):
-        order, mtype, w = SYMBOL_CLASSES[sym]
-        spec = scans.MultiplierClassSpec(order=order, mtype=mtype,
-                                         region=cfg.sector, lam_xi_weight=w)
+        cls = SYMBOLS[sym]
+        spec = scans.MultiplierClassSpec(order=cls.order, region=cfg.sector,
+                                         lam_xi_weight=cls.lam_xi_weight)
         return scans.multiplier_class_scan(
-            sym, spec, scans.SamplingPlan(n_samples=n, seed=seed), cfg.fluid)
+            sym, spec, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid)
 
-    reports = ordered_map(one, list(symbols), threads)
+    reports = ordered_map(one, symbols, threads)
     verdicts = []
     for rep in reports:
         finite = all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])
-        verdicts.append({"name": f"scan.{rep['symbol']}.finite", "passed": finite,
-                         "value": rep["worstRatio"], "tolerance": math.inf})
-        verdicts.append({"name": f"scan.{rep['symbol']}.refinement",
-                         "passed": rep["refinementGrowth"] < growth_cap,
-                         "value": rep["refinementGrowth"],
-                         "tolerance": growth_cap})
+        verdicts.append(_verdict(f"scan.{rep['symbol']}.finite", finite,
+                                 rep["worstRatio"], math.inf))
+        verdicts.append(_verdict(f"scan.{rep['symbol']}.refinement",
+                                 rep["refinementGrowth"] < growth_cap,
+                                 rep["refinementGrowth"], growth_cap))
     with open(os.path.join(out_dir, "symbol_scans.json"), "w") as fh:
         fh.write(canonical_json(reports))
-    return verdicts, {"symbols": list(symbols), "samples": n}, ["symbol_scans.json"]
+    return verdicts, {"symbols": symbols, "samples": n}, ["symbol_scans.json"]
 
 
 def cmd_scan_nab(cfg: RunConfig, out_dir, threads):
     block = cfg.raw.get("nab", {})
     n = int(block.get("samples", 100_000))
-    seed = cfg.seed if cfg.seed is not None else int(block.get("seed", 0))
-    rep = scans.nab_lower_bound_scan(cfg.fluid, cfg.sector.epsilon, n, seed=seed,
+    rep = scans.nab_lower_bound_scan(cfg.fluid, cfg.sector.epsilon, n, seed=cfg.seed,
                                      zeta_case=cfg.sector.zeta_case)
     lam0_max = _tol(cfg, "lambda0_max", 100.0)
     c_min = _tol(cfg, "c_min", 1e-6)
     verdicts = [
-        {"name": "nab.lambda0", "passed": rep["lambda0Found"] <= lam0_max,
-         "value": rep["lambda0Found"], "tolerance": lam0_max},
-        {"name": "nab.constant", "passed": rep["cFound"] > c_min,
-         "value": rep["cFound"], "tolerance": c_min},
-        {"name": "nab.violations", "passed": len(rep["violations"]) == 0,
-         "value": float(len(rep["violations"])), "tolerance": 0.0},
+        _verdict("nab.lambda0", rep["lambda0Found"] <= lam0_max,
+                 rep["lambda0Found"], lam0_max),
+        _verdict("nab.constant", rep["cFound"] > c_min, rep["cFound"], c_min),
+        _verdict("nab.violations", len(rep["violations"]) == 0,
+                 float(len(rep["violations"])), 0.0),
     ]
     with open(os.path.join(out_dir, "nab_scan.json"), "w") as fh:
         fh.write(canonical_json(rep))
@@ -222,15 +213,12 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
                                               trials=50, seed=seed,
                                               label="singleton")
     verdicts = [
-        {"name": "rbound.singleton", "passed":
-            abs(rep_single.estimate - abs(c)) <= 1e-12,
-         "value": rep_single.estimate, "tolerance": abs(c)},
-        {"name": "rbound.scalar_bound", "passed":
-            rep_scalar.estimate <= (1 / lam0) * (1 + 1e-9),
-         "value": rep_scalar.estimate, "tolerance": 1 / lam0},
-        {"name": "rbound.solver_finite", "passed":
-            bool(np.isfinite(rep_solver.estimate)),
-         "value": rep_solver.estimate, "tolerance": math.inf},
+        _verdict("rbound.singleton", abs(rep_single.estimate - abs(c)) <= 1e-12,
+                 rep_single.estimate, abs(c)),
+        _verdict("rbound.scalar_bound", rep_scalar.estimate <= (1 / lam0) * (1 + 1e-9),
+                 rep_scalar.estimate, 1 / lam0),
+        _verdict("rbound.solver_finite", bool(np.isfinite(rep_solver.estimate)),
+                 rep_solver.estimate, math.inf),
     ]
     payload = {name: {"estimate": r.estimate, "band": list(r.band),
                       "trials": r.trials, "operators": r.n_operators}
@@ -252,7 +240,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
             nodes=int(cblock.get("nodes", 48)))
     xi = [float(eblock.get("mode_xi", 0.5))]
     gen = evolution.build_generator(xi, cfg.fluid, ng)
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+    rng = np.random.default_rng(cfg.seed)
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
     times = [float(t) for t in eblock.get("times", [0.1, 0.5, 1.0, 2.0])]
     tol = _tol(cfg, "evolve_rel", 1e-6)
@@ -264,8 +252,8 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
         return {"t": t, "rel_err": rel, "norm": float(np.linalg.norm(approx))}
 
     rows = ordered_map(one, times, threads)
-    verdicts = [{"name": f"evolve.t={r['t']:g}", "passed": r["rel_err"] <= tol,
-                 "value": r["rel_err"], "tolerance": tol} for r in rows]
+    verdicts = [_verdict(f"evolve.t={r['t']:g}", r["rel_err"] <= tol, r["rel_err"], tol)
+                for r in rows]
     fieldio.write_csv_table(os.path.join(out_dir, "evolution.csv"),
                             ["t", "rel_err", "norm"],
                             [(r["t"], r["rel_err"], r["norm"]) for r in rows])
@@ -300,15 +288,12 @@ def cmd_bent(cfg: RunConfig, out_dir, threads):
     ratio = max(state.ratios) if state.ratios else 0.0
     res_tol = _tol(cfg, "bent_residual", 1e-6)
     verdicts = [
-        {"name": "bent.converged", "passed": state.converged,
-         "value": float(state.iterations), "tolerance": float(block.get("max_iter", 40))},
-        {"name": "bent.contraction", "passed": ratio < 0.5, "value": ratio,
-         "tolerance": 0.5},
+        _verdict("bent.converged", state.converged, float(state.iterations),
+                 float(block.get("max_iter", 40))),
+        _verdict("bent.contraction", ratio < 0.5, ratio, 0.5),
     ]
-    for name, val in state.residuals.items():
-        verdicts.append({"name": f"bent.residual.{name}",
-                         "passed": val <= res_tol, "value": val,
-                         "tolerance": res_tol})
+    verdicts += [_verdict(f"bent.residual.{name}", val <= res_tol, val, res_tol)
+                 for name, val in state.residuals.items()]
     rows = []
     for i, upd in enumerate(state.update_norms):
         r = state.ratios[i - 1] if 0 < i <= len(state.ratios) else 0.0

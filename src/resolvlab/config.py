@@ -149,7 +149,9 @@ REQUIRED_BLOCKS = {
     "bent": ("fluid", "sector", "grid", "bent"),
 }
 
-RANDOMIZED_COMMANDS = ("rbound",)
+# The seed of each command that draws random numbers when neither --seed
+# nor its own block sets one; None: rbound is randomized and needs a seed.
+DEFAULT_SEEDS = {"verify-symbols": 0, "scan-nab": 0, "evolve": 0, "rbound": None}
 
 
 @dataclass
@@ -163,7 +165,8 @@ class RunConfig:
     @classmethod
     def load(cls, text: str, command: str, seed=None, tol_overrides=None) -> "RunConfig":
         cfg = parse_config(text)
-        missing = [b for b in REQUIRED_BLOCKS.get(command, ()) if b not in cfg]
+        blocks = REQUIRED_BLOCKS[command]
+        missing = [b for b in blocks if b not in cfg]
         if missing:
             raise ConfigError(f"missing required block(s) {missing} for {command}")
 
@@ -190,21 +193,18 @@ class RunConfig:
                     zeta_case=s.get("zeta_case", "C3"),
                     rho3_over_nu=fluid.rho3 / fluid.nu)
 
-        run_seed = seed
-        if run_seed is None:
-            for block in cfg.values():
-                if "seed" in block:
-                    run_seed = int(block["seed"])
-                    break
-        if command in RANDOMIZED_COMMANDS and run_seed is None:
+        # the command's own block is the last of its required blocks
+        run_seed = seed if seed is not None else \
+            cfg[blocks[-1]].get("seed", DEFAULT_SEEDS.get(command))
+        if command in DEFAULT_SEEDS and run_seed is None:
             raise ConfigError(f"{command} is randomized: a seed is required "
-                              "(--seed or a seed key in the config)")
+                              f"(--seed or a seed key in [{blocks[-1]}])")
 
         tol = dict(cfg.get("tolerances", {}))
         for k, v in (tol_overrides or {}).items():
             tol[k] = v
-        return cls(raw=cfg, fluid=fluid, sector=sector, seed=run_seed,
-                   tolerances=tol)
+        return cls(raw=cfg, fluid=fluid, sector=sector,
+                   seed=None if run_seed is None else int(run_seed), tolerances=tol)
 
     def grids(self):
         g = self.raw.get("grid", {})

@@ -36,12 +36,11 @@ from .grids import (
 from .regions import FluidParams, SectorSpec, in_gamma_region
 from .symbols import (
     SymbolParams,
-    core_values,
     lopatinski_values,
     mollified_exp,
     mollified_exp_derivatives,
-    n_floor,
     njk_values,
+    q_values,
 )
 
 EDGE_SUPPORT_TOL = 1e-10
@@ -95,15 +94,10 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     khat holds the per-mode boundary values of the surface datum.
     Returns (u, du, d2u, hhat) with u of shape mode_shape + (nx, N).
     """
-    xi = tgrid.xi
     xi_sq = tgrid.xi_sq
-    xi_norm = np.sqrt(xi_sq)
-    A, B = core_values(lam, xi_sq, p)
     L = lopatinski_values(lam, xi_sq, p)
-    if np.any(np.abs(L.N) < n_floor(lam, xi_norm)):
-        from .symbols import SingularSymbolError
-        raise SingularSymbolError("N(A, B) below threshold on some mode")
-    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, check=False)
+    A, B = L.A, L.B
+    nt1, nt2, nN1, nN2 = njk_values(L, q_values(lam, xi_sq, p)[0], tgrid.xi, p)
 
     x = ngrid.nodes
     Ax, Bx = A[..., None], B[..., None]
@@ -246,10 +240,10 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
 
 
 def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp):
-    xi = tg.xi
     xi_sq = tg.xi_sq
-    A, B = core_values(lam, xi_sq, p)
-    nt1, nt2, nN1, nN2 = njk_values(lam, xi, p, check=False)
+    L = lopatinski_values(lam, xi_sq, p, check=False)
+    A, B = L.A, L.B
+    nt1, nt2, nN1, nN2 = njk_values(L, q_values(lam, xi_sq, p)[0], tg.xi, p)
 
     yq, wq = quad.nodes_weights(ppp)
     interp = chebyshev_interp_matrix(ng.nodes, yq)   # (ny, nx_cheb)

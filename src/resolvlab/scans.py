@@ -16,12 +16,14 @@ C2 slope) otherwise.  Every point of the cube lands in the region.
 
 A scan measures
 
-  * worst ratios  |d^k_xi (tau d_tau)^l m| / bound(s, type)  per symbol,
-    from the samples and a local ascent started at the worst of them
-    (see multiplier_class_scan),
+  * worst ratios  |d^k_xi (tau d_tau)^l m| / bound  per symbol, from the
+    samples and a local ascent started at the worst of them (see
+    multiplier_class_scan).  The symbols, their evaluators and the class
+    each bound comes from are the table symbols.SYMBOLS,
   * the smallest lam0 for which  |N| >= c (|lam|+|xi|)(|lam|^1/2+|xi|)^2
     holds with a positive floor, plus the certified c,
-  * the decay constant c' of exp(-B x_N).
+  * the decay constant c' of exp(-B x_N), for the symbols whose bound
+    carries that decay.
 
 Derivatives are central finite differences with relative step
 1e-4*(|lam|^1/2+|xi|) in xi and 1e-4*|lam| in tau, Richardson-extrapolated
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .regions import FluidParams, SectorSpec
-from .symbols import SymbolParams, core_values, lopatinski_values, symbol_registry
+from .symbols import SYMBOLS, SymbolParams, core_values, lopatinski_values
 
 FD_REL_STEP = 1e-4
 NAB_FLOOR = 1e-10
@@ -112,17 +114,14 @@ def draw_samples(plan: SamplingPlan, spec: SectorSpec, params: FluidParams):
 
 @dataclass(frozen=True)
 class MultiplierClassSpec:
+    """Bound (|lam|^1/2+|xi|)^(order-|kappa|) (|lam|+|xi|)^lam_xi_weight."""
+
     order: float
-    mtype: int = 1          # 1: (|lam|^1/2+|xi|)^(s-|k|);  2: (...)^s |xi|^(-|k|)
     max_deriv_order: int = 2
     region: SectorSpec = field(default_factory=SectorSpec)
-    # extra (|lam|+|xi|)^w factor in the bound; -1 for N^-1 and detL/N,
-    # whose certified envelopes are not plain multiplier classes
     lam_xi_weight: float = 0.0
 
     def __post_init__(self):
-        if self.mtype not in (1, 2):
-            raise ValueError("type must be 1 or 2")
         if self.max_deriv_order > 2:
             raise ValueError("derivative order capped at 2")
 
@@ -203,10 +202,8 @@ class _RatioField:
     stencils and weights (P, len(pairs)) their coefficients on it.
     """
 
-    def __init__(self, f, spec: MultiplierClassSpec, dims: int, decay_c=None,
-                 x_n: float = 1.0):
-        self.f, self.spec, self.dims = f, spec, dims
-        self.decay_c, self.x_n = decay_c, x_n
+    def __init__(self, f, spec: MultiplierClassSpec, dims: int, decay_c=None):
+        self.f, self.spec, self.dims, self.decay_c = f, spec, dims, decay_c
         self.pairs = [(kappa, ell) for kappa in _kappa_list(dims, spec.max_deriv_order)
                       for ell in (0, 1)]
         tables = [_stencil(kappa, ell) for kappa, ell in self.pairs]
@@ -216,12 +213,11 @@ class _RatioField:
 
     def _bound(self, lam, scale, xi_norm, korder):
         spec = self.spec
-        bound = scale ** (spec.order - korder) if spec.mtype == 1 \
-            else scale**spec.order * xi_norm ** (-korder)
+        bound = scale ** (spec.order - korder)
         if spec.lam_xi_weight:
             bound = bound * (np.abs(lam) + xi_norm) ** spec.lam_xi_weight
         if self.decay_c is not None:
-            bound = bound * np.exp(-self.decay_c * scale * self.x_n)
+            bound = bound * np.exp(-self.decay_c * scale)
         return bound
 
     def ratios(self, groups):
@@ -319,7 +315,7 @@ def _top(ratio, k):
 
 
 def multiplier_class_scan(symbol: str, spec: MultiplierClassSpec, plan: SamplingPlan,
-                          params: FluidParams, x_n: float = 1.0) -> dict:
+                          params: FluidParams) -> dict:
     """Worst ratio against the class bound, per (kappa, ell), and its refinement.
 
     One nested draw of 2n samples (n = plan.n_samples) is made; the n-set
@@ -339,10 +335,11 @@ def multiplier_class_scan(symbol: str, spec: MultiplierClassSpec, plan: Sampling
     samples that were not n-set starts; refinedWorstRatio is the best of
     all, so refinementGrowth = refinedWorstRatio / worstRatio - 1 >= 0.
 
-    For the symbol "exp_BxN" the decay constant c' of Lemma ABL(1) is
-    fitted first (0.99 x the sampled minimum of Re B/(|lam|^1/2+|xi|)
+    symbol names an entry of symbols.SYMBOLS, which gives its evaluator.
+    When the entry has exp_decay, the decay constant c' of Lemma ABL(1)
+    is fitted first (0.99 x the sampled minimum of Re B/(|lam|^1/2+|xi|)
     over the 2n-set) and the bound carries the extra factor
-    exp(-c'(|lam|^1/2+|xi|) x_N).
+    exp(-c'(|lam|^1/2+|xi|)).
     """
     sp = SymbolParams.from_fluid(params)
     n = plan.n_samples
@@ -350,25 +347,9 @@ def multiplier_class_scan(symbol: str, spec: MultiplierClassSpec, plan: Sampling
     u = _unit_draw(refined)  # the cube rows that draw_samples maps
     lam, xi = draw_samples(refined, spec.region, params)
 
-    decay_c = None
-    if symbol == "exp_BxN":
-        decay_c = fit_exp_decay_constant(lam, xi, sp)
-
-        def f(l, x):
-            _, B = core_values(l, np.sum(np.asarray(x) ** 2, axis=-1), sp)
-            return np.exp(-B * x_n)
-    else:
-        registry = symbol_registry(sp)
-        if symbol not in registry:
-            raise KeyError(f"unknown symbol {symbol!r}; known: {sorted(registry)}")
-        base = registry[symbol]
-        s_int = round(spec.order)
-        if symbol in ("A", "B") and s_int != 1:
-            f = lambda l, x: base(l, x) ** s_int  # noqa: E731  A^s, B^s
-        else:
-            f = base
-
-    field_ = _RatioField(f, spec, plan.dims, decay_c, x_n)
+    entry = SYMBOLS[symbol]
+    decay_c = fit_exp_decay_constant(lam, xi, sp) if entry.exp_decay else None
+    field_ = _RatioField(lambda l, x: entry.evaluate(l, x, sp), spec, plan.dims, decay_c)
     ratio = field_.sampled(lam, xi)
 
     # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
@@ -407,7 +388,8 @@ def multiplier_class_scan(symbol: str, spec: MultiplierClassSpec, plan: Sampling
 
     report = {
         "symbol": symbol,
-        "class": {"order": spec.order, "type": spec.mtype},
+        # type 1: the bound's xi-derivatives lower the order of |lam|^1/2 + |xi|
+        "class": {"order": spec.order, "type": 1},
         "samples": n,
         "seed": plan.seed,
         "perDerivative": per_derivative,
@@ -442,8 +424,7 @@ def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,
 
 
 def nab_lower_bound_scan(params: FluidParams, epsilon: float, sample_budget: int,
-                         seed: int = 0, floor: float = NAB_FLOOR,
-                         zeta_case: str | None = None) -> dict:
+                         seed: int = 0, zeta_case: str | None = None) -> dict:
     """Smallest lam0 in [1, 2^16] whose sampled min of |N|/bound clears the floor.
 
     Doubling finds a bracket, bisection shrinks it to 1% relative width;
@@ -460,18 +441,18 @@ def nab_lower_bound_scan(params: FluidParams, epsilon: float, sample_budget: int
         return float(np.min(_nab_min_ratio(lam0, plan, spec, params, sp)[0]))
 
     lo, hi = None, 1.0
-    if min_ratio(hi) <= floor:
+    if min_ratio(hi) <= NAB_FLOOR:
         lo = hi
         while True:
             hi *= 2
             if hi > NAB_LAMBDA0_CAP:
                 raise ScanError(f"no lambda0 <= {NAB_LAMBDA0_CAP} clears the floor")
-            if min_ratio(hi) > floor:
+            if min_ratio(hi) > NAB_FLOOR:
                 break
             lo = hi
         while hi - lo > 0.01 * hi:
             mid = 0.5 * (lo + hi)
-            if min_ratio(mid) > floor:
+            if min_ratio(mid) > NAB_FLOOR:
                 hi = mid
             else:
                 lo = mid

@@ -17,12 +17,17 @@ from its direct rational entries; the paper's second printed form, the
 P-factored one with P = lambda / (AB - xi2), is the test oracle these
 entries are checked against.
 
+SYMBOLS, at the end of this module, is the one table of the symbols the
+multiplier-class scans check: each name's evaluator, the class its bound
+comes from, and whether verify-symbols scans it by default.
+
 All evaluators broadcast over numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,6 +80,8 @@ class SymbolParams:
 
 @dataclass(frozen=True)
 class LopatinskiMatrix:
+    A: object
+    B: object
     L11: object
     L12: object
     L21: object
@@ -127,8 +134,10 @@ def mollified_exp_derivatives(A, B, x):
 
 
 def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> LopatinskiMatrix:
-    """The boundary matrix L, its determinant and N(A, B).
+    """A, B, the boundary matrix L, its determinant and N(A, B).
 
+    check raises NearSingularError where AB - xi2 vanishes to working
+    precision and SingularSymbolError where |N| falls below n_floor.
     The quantities B^2 - xi2, A^2 - xi2 and AB - xi2 are evaluated by
     substituting the defining relations (lambda/a, lambda/(2a+b+z) and the
     rationalized product form); the literal differences lose ~6 digits at
@@ -154,7 +163,9 @@ def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> Lopati
     L22 = s2 * B * (lam / s2) / den
     detL = L11 * L22 - L12 * L21
     N = lam * detL + p.sigma * L11 * (p.m + xi_sq)
-    return LopatinskiMatrix(L11=L11, L12=L12, L21=L21, L22=L22, detL=detL, N=N)
+    if check and np.any(np.abs(N) < n_floor(lam, np.sqrt(xi_sq))):
+        raise SingularSymbolError("N(A, B) below certified lower bound")
+    return LopatinskiMatrix(A=A, B=B, L11=L11, L12=L12, L21=L21, L22=L22, detL=detL, N=N)
 
 
 def q_values(lam, xi_sq, p: SymbolParams):
@@ -176,23 +187,14 @@ def n_floor(lam, xi_norm):
     return N_FLOOR * (al + xi_norm) * (np.sqrt(al) + xi_norm) ** 2
 
 
-def njk_values(lam, xi, p: SymbolParams, check: bool = True):
-    """Solution-operator symbols n_J1, n_J2 for one or many modes.
+def njk_values(L: LopatinskiMatrix, Q, xi, p: SymbolParams):
+    """Solution-operator symbols n_J1, n_J2 from L and Q at the same points.
 
     xi has shape (..., N-1); returns (n_t1, n_t2, n_N1, n_N2) where the
     tangential pair carries the i*xi_j factor and shares xi's shape.
     """
     xi = np.asarray(xi, dtype=float)
-    xi_sq = np.sum(xi**2, axis=-1)
-    lam = np.asarray(lam, dtype=complex)
-    A, B = core_values(lam, xi_sq, p)
-    L = lopatinski_values(lam, xi_sq, p, check=check)
-    if check:
-        bad = np.abs(L.N) < n_floor(lam, np.sqrt(xi_sq))
-        if np.any(bad):
-            raise SingularSymbolError("N(A, B) below certified lower bound")
-
-    Q, _ = q_values(lam, xi_sq, p)
+    A, B = L.A, L.B
     common = p.eta_coef * (L.L12 + B * L.L11) * Q / (B * (A + B) * L.N)
     ixj = 1j * xi
     n_t1 = -p.sigma * ixj * common[..., None]
@@ -202,52 +204,76 @@ def njk_values(lam, xi, p: SymbolParams, check: bool = True):
     return n_t1, n_t2, n_N1, n_N2
 
 
-def symbol_registry(p: SymbolParams):
-    """Named scalar symbols (lam, xi_vec) -> value for the scan module.
+# ---------------------------------------------------------------------------
+# the symbol table of the multiplier-class scans
+# ---------------------------------------------------------------------------
 
-    Orders s and types follow the multiplier classes they are scanned
-    against: A, B are order 1 type 1 (A^s, B^s order s), L11/L22 order 1,
-    L12 order 2, L21 order 0, detL order +-2, Q order 0, Qprime order -2,
-    n_Jk order -2 and detL/N order -2 type 1 (its own bound carries the
-    extra (|lam|+|xi|)^-1 factor).
+@dataclass(frozen=True)
+class SymbolClass:
+    """A scanned symbol: its evaluator and the class its bound comes from.
+
+    evaluate(lam, xi, p) takes xi of shape (..., N-1).  The bound of
+    d^kappa_xi (tau d_tau)^ell m is
+
+        (|lam|^1/2 + |xi|)^(order - |kappa|) (|lam| + |xi|)^lam_xi_weight,
+
+    times exp(-c'(|lam|^1/2 + |xi|)) with a fitted decay constant c' when
+    exp_decay is set.  default marks the symbols verify-symbols scans when
+    its [scan] block lists none.
     """
 
-    def with_xi_sq(f):
-        def g(lam, xi):
-            xi = np.asarray(xi, dtype=float)
-            return f(np.asarray(lam, dtype=complex), np.sum(xi**2, axis=-1))
-        return g
+    evaluate: Callable
+    order: float
+    lam_xi_weight: float = 0.0
+    exp_decay: bool = False
+    default: bool = True
 
-    def lop(field):
-        return with_xi_sq(lambda lam, xi_sq:
-                          getattr(lopatinski_values(lam, xi_sq, p, check=False), field))
 
-    reg = {
-        "A": with_xi_sq(lambda lam, xi_sq: core_values(lam, xi_sq, p)[0]),
-        "B": with_xi_sq(lambda lam, xi_sq: core_values(lam, xi_sq, p)[1]),
-        "L11": lop("L11"), "L12": lop("L12"), "L21": lop("L21"), "L22": lop("L22"),
-        "detL": lop("detL"),
-        "detL_inv": with_xi_sq(lambda lam, xi_sq:
-                               1.0 / lopatinski_values(lam, xi_sq, p, check=False).detL),
-        "Q": with_xi_sq(lambda lam, xi_sq: q_values(lam, xi_sq, p)[0]),
-        "Qprime": with_xi_sq(lambda lam, xi_sq: q_values(lam, xi_sq, p)[1]),
-        "detL_over_N": with_xi_sq(lambda lam, xi_sq:
-                                  (lambda L: L.detL / L.N)(
-                                      lopatinski_values(lam, xi_sq, p, check=False))),
-        "N_inv": with_xi_sq(lambda lam, xi_sq:
-                            1.0 / lopatinski_values(lam, xi_sq, p, check=False).N),
-    }
+def _of_xi_sq(f):
+    """The (lam, xi, p) evaluator of f(lam, xi_sq, p)."""
+    def g(lam, xi, p):
+        xi = np.asarray(xi, dtype=float)
+        return f(np.asarray(lam, dtype=complex), np.sum(xi**2, axis=-1), p)
+    return g
 
-    def njk_entry(j, k):
-        def g(lam, xi):
-            parts = njk_values(lam, xi, p, check=False)
-            if j == "N":
-                return parts[2] if k == 1 else parts[3]
-            return parts[0][..., j] if k == 1 else parts[1][..., j]
-        return g
 
-    reg["n11"] = njk_entry(0, 1)
-    reg["n12"] = njk_entry(0, 2)
-    reg["nN1"] = njk_entry("N", 1)
-    reg["nN2"] = njk_entry("N", 2)
-    return reg
+def _of_L(f):
+    """The evaluator of f(L), with L's guards off (check=False)."""
+    return _of_xi_sq(lambda lam, xi_sq, p: f(lopatinski_values(lam, xi_sq, p, check=False)))
+
+
+def _njk(part, axis=None):
+    """The evaluator of njk_values(...)[part], on one tangential axis if given."""
+    def g(lam, xi, p):
+        xi = np.asarray(xi, dtype=float)
+        lam = np.asarray(lam, dtype=complex)
+        xi_sq = np.sum(xi**2, axis=-1)
+        L = lopatinski_values(lam, xi_sq, p, check=False)
+        out = njk_values(L, q_values(lam, xi_sq, p)[0], xi, p)[part]
+        return out if axis is None else out[..., axis]
+    return g
+
+
+# detL/N and N^-1 carry the extra (|lam|+|xi|)^-1 factor: their certified
+# envelopes are not plain multiplier classes.
+SYMBOLS = {
+    "A": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: core_values(lam, xi_sq, p)[0]), 1.0),
+    "B": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: core_values(lam, xi_sq, p)[1]), 1.0),
+    "L11": SymbolClass(_of_L(lambda L: L.L11), 1.0),
+    "L12": SymbolClass(_of_L(lambda L: L.L12), 2.0),
+    "L21": SymbolClass(_of_L(lambda L: L.L21), 0.0),
+    "L22": SymbolClass(_of_L(lambda L: L.L22), 1.0),
+    "detL": SymbolClass(_of_L(lambda L: L.detL), 2.0),
+    "detL_inv": SymbolClass(_of_L(lambda L: 1.0 / L.detL), -2.0),
+    "Q": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: q_values(lam, xi_sq, p)[0]), 0.0),
+    "Qprime": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: q_values(lam, xi_sq, p)[1]), -2.0),
+    "n11": SymbolClass(_njk(0, 0), -2.0),
+    "n12": SymbolClass(_njk(1, 0), -2.0),
+    "nN1": SymbolClass(_njk(2), -2.0),
+    "nN2": SymbolClass(_njk(3), -2.0),
+    "detL_over_N": SymbolClass(_of_L(lambda L: L.detL / L.N), 0.0, lam_xi_weight=-1.0),
+    "N_inv": SymbolClass(_of_L(lambda L: 1.0 / L.N), -2.0, lam_xi_weight=-1.0, default=False),
+    # exp(-B x_N) at x_N = 1, against the decay of Lemma ABL(1)
+    "exp_BxN": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: np.exp(-core_values(lam, xi_sq, p)[1])),
+                           0.0, exp_decay=True, default=False),
+}

@@ -249,8 +249,7 @@ def _lq_mean(v, q):
 
 
 def _square_function_quotient(ops, vecs, q):
-    num = np.zeros_like(np.abs(np.asarray(ops[0](vecs[0]))), dtype=float)
-    den = np.zeros_like(np.abs(np.asarray(vecs[0])), dtype=float)
+    num = den = 0.0
     for op, f in zip(ops, vecs):
         num = num + np.abs(np.asarray(op(f))) ** 2
         den = den + np.abs(np.asarray(f)) ** 2

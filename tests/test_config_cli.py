@@ -69,6 +69,16 @@ def test_run_config_seed_required_for_rbound():
     assert cfg.seed == 7
 
 
+def test_run_config_seed_from_the_commands_own_block():
+    text = ("[fluid]\n[sector]\n[grid]\n[contour]\n[solve]\n"
+            "[scan]\nseed = 1\n[nab]\nseed = 5\n[evolve]\n")
+    assert RunConfig.load(text, "scan-nab").seed == 5
+    assert RunConfig.load(text, "verify-symbols").seed == 1
+    assert RunConfig.load(text, "scan-nab", seed=7).seed == 7
+    assert RunConfig.load(text, "evolve").seed == 0   # draws, block sets none
+    assert RunConfig.load(text, "solve").seed is None  # draws nothing
+
+
 def test_canonical_json_is_deterministic():
     obj = {"b": 1.0 / 3.0, "a": [1, 2.5, True, None], "c": "x"}
     s1 = canonical_json(obj)
@@ -79,19 +89,19 @@ def test_canonical_json_is_deterministic():
 
 # -- field I/O --------------------------------------------------------------
 
-def test_field_csv_roundtrip():
+def test_field_csv_roundtrip(tmp_path):
     tg = TangentialGrid(points=16, half_length=4.0)
     ng = NormalGrid(points=12, truncation=10.0)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((16, 12, 2)) + 1j * rng.standard_normal((16, 12, 2))
     f = HalfSpaceField(vals, tg, ng)
-    field_to_csv(f, "/tmp/f.csv")
-    back = field_from_csv("/tmp/f.csv", tg, ng)
+    field_to_csv(f, str(tmp_path / "f.csv"))
+    back = field_from_csv(str(tmp_path / "f.csv"), tg, ng)
     assert np.max(np.abs(back.values - vals)) < 1e-15
 
     b = BoundaryField(vals[:, 0, :], tg)
-    field_to_csv(b, "/tmp/b.csv")
-    back = field_from_csv("/tmp/b.csv", tg, None)
+    field_to_csv(b, str(tmp_path / "b.csv"))
+    back = field_from_csv(str(tmp_path / "b.csv"), tg, None)
     assert np.max(np.abs(back.values - b.values)) < 1e-15
 
 
@@ -137,6 +147,18 @@ def test_cli_scan_nab(tmp_path, capsys):
     assert all(v["passed"] for v in rep["verdicts"])
     out = capsys.readouterr().out
     assert "PASS nab.lambda0" in out
+
+
+def test_cli_scan_nab_reads_its_own_seed(tmp_path):
+    cfgp = small_cfg(tmp_path)
+    text = open(cfgp).read()
+    text = text.replace("[scan]", "[scan]\nseed = 1", 1).replace("[nab]", "[nab]\nseed = 5", 1)
+    text = re.sub(r"(?m)^seed = 0$", "", text)
+    open(cfgp, "w").write(text)
+    rc = main(["scan-nab", "--config", cfgp, "--out", str(tmp_path)])
+    assert rc == 0
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["seed"] == 5 and rep["result"]["seed"] == 5
 
 
 def test_cli_solve_zero_data_and_artifacts(tmp_path):
@@ -241,6 +263,38 @@ def test_cli_verify_symbols(tmp_path):
     assert rc == 0
     scans_out = json.load(open(tmp_path / "symbol_scans.json"))
     assert {r["symbol"] for r in scans_out} >= {"A", "B", "detL_over_N"}
+
+
+def test_cli_unknown_symbol_is_a_config_error(tmp_path):
+    cfgp = small_cfg(tmp_path)
+    text = re.sub(r"(?m)^symbols = .*$", 'symbols = ["A", "bogus"]', open(cfgp).read())
+    open(cfgp, "w").write(text)
+    rc = main(["verify-symbols", "--config", cfgp, "--out", str(tmp_path)])
+    assert rc == 2
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["type"] == "config"
+    assert "'bogus'" in rep["error"]["message"]
+    assert "detL_over_N" in rep["error"]["message"]
+    assert rep["verdicts"] == []
+
+
+def test_cli_verify_symbols_every_table_symbol(tmp_path):
+    from resolvlab.symbols import SYMBOLS
+
+    cfgp = small_cfg(tmp_path)
+    listed = ", ".join(f'"{s}"' for s in SYMBOLS)
+    text = re.sub(r"(?m)^symbols = .*$", f"symbols = [{listed}]", open(cfgp).read())
+    open(cfgp, "w").write(text.replace("samples = 2000", "samples = 100"))
+    rc = main(["verify-symbols", "--config", cfgp, "--out", str(tmp_path), "--threads", "2"])
+    assert rc in (0, 4)
+    reps = json.load(open(tmp_path / "symbol_scans.json"))
+    assert [r["symbol"] for r in reps] == list(SYMBOLS)
+    for r in reps:
+        assert all(np.isfinite(d["worstRatio"]) for d in r["perDerivative"])
+        assert np.isfinite(r["refinedWorstRatio"])
+        assert ("decayConstant" in r) == (r["symbol"] == "exp_BxN")
+    verdicts = json.load(open(tmp_path / "report.json"))["verdicts"]
+    assert all(v["passed"] for v in verdicts if v["name"].endswith(".finite"))
 
 
 def test_cli_determinism_modulo_walltime(tmp_path):

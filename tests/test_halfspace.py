@@ -112,6 +112,32 @@ def test_surface_boundary_stress_rows():
     assert np.max(np.abs(norm)) <= 1e-8 * amp
 
 
+def test_surface_mode_profiles_evaluates_symbols_once(monkeypatch):
+    # A, B and L are evaluated once per surface solve: one L, and A, B for
+    # L and for Q; every module-level alias of each function is counted
+    import sys
+
+    from resolvlab import symbols
+
+    calls = {"core_values": 0, "lopatinski_values": 0}
+    for name in calls:
+        orig = getattr(symbols, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("resolvlab") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+
+    k = transform_tangential(gaussian_boundary(TG), "forward")
+    surface_mode_profiles(2.0 + 1.5j, TG, NG, SymbolParams.from_fluid(BASE),
+                          k.values[..., 0])
+    assert calls["lopatinski_values"] == 1
+    assert calls["core_values"] <= 2
+
+
 def test_surface_interior_ode_residual():
     # (lam + a xi^2) u - a u'' - (a+b+z)(i xi)(i xi . u' + u_N') = 0 per mode
     lam = 4.0 + 1.0j

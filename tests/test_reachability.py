@@ -101,3 +101,13 @@ def test_every_oracle_is_imported_by_a_test_or_the_benchmark():
     users += list((ROOT / "resolvbench").glob("*.py"))
     missing = set(ORACLES) - imported_names(users)
     assert not missing, f"oracles no test imports: {sorted(missing)}"
+
+
+def test_only_symbols_py_names_the_symbols():
+    # the symbol table in symbols.py is the one place a symbol is named
+    from resolvlab.symbols import SYMBOLS
+
+    for name in ("cli.py", "scans.py"):
+        literals = {node.value for node in ast.walk(ast.parse((SRC / name).read_text()))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert not literals & set(SYMBOLS), f"{name} names {sorted(literals & set(SYMBOLS))}"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from resolvlab.scans import (
     multiplier_class_scan,
     nab_lower_bound_scan,
 )
-from resolvlab.symbols import SymbolParams
+from resolvlab.symbols import SYMBOLS, SymbolParams
 
 BASE = FluidParams()
 
@@ -41,7 +42,7 @@ def test_draw_samples_deterministic():
 def test_scan_B_order_one_bound():
     # |B| <= |lam|^{1/2} + |xi| at baseline alpha = 1, so the ratio at
     # kappa=0, ell=0 cannot exceed 1
-    spec = MultiplierClassSpec(order=1, mtype=1, region=SectorSpec(zeta_case="C3"))
+    spec = MultiplierClassSpec(order=1, region=SectorSpec(zeta_case="C3"))
     rep = multiplier_class_scan("B", spec, SamplingPlan(n_samples=5000, seed=3), BASE)
     entry = next(d for d in rep["perDerivative"] if d["kappa"] == [0] and d["ell"] == 0)
     assert entry["worstRatio"] <= 1 + 1e-9
@@ -49,7 +50,7 @@ def test_scan_B_order_one_bound():
 
 
 def test_scan_L12_order_two_finite():
-    spec = MultiplierClassSpec(order=2, mtype=1, region=SectorSpec(zeta_case="C3"))
+    spec = MultiplierClassSpec(order=2, region=SectorSpec(zeta_case="C3"))
     rep = multiplier_class_scan("L12", spec, SamplingPlan(n_samples=5000, seed=4), BASE)
     assert all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])
     assert rep["worstRatio"] > 0
@@ -68,7 +69,7 @@ def test_scan_tau_derivative_vanishes_on_real_axis():
 
 def test_scan_refinement_stability():
     # worst ratio grows by < 5% when the sample count doubles
-    spec = MultiplierClassSpec(order=0, mtype=1, region=SectorSpec(zeta_case="C3"))
+    spec = MultiplierClassSpec(order=0, region=SectorSpec(zeta_case="C3"))
     r1 = multiplier_class_scan("Q", spec, SamplingPlan(n_samples=4000, seed=5), BASE)
     r2 = multiplier_class_scan("Q", spec, SamplingPlan(n_samples=8000, seed=5), BASE)
     assert r2["worstRatio"] <= 1.05 * r1["worstRatio"]
@@ -146,15 +147,15 @@ def test_stencil_tables_match_nested_reference():
     # the shared-offset tables are the nested Richardson stencils; they differ
     # only by rounding, which the third-order stencils amplify to ~1e-3
     from resolvlab.scans import _RatioField
-    from resolvlab.symbols import symbol_registry
 
-    reg = symbol_registry(SymbolParams.from_fluid(BASE))
+    sp = SymbolParams.from_fluid(BASE)
     for dims in (1, 2):
         lam, xi = draw_samples(SamplingPlan(n_samples=64, seed=3, dims=dims), SectorSpec(), BASE)
         for sym in ("B", "n11"):
-            field = _RatioField(reg[sym], MultiplierClassSpec(order=1.0), dims)
+            f = partial(SYMBOLS[sym].evaluate, p=sp)
+            field = _RatioField(f, MultiplierClassSpec(order=1.0), dims)
             got = field.sampled(lam, xi)
-            ref = _nested_reference_ratios(reg[sym], field, lam, xi)
+            ref = _nested_reference_ratios(f, field, lam, xi)
             assert np.allclose(got, ref, rtol=1e-3, atol=2e-3)
             assert np.allclose(got[:, 0], ref[:, 0], rtol=1e-12, atol=0)
 
@@ -162,12 +163,11 @@ def test_stencil_tables_match_nested_reference():
 def test_scan_sampled_ratio_is_max_over_the_n_set():
     # the scan's n-set is draw_samples at n; its 2n-set contains it
     from resolvlab.scans import _RatioField
-    from resolvlab.symbols import symbol_registry
 
-    spec = MultiplierClassSpec(order=0, mtype=1, region=SectorSpec(zeta_case="C3"))
+    spec = MultiplierClassSpec(order=0, region=SectorSpec(zeta_case="C3"))
     plan = SamplingPlan(n_samples=200, seed=12)
     rep = multiplier_class_scan("Q", spec, plan, BASE)
-    field = _RatioField(symbol_registry(SymbolParams.from_fluid(BASE))["Q"], spec, 1)
+    field = _RatioField(partial(SYMBOLS["Q"].evaluate, p=SymbolParams.from_fluid(BASE)), spec, 1)
     ratio = field.sampled(*draw_samples(plan, spec.region, BASE))
     for p, entry in enumerate(rep["perDerivative"]):
         assert [tuple(entry["kappa"]), entry["ell"]] == list(field.pairs[p])
@@ -178,7 +178,7 @@ def test_scan_sampled_ratio_is_max_over_the_n_set():
 @pytest.mark.parametrize("dims", [1, 2])
 def test_scan_ascent_stays_in_region_and_only_grows(case, fp, dims):
     # first derivatives are enough to move the ascent through every coordinate
-    spec = MultiplierClassSpec(order=2, mtype=1, max_deriv_order=1,
+    spec = MultiplierClassSpec(order=2, max_deriv_order=1,
                                region=SectorSpec(epsilon=math.pi / 4, lambda0=2.0,
                                                  zeta_case=case))
     rep = multiplier_class_scan("L12", spec, SamplingPlan(n_samples=150, seed=13, dims=dims),
@@ -197,7 +197,7 @@ def test_scan_ascent_stays_in_region_and_only_grows(case, fp, dims):
 def test_scan_ascent_converges_from_few_samples():
     # the n11 sup sits on a thin band near Re lam = lam0 that sampling alone
     # misses; the ascended estimate agrees across seeds and sample counts
-    spec = MultiplierClassSpec(order=-2, mtype=1, region=SectorSpec(zeta_case="C3"))
+    spec = MultiplierClassSpec(order=-2, region=SectorSpec(zeta_case="C3"))
     reps = [multiplier_class_scan("n11", spec, SamplingPlan(n_samples=n, seed=s), BASE)
             for n, s in ((300, 21), (600, 22))]
     assert reps[0]["perDerivative"][-1]["sampledWorstRatio"] < 0.9 * reps[0]["worstRatio"]

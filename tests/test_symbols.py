@@ -53,6 +53,13 @@ def factored_form(lam, xi_sq, p: SymbolParams, L):
             "E": lam * L.L22 + p.sigma * mxi2, "form_rel_diff": form_rel_diff}
 
 
+def njk_at(lam, xi, p):
+    """njk_values at (lam, xi), with L and Q evaluated there."""
+    xi = np.asarray(xi, dtype=float)
+    xi_sq = np.sum(xi**2, axis=-1)
+    return njk_values(lopatinski_values(lam, xi_sq, p), q_values(lam, xi_sq, p)[0], xi, p)
+
+
 def sample_region_points(n, seed, lam0=1.0, lam_hi=1e4, xi_lo=1e-3, xi_hi=1e3):
     """Re lam >= lam0 points (case C3 region at baseline zeta = 0)."""
     rng = np.random.default_rng(seed)
@@ -171,6 +178,17 @@ def test_lopatinski_near_singular_guard():
         lopatinski_values(1e-300, 1.0, BASELINE)
 
 
+def test_lopatinski_n_floor_guard(monkeypatch):
+    # |N| = 1 + sqrt 2 at lam = 1, xi = 0; a floor above it trips the guard
+    from resolvlab import symbols
+
+    monkeypatch.setattr(symbols, "N_FLOOR", 10.0)
+    with pytest.raises(symbols.SingularSymbolError):
+        lopatinski_values(1.0, 0.0, BASELINE)
+    assert complex(lopatinski_values(1.0, 0.0, BASELINE, check=False).N) == \
+        pytest.approx(SQ2 + 1, abs=1e-14)
+
+
 def test_q_values_baseline():
     Q, Qp = q_values(1.0, 0.0, BASELINE)
     assert complex(Q) == pytest.approx(-1 / SQ2, abs=1e-14)
@@ -192,7 +210,7 @@ def test_q_limits_along_xi_ray():
 
 
 def test_njk_baseline():
-    n_t1, n_t2, n_N1, n_N2 = njk_values(1.0, [0.0], BASELINE)
+    n_t1, n_t2, n_N1, n_N2 = njk_at(1.0, [0.0], BASELINE)
     assert n_t1.shape == n_t2.shape == (1,)
     assert n_t1[0] == 0 and n_t2[0] == 0  # i xi_j factor at xi = 0
     assert complex(n_N2) == pytest.approx(1 / (1 + SQ2), abs=1e-14)
@@ -204,9 +222,9 @@ def test_njk_baseline():
 
 def test_njk_vectorized_matches_pointwise():
     lam, xi = sample_region_points(50, seed=23)
-    nt1, nt2, nN1, nN2 = njk_values(lam, xi[:, None], BASELINE)
+    nt1, nt2, nN1, nN2 = njk_at(lam, xi[:, None], BASELINE)
     for i in range(0, 50, 7):
-        st1, _, sN1, sN2 = njk_values(lam[i], [xi[i]], BASELINE)
+        st1, _, sN1, sN2 = njk_at(lam[i], [xi[i]], BASELINE)
         assert complex(st1[0]) == pytest.approx(nt1[i, 0], rel=1e-14)
         assert complex(sN1) == pytest.approx(nN1[i], rel=1e-14)
         assert complex(sN2) == pytest.approx(nN2[i], rel=1e-14)

@@ -164,3 +164,25 @@ def test_rbound_deterministic_under_seed():
     r1 = rbound_estimate(fam, _vectors(), trials=50, seed=9)
     r2 = rbound_estimate(fam, _vectors(), trials=50, seed=9)
     assert r1.estimate == r2.estimate and r1.band == r2.band
+
+
+def test_square_function_quotient_applies_each_operator_once():
+    # one application per term of the square function, no sizing probe
+    from resolvlab.verification import _square_function_quotient
+
+    applied = []
+
+    def op(c):
+        def apply(f):
+            applied.append(c)
+            return c * f
+        return apply
+
+    cs = [0.5, -2.0, 1.0 + 1j]
+    vecs = _vectors(count=3)
+    quot = _square_function_quotient([op(c) for c in cs], vecs, 2.0)
+    assert applied == cs
+    num = np.sqrt(sum(np.abs(c * v) ** 2 for c, v in zip(cs, vecs)))
+    den = np.sqrt(sum(np.abs(v) ** 2 for v in vecs))
+    assert quot == pytest.approx(np.sqrt(np.mean(num**2)) / np.sqrt(np.mean(den**2)),
+                                 rel=1e-14)
