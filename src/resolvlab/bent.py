@@ -334,9 +334,9 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
     Boundary Sobolev norms act tangentially through (1 + |xi|^2)^(k/2)
     multipliers at q = 2; the interior norm is the volume L^2.
     """
-    from .verification import NormSpec, discrete_norm
+    from .verification import discrete_norm
 
-    nF = discrete_norm(F, NormSpec(q=2.0))
+    nF = discrete_norm(F)
     tg = G.tgrid
     mult = np.sqrt(1.0 + tg.xi_sq)
 

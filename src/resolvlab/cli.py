@@ -56,20 +56,23 @@ def git_describe():
         return "unknown"
 
 
-def _tol(cfg: RunConfig, key: str, default: float) -> float:
-    return float(cfg.tolerances.get(key, default))
-
-
 def _verdict(name, passed, value, tolerance):
     return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
+
+
+def _at_least_one(key, value):
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 def _builtin_gaussian_data(tg, ng, block):
     if tg.dims != 1:
         raise ConfigError(f"invalid [grid]: the built-in solve data are 1-D, "
                           f"got dims = {tg.dims}")
-    amp = float(block.get("amplitude", 1.0))
-    wx = float(block.get("width", 1.0))
+    with config_section("solve"):
+        amp = float(block.get("amplitude", 1.0))
+        wx = float(block.get("width", 1.0))
     x = tg.x
     t = ng.nodes
 
@@ -94,11 +97,12 @@ def _builtin_gaussian_data(tg, ng, block):
 def cmd_solve(cfg: RunConfig, out_dir, threads):
     tg, ng = cfg.grids()
     block = cfg.raw.get("solve", {})
-    lam = complex(float(block.get("lambda_re", 4.0)),
-                  float(block.get("lambda_im", 0.0)))
+    with config_section("solve"):
+        lam = complex(float(block.get("lambda_re", 4.0)),
+                      float(block.get("lambda_im", 0.0)))
     data = _builtin_gaussian_data(tg, ng, block)
     sol = solve_full_resolvent(data, cfg.fluid, lam, sector=cfg.sector)
-    tol = _tol(cfg, "residual", 1e-6)
+    tol = cfg.tolerances.get("residual", 1e-6)
     rep = verification.pde_residual(sol, data, cfg.fluid, lam)
     verdicts = [_verdict(f"residual.{k}", v <= tol, v, tol)
                 for k, v in rep.relative.items()]
@@ -132,8 +136,9 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     if unknown:
         raise ConfigError(f"invalid [scan]: unknown symbol(s) {unknown}; "
                           f"known: {list(SYMBOLS)}")
-    n = int(block.get("samples", 10_000))
-    growth_cap = _tol(cfg, "refinement_growth", 0.05)
+    with config_section("scan"):
+        n = _at_least_one("samples", int(block.get("samples", 10_000)))
+    growth_cap = cfg.tolerances.get("refinement_growth", 0.05)
 
     def one(sym):
         cls = SYMBOLS[sym]
@@ -158,11 +163,12 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
 
 def cmd_scan_nab(cfg: RunConfig, out_dir, threads):
     block = cfg.raw.get("nab", {})
-    n = int(block.get("samples", 100_000))
+    with config_section("nab"):
+        n = _at_least_one("samples", int(block.get("samples", 100_000)))
     rep = scans.nab_lower_bound_scan(cfg.fluid, cfg.sector.epsilon, n, seed=cfg.seed,
                                      zeta_case=cfg.sector.zeta_case)
-    lam0_max = _tol(cfg, "lambda0_max", 100.0)
-    c_min = _tol(cfg, "c_min", 1e-6)
+    lam0_max = cfg.tolerances.get("lambda0_max", 100.0)
+    c_min = cfg.tolerances.get("c_min", 1e-6)
     verdicts = [
         _verdict("nab.lambda0", rep["lambda0Found"] <= lam0_max,
                  rep["lambda0Found"], lam0_max),
@@ -180,23 +186,27 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
 
     tg, ng = cfg.grids()
     block = cfg.raw.get("rbound", {})
-    trials = int(block.get("trials", 200))
+    with config_section("rbound"):
+        trials = _at_least_one("trials", int(block.get("trials", 200)))
+        n_vecs = _at_least_one("test_vectors", int(block.get("test_vectors", 6)))
+        factors = [float(f) for f in block.get(
+            "lambda_factors", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0])]
+        if not factors:
+            raise ValueError("lambda_factors must not be empty")
+        j_weight = int(block.get("j_weight", 1))
+        c = complex(block.get("identity_scale", 0.5))
     seed = cfg.seed
     lam0 = cfg.sector.lambda0
     rng = np.random.default_rng(seed)
     vecs = [rng.standard_normal(tg.points) + 1j * rng.standard_normal(tg.points)
-            for _ in range(int(block.get("test_vectors", 6)))]
+            for _ in range(n_vecs)]
 
     # scalar family lam_j^-1 Id over |lam_j| >= lam0
-    lams = lam0 * np.array(block.get("lambda_factors",
-                                     [1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0]))
+    lams = lam0 * np.array(factors)
     scalar_fam = [(l, (lambda ll: (lambda f: f / ll))(l)) for l in lams]
-    rep_scalar = verification.rbound_estimate(scalar_fam, vecs, trials=trials,
-                                              seed=seed, label="scalar_inverse")
+    rep_scalar = verification.rbound_estimate(scalar_fam, vecs, trials=trials, seed=seed)
 
     # solver family lam^{j/2} A(lam): boundary datum K -> weighted velocity
-    j_weight = int(block.get("j_weight", 1))
-
     def solver_op(lam):
         def apply(khat):
             k = BoundaryField(np.asarray(khat, dtype=complex), tg, "spectral")
@@ -205,13 +215,10 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
         return apply
 
     fam = [(l, solver_op(l)) for l in lams]
-    rep_solver = verification.rbound_estimate(fam, vecs, trials=min(trials, 40),
-                                              seed=seed, label="lam^j/2 A(lam)")
+    rep_solver = verification.rbound_estimate(fam, vecs, trials=min(trials, 40), seed=seed)
 
-    c = complex(block.get("identity_scale", 0.5))
     rep_single = verification.rbound_estimate([(1.0, lambda f: c * f)], vecs,
-                                              trials=50, seed=seed,
-                                              label="singleton")
+                                              trials=50, seed=seed)
     verdicts = [
         _verdict("rbound.singleton", abs(rep_single.estimate - abs(c)) <= 1e-12,
                  rep_single.estimate, abs(c)),
@@ -238,12 +245,15 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
             angle=float(cblock.get("angle", 0.7)),
             offset=float(cblock.get("offset", 1.0)),
             nodes=int(cblock.get("nodes", 48)))
-    xi = [float(eblock.get("mode_xi", 0.5))]
+    with config_section("evolve"):
+        xi = [float(eblock.get("mode_xi", 0.5))]
+        times = [float(t) for t in eblock.get("times", [0.1, 0.5, 1.0, 2.0])]
+        if not all(t > 0 for t in times):
+            raise ValueError(f"times must be positive, got {times}")
     gen = evolution.build_generator(xi, cfg.fluid, ng)
     rng = np.random.default_rng(cfg.seed)
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-    times = [float(t) for t in eblock.get("times", [0.1, 0.5, 1.0, 2.0])]
-    tol = _tol(cfg, "evolve_rel", 1e-6)
+    tol = cfg.tolerances.get("evolve_rel", 1e-6)
 
     def one(t):
         exact = evolution.matrix_exponential_oracle(gen, U0, t)
@@ -266,9 +276,11 @@ def cmd_bent(cfg: RunConfig, out_dir, threads):
     with config_section("bent"):
         spec = bent_mod.DiffeoSpec(amplitude=float(block.get("amplitude", 0.05)),
                                    width=float(block.get("width", 2.0)))
-    lam = complex(float(block.get("lambda_re", 16.0)),
-                  float(block.get("lambda_im", 0.0)))
-    amp = float(block.get("data_amplitude", 1.0))
+        lam = complex(float(block.get("lambda_re", 16.0)),
+                      float(block.get("lambda_im", 0.0)))
+        amp = float(block.get("data_amplitude", 1.0))
+        max_iter = int(block.get("max_iter", 40))
+        tol = float(block.get("tol", 1e-9))
 
     def f(x1, x2):
         env = amp * np.exp(-(x1**2) / 2 - (x2**2) / 4)
@@ -282,14 +294,12 @@ def cmd_bent(cfg: RunConfig, out_dir, threads):
         return 0.9 * amp * np.exp(-((x1 - 0.2) ** 2) / 2)
 
     v, h, state = bent_mod.neumann_solve(
-        f, g, k, spec, cfg.fluid, lam, tg, ng,
-        max_iter=int(block.get("max_iter", 40)),
-        tol=float(block.get("tol", 1e-9)))
+        f, g, k, spec, cfg.fluid, lam, tg, ng, max_iter=max_iter, tol=tol)
     ratio = max(state.ratios) if state.ratios else 0.0
-    res_tol = _tol(cfg, "bent_residual", 1e-6)
+    res_tol = cfg.tolerances.get("bent_residual", 1e-6)
     verdicts = [
         _verdict("bent.converged", state.converged, float(state.iterations),
-                 float(block.get("max_iter", 40))),
+                 float(max_iter)),
         _verdict("bent.contraction", ratio < 0.5, ratio, 0.5),
     ]
     verdicts += [_verdict(f"bent.residual.{name}", val <= res_tol, val, res_tol)
@@ -349,7 +359,7 @@ def main(argv=None) -> int:
             if "=" not in item:
                 raise ConfigError(f"--tol-override expects KEY=VAL, got {item!r}")
             key, val = item.split("=", 1)
-            overrides[key.strip()] = float(val)
+            overrides[key.strip()] = val
         with open(args.config) as fh:
             text = fh.read()
         cfg = RunConfig.load(text, args.command, seed=args.seed,

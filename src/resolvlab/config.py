@@ -30,10 +30,10 @@ class ConfigError(ValueError):
 
 @contextmanager
 def config_section(name: str):
-    """Report a ValueError raised while building [name]'s objects as a ConfigError."""
+    """Report a ValueError or TypeError raised while reading [name] as a ConfigError."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid [{name}]: {exc}") from exc
 
 
@@ -200,9 +200,9 @@ class RunConfig:
             raise ConfigError(f"{command} is randomized: a seed is required "
                               f"(--seed or a seed key in [{blocks[-1]}])")
 
-        tol = dict(cfg.get("tolerances", {}))
-        for k, v in (tol_overrides or {}).items():
-            tol[k] = v
+        with config_section("tolerances"):
+            tol = {k: float(v) for k, v in
+                   {**cfg.get("tolerances", {}), **(tol_overrides or {})}.items()}
         return cls(raw=cfg, fluid=fluid, sector=sector,
                    seed=None if run_seed is None else int(run_seed), tolerances=tol)
 

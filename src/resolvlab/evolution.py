@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .grids import NormalGrid
+from .halfspace import lame_operator, lame_stress_rows
 from .regions import FluidParams, SectorSpec, in_lambda_region
 
 EXPM_DIM_CAP = 2000
@@ -77,9 +78,7 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
     nc = nd + 1
     n = ngrid.points
     D = ngrid.diff
-    D2 = ngrid.diff2
     Ident = np.eye(n)
-    xi2 = float(xi @ xi)
     mu, nu = params.mu, params.nu
     g1, g2 = params.gamma1, params.gamma2
     sg, m = params.sigma, params.m
@@ -87,6 +86,7 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
     dim_full = n + nc * n + 1
     i_eta = slice(0, n)
     i_u = lambda c: slice(n + c * n, n + (c + 1) * n)  # noqa: E731
+    i_vel = slice(n, n + nc * n)
     i_h = dim_full - 1
 
     A = np.zeros((dim_full, dim_full), dtype=complex)
@@ -95,16 +95,11 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
         A[i_eta, i_u(c)] += -g1 * 1j * xi[c] * Ident
     A[i_eta, i_u(nd)] += -g1 * D
 
-    # velocity rows: (mu lap u + nu grad div u - gamma2 grad eta)/gamma1
-    for c in range(nc):
-        A[i_u(c), i_u(c)] += (mu / g1) * (D2 - xi2 * Ident)
+    # velocity rows: (mu lap u + nu grad div u)/gamma1, the Lame operator at
+    # lam = 0 with its sign flipped, and -gamma2 grad eta/gamma1
+    A[i_vel, i_vel] -= lame_operator(0.0, mu / g1, nu / g1, xi[None], D, ngrid.diff2)[0]
     for c in range(nd):
-        for c2 in range(nd):
-            A[i_u(c), i_u(c2)] += (nu / g1) * (1j * xi[c]) * (1j * xi[c2]) * Ident
-        A[i_u(c), i_u(nd)] += (nu / g1) * (1j * xi[c]) * D
-        A[i_u(nd), i_u(c)] += (nu / g1) * D * (1j * xi[c])
         A[i_u(c), i_eta] += -(g2 / g1) * 1j * xi[c] * Ident
-    A[i_u(nd), i_u(nd)] += (nu / g1) * D2
     A[i_u(nd), i_eta] += -(g2 / g1) * D
 
     # height row: d_t h = -u_N(0)
@@ -113,14 +108,9 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
     # constraint rows: C x = 0
     ncon = nc + nc
     C = np.zeros((ncon, dim_full), dtype=complex)
-    for c in range(nd):
-        C[c, i_u(c)] = mu * D[0, :]
-        C[c, n + nd * n] += mu * 1j * xi[c]
-    C[nd, i_u(nd)] = 2 * mu * D[0, :] + (nu - mu) * D[0, :]
-    for c in range(nd):
-        C[nd, n + c * n] += (nu - mu) * 1j * xi[c]
+    C[:nc, i_vel] = lame_stress_rows(mu, nu - mu, xi[None], D)[0]
     C[nd, 0] = -g2              # -gamma2 eta(0)
-    C[nd, i_h] = sg * (m + xi2)
+    C[nd, i_h] = sg * (m + float(xi @ xi))
     for c in range(nc):
         C[nc + c, n + c * n + (n - 1)] = 1.0  # u_c(X) = 0
 

@@ -14,25 +14,26 @@ import numpy as np
 
 from .grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
 
+CSV_CHUNK_ROWS = 4096   # rows formatted per write
+
 
 def field_to_csv(fld, path):
-    vals = fld.values
+    vals = np.asarray(fld.values, dtype=complex)
     ncomp = vals.shape[-1]
     dims = fld.tgrid.dims
-    is_half = isinstance(fld, HalfSpaceField)
-    header = [f"mode{d}" for d in range(dims)] + (["node"] if is_half else [])
-    for c in range(ncomp):
-        header += [f"re{c}", f"im{c}"]
-    rows = []
-    for idx in np.ndindex(*vals.shape[:-1]):
-        entries = []
-        for c in range(ncomp):
-            z = vals[idx + (c,)]
-            entries += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        rows.append(",".join(str(v) for v in list(idx) + entries))
+    index_names = [f"mode{d}" for d in range(dims)]
+    if isinstance(fld, HalfSpaceField):
+        index_names.append("node")
+    header = index_names + [f"{part}{c}" for c in range(ncomp) for part in ("re", "im")]
+    row = ",".join(["%d"] * len(index_names) + ["%.17g"] * (2 * ncomp)) + "\n"
+    index = np.indices(vals.shape[:-1]).reshape(len(index_names), -1).T
+    parts = np.ascontiguousarray(vals).reshape(-1, ncomp).view(float)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("\n".join(rows) + "\n")
+        for lo in range(0, len(parts), CSV_CHUNK_ROWS):
+            chunk = zip(index[lo:lo + CSV_CHUNK_ROWS].tolist(),
+                        parts[lo:lo + CSV_CHUNK_ROWS].tolist())
+            fh.write("".join([row % (*i, *v) for i, v in chunk]))
 
 
 def field_from_csv(path, tgrid: TangentialGrid, ngrid: NormalGrid | None,

@@ -10,6 +10,12 @@ Three runtime layers, each per tangential Fourier mode:
     dense Chebyshev collocation solve per mode (the literature formula
     the construction delegates to is replaced by this solver; equivalence
     is established through manufactured-solution and residual tests).
+    lame_operator and lame_stress_rows assemble the interior Lame operator
+    and its stress rows at x_N = 0 as broadcast expressions over a batch
+    of modes; the solve assembles and factors LAME_BATCH_MODES modes at a
+    time, so only one batch of dense matrices is ever held.  The evolution
+    generator takes its velocity block and stress constraints from the
+    same pair.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition and density recovery.
 
@@ -44,6 +50,7 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
+LAME_BATCH_MODES = 16   # modes per batch of Lame matrices: 9.4 MB in 1-D at 96 nodes
 
 
 class SolverError(RuntimeError):
@@ -295,9 +302,53 @@ def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp):
 # Lame boundary value problem
 # ---------------------------------------------------------------------------
 
+def lame_operator(lam, a, c, xi, D, D2):
+    """(lam + a|xi|^2 - a d_N^2) v - c grad(div v) on every mode of xi.
+
+    xi is (modes, N-1); grad = (i xi, d_N) and div v = i xi . v + v_N'.
+    Returns the (modes, nc n, nc n) collocation blocks, nc = N, with the
+    unknowns ordered component by component.
+    """
+    nm, nd = xi.shape
+    n = D.shape[0]
+    ixi = 1j * xi
+    cixi = -c * ixi
+    xi2 = (xi[:, None, :] @ xi[:, :, None])[:, 0, 0]   # |xi|^2 rounded as xi @ xi
+    diag = np.arange(n)
+    out = np.empty((nm, nd + 1, n, nd + 1, n), dtype=complex)
+    for j in range(nd + 1):
+        out[:, j, :, j] = -a * D2
+        out[:, j, diag, j, diag] += (lam + a * xi2)[:, None]
+        for k in range(j + 1, nd):
+            out[:, j, :, k] = out[:, k, :, j] = 0.0
+    for j in range(nd):
+        out[:, j, :, nd] = out[:, nd, :, j] = cixi[:, j, None, None] * D
+    out[:, nd, :, nd] -= c * D2
+    # the (i xi_j)(i xi_k) terms lie on the diagonals of the tangential blocks
+    out[:, :nd, diag, :nd, diag] += cixi[:, :, None] * ixi[:, None, :]
+    return out.reshape(nm, (nd + 1) * n, (nd + 1) * n)
+
+
+def lame_stress_rows(a, b, xi, D):
+    """Stress rows at x_N = 0 on every mode of xi (modes, N-1).
+
+    Row j < N-1 is a(v_j' + i xi_j v_N), row N-1 is 2a v_N' + b(i xi . v + v_N');
+    returns (modes, nc, nc n) over the unknowns of lame_operator.
+    """
+    nm, nd = xi.shape
+    n = D.shape[0]
+    rows = np.zeros((nm, nd + 1, nd + 1, n), dtype=complex)
+    for j in range(nd):
+        rows[:, j, j] = a * D[0]
+        rows[:, j, nd, 0] += a * 1j * xi[:, j]
+        rows[:, nd, j, 0] += b * 1j * xi[:, j]
+    rows[:, nd, nd] = 2 * a * D[0] + b * D[0]
+    return rows.reshape(nm, nd + 1, (nd + 1) * n)
+
+
 def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams,
                    lam, *, zeta=None, sector: SectorSpec | None = None):
-    """Dense per-mode collocation solve of the stress-data system.
+    """Dense collocation solve of the stress-data system, LAME_BATCH_MODES at a time.
 
     Interior rows: (lam + a|xi|^2) v - a v'' - (a+b+z) grad(div v) = F.
     At x = 0: a(v_j' + i xi_j v_N) = -G'_j and
@@ -311,64 +362,28 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     Gs = _require_spectral(Gprime)
 
     n, nc = ng.points, tg.dims + 1
-    D, D2, Ident = ng.diff, ng.diff2, np.eye(n)
+    D, D2 = ng.diff, ng.diff2
     xi_flat = tg.xi.reshape(-1, tg.dims)
     Fhat = Fs.values.reshape(-1, n, nc)
     Ghat = Gs.values.reshape(-1, nc)
-    nmodes = xi_flat.shape[0]
-
-    a = p.alpha
-    abz = p.alpha + p.beta + p.zeta
-    bz = p.beta + p.zeta
-
-    mats = np.zeros((nmodes, n * nc, n * nc), dtype=complex)
-    rhs = np.zeros((nmodes, n * nc), dtype=complex)
-    idx = lambda c: slice(c * n, (c + 1) * n)  # noqa: E731
-
-    for m_i in range(nmodes):
-        xi = xi_flat[m_i]
-        xi2 = float(xi @ xi)
-        Mt = mats[m_i]
-        base = (lam + a * xi2) * Ident - a * D2
-        # div v = i xi . v' + v_N'
-        for c in range(nc):
-            Mt[idx(c), idx(c)] += base
-        for c in range(nc - 1):
-            for c2 in range(nc - 1):
-                Mt[idx(c), idx(c2)] += -abz * (1j * xi[c]) * (1j * xi[c2]) * Ident
-            Mt[idx(c), idx(nc - 1)] += -abz * (1j * xi[c]) * D
-            Mt[idx(nc - 1), idx(c)] += -abz * (1j * xi[c]) * D
-        Mt[idx(nc - 1), idx(nc - 1)] += -abz * (D2)
-        for c in range(nc):
-            rhs[m_i, idx(c)] = Fhat[m_i, :, c]
-
-        # boundary rows at node 0 replace the interior equations there
-        for c in range(nc):
-            row = c * n
-            Mt[row, :] = 0.0
-            if c < nc - 1:
-                Mt[row, idx(c)] = a * D[0, :]
-                Mt[row, idx(nc - 1)] += a * 1j * xi[c] * Ident[0, :]
-                rhs[m_i, row] = -Ghat[m_i, c]
-            else:
-                Mt[row, idx(nc - 1)] = 2 * a * D[0, :] + bz * D[0, :]
-                for c2 in range(nc - 1):
-                    Mt[row, idx(c2)] += bz * 1j * xi[c2] * Ident[0, :]
-                rhs[m_i, row] = -Ghat[m_i, nc - 1]
-        # Dirichlet closure at the far end
-        for c in range(nc):
-            row = c * n + (n - 1)
-            Mt[row, :] = 0.0
-            Mt[row, row] = 1.0
-            rhs[m_i, row] = 0.0
-
-    try:
-        sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular collocation matrix: {exc}") from exc
-    v = sol.reshape((nmodes, nc, n)).transpose(0, 2, 1)
-    v = v.reshape(tg.mode_shape + (n, nc))
-    out = HalfSpaceField(v, tg, ng, "spectral")
+    v = np.empty((xi_flat.shape[0], n, nc), dtype=complex)
+    for lo in range(0, xi_flat.shape[0], LAME_BATCH_MODES):
+        batch = slice(lo, lo + LAME_BATCH_MODES)
+        xi = xi_flat[batch]
+        mats = lame_operator(lam, p.alpha, p.alpha + p.beta + p.zeta, xi, D, D2)
+        rhs = Fhat[batch].transpose(0, 2, 1).astype(complex).reshape(len(xi), -1)
+        # the stress rows at node 0 and v = 0 at node n-1 replace the interior rows
+        mats[:, ::n] = lame_stress_rows(p.alpha, p.beta + p.zeta, xi, D)
+        rhs[:, ::n] = -Ghat[batch]
+        mats[:, n - 1::n] = 0.0
+        mats[:, n - 1::n, n - 1::n] = np.eye(nc)
+        rhs[:, n - 1::n] = 0.0
+        try:
+            sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular collocation matrix: {exc}") from exc
+        v[batch] = sol.reshape(len(xi), nc, n).transpose(0, 2, 1)
+    out = HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
     return _match_space(out, F.space)
 
 

@@ -8,7 +8,7 @@ internals beyond the grids.
 
 The R-bound estimator samples the discrete square-function quotient
 
-    || (sum_j |T_j f_j|^2)^(1/2) ||_q  /  || (sum_j |f_j|^2)^(1/2) ||_q
+    || (sum_j |T_j f_j|^2)^(1/2) ||_2  /  || (sum_j |f_j|^2)^(1/2) ||_2
 
 over random subfamilies, Rademacher sign assignments and test vectors;
 the maximum observed quotient is a lower estimate of the R-bound.
@@ -16,7 +16,6 @@ the maximum observed quotient is a lower estimate of the R-bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,30 +29,8 @@ from .regions import FluidParams
 # discrete norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Integrability exponents, Sobolev order and exponential time weight.
-
-    r of the continuous theory has no grid-level analogue and is carried
-    as inert metadata when present in a run configuration.
-    """
-
-    q: float = 2.0
-    p: float = 2.0
-    order: int = 0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not (1 < self.q < math.inf and 1 < self.p < math.inf):
-            raise ValueError("exponents must lie in (1, inf)")
-        if self.order not in (0, 1, 2):
-            raise ValueError("Sobolev order supported up to 2")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-
-
-def _volume_lq(values, weights, q):
-    """Volume-normalized L_q: (integral |v|^q / volume)^(1/q).
+def _volume_l2(values, weights):
+    """Volume-normalized L_2: (integral |v|^2 / volume)^(1/2).
 
     values has the quadrature axes first; remaining axes are components,
     summed in quadrature (l2 over components inside the modulus).
@@ -62,56 +39,20 @@ def _volume_lq(values, weights, q):
     mag = np.abs(values)
     if mag.ndim > w.ndim:
         mag = np.sqrt(np.sum(mag**2, axis=tuple(range(w.ndim, mag.ndim))))
-    return float(np.sum(w * mag**q) ** (1.0 / q))
+    return float(np.sum(w * mag**2) ** 0.5)
 
 
 def _field_weights(fld):
-    if isinstance(fld, HalfSpaceField):
-        tw = np.full(fld.tgrid.mode_shape, fld.tgrid.dx ** fld.tgrid.dims)
-        return tw[..., None] * fld.ngrid.weights
     tw = np.full(fld.tgrid.mode_shape, fld.tgrid.dx ** fld.tgrid.dims)
+    if isinstance(fld, HalfSpaceField):
+        return tw[..., None] * fld.ngrid.weights
     return tw
 
 
-def _derivative_stack(fld, order):
-    """Physical-space derivative arrays up to the requested total order."""
-    tg = fld.tgrid
-    spectral = _require_spectral(fld).values
-    ng = fld.ngrid if isinstance(fld, HalfSpaceField) else None
-
-    def tang(v, j):
-        shape = tg.xi[..., j].shape + (1,) * (v.ndim - tg.dims)
-        return 1j * tg.xi[..., j].reshape(shape) * v
-
-    def norm_d(v):
-        return np.einsum("ij,...jc->...ic", ng.diff, v)
-
-    firsts = [tang(spectral, j) for j in range(tg.dims)]
-    if ng is not None:
-        firsts.append(norm_d(spectral))
-    out = [[spectral], firsts]
-    if order >= 2:
-        seconds = []
-        for i, fi in enumerate(firsts):
-            for j in range(i, len(firsts)):
-                if j < tg.dims:
-                    seconds.append(tang(fi, j))
-                else:
-                    seconds.append(norm_d(fi))
-        out.append(seconds)
-    return out[: order + 1]
-
-
-def discrete_norm(fld, spec: NormSpec) -> float:
-    """Quadrature L_q / Sobolev norm of a field, volume-normalized."""
-    weights = _field_weights(fld)
-    stacks = _derivative_stack(fld, spec.order)
-    total = 0.0
-    for level in stacks:
-        for deriv in level:
-            phys = fld.tgrid.inverse(deriv)
-            total += _volume_lq(phys, weights, spec.q) ** spec.q
-    return total ** (1.0 / spec.q)
+def discrete_norm(fld) -> float:
+    """Volume-normalized quadrature L_2 norm of the field's physical values."""
+    phys = fld.tgrid.inverse(_require_spectral(fld).values)
+    return _volume_l2(phys, _field_weights(fld))
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +62,13 @@ def discrete_norm(fld, spec: NormSpec) -> float:
 @dataclass
 class ResidualReport:
     relative: dict
-    absolute: dict
-    scales: dict
     worst_mode: dict
 
 
-def _rel(residual, *terms, weights, q=2.0):
-    scale = max(_volume_lq(t, weights, q) for t in terms)
-    r = _volume_lq(residual, weights, q)
-    return (r / scale if scale > 0 else 0.0), r, scale
+def _rel(residual, *terms, weights):
+    scale = max(_volume_l2(t, weights) for t in terms)
+    r = _volume_l2(residual, weights)
+    return r / scale if scale > 0 else 0.0
 
 
 def pde_residual(sol: ResolventSolution, data: ResolventData,
@@ -167,13 +106,10 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
 
     wvol = _field_weights(ds.F)
     wbdy = _field_weights(ds.G)
-    report = {"relative": {}, "absolute": {}, "scales": {}, "worst": {}}
+    report = {"relative": {}, "worst": {}}
 
     def add(name, residual, *terms, weights):
-        rel, r, scale = _rel(residual, *terms, weights=weights)
-        report["relative"][name] = rel
-        report["absolute"][name] = r
-        report["scales"][name] = scale
+        report["relative"][name] = _rel(residual, *terms, weights=weights)
         flat = np.abs(residual).reshape(tg.mode_shape + (-1,)).max(axis=-1)
         report["worst"][name] = [int(v) for v in
                                  np.unravel_index(int(flat.argmax()), flat.shape)]
@@ -224,8 +160,7 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     add("kinematic", r_kin, lam * hhat, u0[..., nd], ds.K.values[..., 0],
         weights=wbdy)
 
-    return ResidualReport(relative=report["relative"], absolute=report["absolute"],
-                          scales=report["scales"], worst_mode=report["worst"])
+    return ResidualReport(relative=report["relative"], worst_mode=report["worst"])
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +169,29 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
 
 @dataclass
 class RBoundReport:
-    family_label: str
     n_operators: int
     trials: int
     estimate: float
-    max_singleton: float
     band: tuple
-    q: float
-    seed: int
 
 
-def _lq_mean(v, q):
-    return float(np.mean(np.abs(v) ** q) ** (1.0 / q))
+def _l2_mean(v):
+    return float(np.mean(np.abs(v) ** 2) ** 0.5)
 
 
-def _square_function_quotient(ops, vecs, q):
+def _square_function_quotient(ops, vecs):
     num = den = 0.0
     for op, f in zip(ops, vecs):
         num = num + np.abs(np.asarray(op(f))) ** 2
         den = den + np.abs(np.asarray(f)) ** 2
-    dq = _lq_mean(np.sqrt(den), q)
+    dq = _l2_mean(np.sqrt(den))
     if dq == 0:
         return 0.0
-    return _lq_mean(np.sqrt(num), q) / dq
+    return _l2_mean(np.sqrt(num)) / dq
 
 
-def rbound_estimate(family, test_vectors, trials: int = 200, seed: int = 0,
-                    q: float = 2.0, label: str = "") -> RBoundReport:
+def rbound_estimate(family, test_vectors, trials: int = 200,
+                    seed: int = 0) -> RBoundReport:
     """Lower estimate of the R-bound via sampled square-function quotients.
 
     family: list of (lam, operator) pairs; operators map a fixed input
@@ -280,9 +211,7 @@ def rbound_estimate(family, test_vectors, trials: int = 200, seed: int = 0,
     if not vecs:
         raise ValueError("need at least one test vector")
 
-    singles = [_square_function_quotient([op], [v], q) for op in ops for v in vecs]
-    best = max(singles)
-    max_singleton = best
+    best = max(_square_function_quotient([op], [v]) for op in ops for v in vecs)
 
     trial_quotients = []
     for t in range(trials):
@@ -296,7 +225,7 @@ def rbound_estimate(family, test_vectors, trials: int = 200, seed: int = 0,
                 chosen_ops.append(ops[j])
                 chosen_vecs.append(sign * vec)
         if chosen_ops:
-            quot = _square_function_quotient(chosen_ops, chosen_vecs, q)
+            quot = _square_function_quotient(chosen_ops, chosen_vecs)
             trial_quotients.append(quot)
             best = max(best, quot)
         full_vecs = []
@@ -304,12 +233,10 @@ def rbound_estimate(family, test_vectors, trials: int = 200, seed: int = 0,
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, j, 1]))
             sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
             full_vecs.append(sign * vecs[rng.integers(0, len(vecs))])
-        quot = _square_function_quotient(ops, full_vecs, q)
+        quot = _square_function_quotient(ops, full_vecs)
         trial_quotients.append(quot)
         best = max(best, quot)
 
     tq = np.asarray(trial_quotients)
     band = (float(np.quantile(tq, 0.05)), float(np.quantile(tq, 0.95)))
-    return RBoundReport(family_label=label, n_operators=len(ops), trials=trials,
-                        estimate=best, max_singleton=max_singleton, band=band,
-                        q=q, seed=seed)
+    return RBoundReport(n_operators=len(ops), trials=trials, estimate=best, band=band)

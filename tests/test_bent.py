@@ -122,7 +122,7 @@ def test_pullback_constant_field():
 
 
 def test_pullback_norm_equivalence():
-    from resolvlab.verification import NormSpec, discrete_norm
+    from resolvlab.verification import discrete_norm
 
     spec = DiffeoSpec(amplitude=0.05, width=2.0)
     geom = build_geometry(spec, TG)
@@ -132,9 +132,8 @@ def test_pullback_norm_equivalence():
     T2 = NG.nodes[None, :] + spec.bump(X1)
     assert np.max(np.abs(Fp.values - f_exact(X1, T2))) <= 1e-14
     # measured pullback-norm equivalence constant stays order one
-    C = discrete_norm(Fp, NormSpec()) / discrete_norm(
-        HalfSpaceField(f_exact(X1, NG.nodes[None, :] * np.ones_like(X1)), TG, NG),
-        NormSpec())
+    C = discrete_norm(Fp) / discrete_norm(
+        HalfSpaceField(f_exact(X1, NG.nodes[None, :] * np.ones_like(X1)), TG, NG))
     assert 0.5 <= C <= 2.0
 
 

@@ -104,6 +104,27 @@ def test_field_csv_roundtrip(tmp_path):
     back = field_from_csv(str(tmp_path / "b.csv"), tg, None)
     assert np.max(np.abs(back.values - b.values)) < 1e-15
 
+    # the exact text: integer index columns, 17 significant digits, -0 kept
+    tiny = TangentialGrid(points=4, half_length=1.0)
+    vals = np.array([[complex(-0.0, 0.1), complex(1 / 3, -2.5e-300)],
+                     [complex(1e20, -0.0), complex(0.0, 7.0)],
+                     [complex(-1.5, 2.0), complex(np.pi, -np.e)],
+                     [complex(1e-5, 123456789.0), complex(-0.0, -0.0)]])
+    field_to_csv(BoundaryField(vals, tiny), str(tmp_path / "tiny.csv"))
+    assert (tmp_path / "tiny.csv").read_text() == (
+        "mode0,re0,im0,re1,im1\n"
+        "0,-0,0.10000000000000001,0.33333333333333331,-2.5e-300\n"
+        "1,1e+20,-0,0,7\n"
+        "2,-1.5,2,3.1415926535897931,-2.7182818284590451\n"
+        "3,1.0000000000000001e-05,123456789,-0,-0\n")
+    h = np.zeros((4, 8, 1), dtype=complex)
+    h[1, 2, 0] = complex(-0.0, 0.25)
+    field_to_csv(HalfSpaceField(h, tiny, NormalGrid(points=8, truncation=1.0)),
+                 str(tmp_path / "tiny_h.csv"))
+    lines = (tmp_path / "tiny_h.csv").read_text().splitlines()
+    assert lines[:2] == ["mode0,node,re0,im0", "0,0,0,0"]
+    assert lines[11] == "1,2,-0,0.25" and len(lines) == 33
+
 
 def test_field_binary_roundtrip(tmp_path):
     tg = TangentialGrid(points=16, half_length=4.0)
@@ -191,6 +212,12 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("solve", "dims", "2", "grid"),                    # built-in data are 1-D
     ("evolve", "angle", "2.0", "contour"),             # outside (0, pi/2)
     ("bent", "width", "-1.0", "bent"),                 # bump width not positive
+    ("scan-nab", "samples", '"many"', "nab"),          # not an integer
+    ("solve", "lambda_re", '"x"', "solve"),            # not a number
+    ("rbound", "test_vectors", "0", "rbound"),         # no test vector
+    ("rbound", "trials", "0", "rbound"),               # no trial
+    ("evolve", "times", "[-1.0]", "evolve"),           # time not positive
+    ("solve", "residual", '"x"', "tolerances"),        # not a number
 ])
 def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section):
     cfgp = small_cfg(tmp_path, **{key: value})
@@ -200,6 +227,14 @@ def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section)
     assert rep["error"]["type"] == "config"
     assert rep["error"]["message"].startswith(f"invalid [{section}]")
     assert rep["verdicts"] == []
+
+
+def test_cli_exit_2_on_non_numeric_tol_override(tmp_path):
+    rc = main(["solve", "--config", small_cfg(tmp_path), "--out", str(tmp_path),
+               "--tol-override", "residual=tight"])
+    assert rc == 2
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["message"].startswith("invalid [tolerances]")
 
 
 def test_cli_exit_3_on_expm_dimension_cap(tmp_path, monkeypatch):
@@ -220,6 +255,15 @@ def test_cli_exit_3_on_numerical_failure(tmp_path):
     assert rc == 3
     rep = json.load(open(tmp_path / "report.json"))
     assert rep["error"]["type"] == "numerical"
+
+
+def test_cli_exit_3_on_steep_bent_geometry(tmp_path):
+    # GeometryError is a ValueError raised by the solve, not by reading [bent]
+    cfgp = small_cfg(tmp_path, amplitude="5.0", width="1.0")
+    rc = main(["bent", "--config", cfgp, "--out", str(tmp_path)])
+    assert rc == 3
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["class"] == "GeometryError"
 
 
 def test_cli_exit_4_on_verdict_failure(tmp_path):

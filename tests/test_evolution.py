@@ -19,6 +19,8 @@ from resolvlab.grids import NormalGrid
 from resolvlab.regions import FluidParams, SectorSpec
 
 BASE = FluidParams()
+NON_UNIT = FluidParams(mu=0.7, nu=1.9, sigma=1.3, m=0.8, gamma1=1.4, gamma3=2.1,
+                       rho2=1.4, rho3=2.1)
 NG = NormalGrid(points=48, truncation=20.0)
 
 
@@ -141,49 +143,51 @@ def test_generator_matches_analytic_operator():
     # smooth state satisfying the boundary rows; the reduced matrix must
     # reproduce the analytic operator action.  X = 40 keeps the profile
     # below the far-end Dirichlet closure at the comparison tolerance.
+    # The non-unit case tells mu/gamma1 from nu/gamma1 and mu from nu - mu.
     xi = 0.5
     ng = NormalGrid(points=48, truncation=40.0)
-    gen = build_generator([xi], BASE, ng)
     t = ng.nodes
-    mu = nu = g1 = g2 = 1.0
+    for params in (BASE, NON_UNIT):
+        gen = build_generator([xi], params, ng)
+        mu, nu, g1, g2 = params.mu, params.nu, params.gamma1, params.gamma2
+        sg, m = params.sigma, params.m
 
-    # u_t = c_t e^{-t}(t + a_t), u_N = c_N e^{-t}(t^2 + b_N t + c0), eta, h
-    # chosen to satisfy the three boundary constraints at x=0 and decay
-    eta = np.exp(-2 * t)
-    sg, m = 1.0, 1.0
+        # u_t = c_t e^{-t}(t + a_t), u_N = c_N e^{-t}(t^2 + b_N t + c0), eta, h
+        # chosen to satisfy the three boundary constraints at x=0 and decay
+        eta = np.exp(-2 * t)
 
-    # pick u_N with u_N(0)=1, free slope; u_t slope fixed by tangential row
-    uN = np.exp(-t) * (1.0 + 0.3 * t)
-    duN0 = -1.0 + 0.3
-    # tangential stress: mu(u_t' + i xi u_N) = 0 at 0 -> u_t'(0) = -i xi
-    ut = np.exp(-t) * (0.7 + (-1j * xi + 0.7) * t)
-    # normal stress fixes h: 2 mu u_N' + (nu-mu) div - g2 eta + sg(m+xi^2) h = 0
-    div0 = 1j * xi * ut[0] + duN0
-    h = (g2 * eta[0] - 2 * mu * duN0 - (nu - mu) * div0) / (sg * (m + xi**2))
+        # pick u_N with u_N(0)=1, free slope; u_t slope fixed by tangential row
+        uN = np.exp(-t) * (1.0 + 0.3 * t)
+        duN0 = -1.0 + 0.3
+        # tangential stress: mu(u_t' + i xi u_N) = 0 at 0 -> u_t'(0) = -i xi
+        ut = np.exp(-t) * (0.7 + (-1j * xi + 0.7) * t)
+        # normal stress fixes h: 2 mu u_N' + (nu-mu) div - g2 eta + sg(m+xi^2) h = 0
+        div0 = 1j * xi * ut[0] + duN0
+        h = (g2 * eta[0] - 2 * mu * duN0 - (nu - mu) * div0) / (sg * (m + xi**2))
 
-    u = np.stack([ut, uN], axis=-1)
-    red = pack_state(gen, eta, u, h)
-    out = gen.matrix @ red
+        u = np.stack([ut, uN], axis=-1)
+        red = pack_state(gen, eta, u, h)
+        out = gen.matrix @ red
 
-    dut = np.exp(-t) * ((-1j * xi + 0.7) - (0.7 + (-1j * xi + 0.7) * t))
-    d2ut = np.exp(-t) * ((0.7 + (-1j * xi + 0.7) * t) - 2 * (-1j * xi + 0.7))
-    duN = np.exp(-t) * (0.3 - (1.0 + 0.3 * t))
-    d2uN = np.exp(-t) * ((1.0 + 0.3 * t) - 0.6)
-    deta_exact = -g1 * (1j * xi * ut + duN)
-    div = 1j * xi * ut + duN
-    ddiv = 1j * xi * dut + d2uN
-    grad_eta = (1j * xi * eta, -2 * np.exp(-2 * t))
-    dut_exact = (mu * (d2ut - xi**2 * ut) + nu * 1j * xi * div
-                 - g2 * grad_eta[0]) / g1
-    duN_exact = (mu * (d2uN - xi**2 * uN) + nu * ddiv - g2 * grad_eta[1]) / g1
-    dh_exact = -uN[0]
+        dut = np.exp(-t) * ((-1j * xi + 0.7) - (0.7 + (-1j * xi + 0.7) * t))
+        d2ut = np.exp(-t) * ((0.7 + (-1j * xi + 0.7) * t) - 2 * (-1j * xi + 0.7))
+        duN = np.exp(-t) * (0.3 - (1.0 + 0.3 * t))
+        d2uN = np.exp(-t) * ((1.0 + 0.3 * t) - 0.6)
+        deta_exact = -g1 * (1j * xi * ut + duN)
+        div = 1j * xi * ut + duN
+        ddiv = 1j * xi * dut + d2uN
+        grad_eta = (1j * xi * eta, -2 * np.exp(-2 * t))
+        dut_exact = (mu * (d2ut - xi**2 * ut) + nu * 1j * xi * div
+                     - g2 * grad_eta[0]) / g1
+        duN_exact = (mu * (d2uN - xi**2 * uN) + nu * ddiv - g2 * grad_eta[1]) / g1
+        dh_exact = -uN[0]
 
-    exact_full = np.concatenate([deta_exact,
-                                 np.stack([dut_exact, duN_exact], axis=-1).T.ravel(),
-                                 [dh_exact]])
-    exact_red = gen.project @ exact_full
-    scale = np.abs(exact_red).max()
-    assert np.max(np.abs(out - exact_red)) <= 1e-6 * scale
+        exact_full = np.concatenate([deta_exact,
+                                     np.stack([dut_exact, duN_exact], axis=-1).T.ravel(),
+                                     [dh_exact]])
+        exact_red = gen.project @ exact_full
+        scale = np.abs(exact_red).max()
+        assert np.max(np.abs(out - exact_red)) <= 1e-6 * scale
 
 
 def test_generator_roundtrip_pack_unpack():

@@ -16,6 +16,8 @@ from resolvlab.halfspace import (
     VolevichQuadrature,
     chebyshev_interp_matrix,
     extend_boundary_datum,
+    lame_operator,
+    lame_stress_rows,
     smooth_cutoff,
     solve_full_resolvent,
     solve_lame_bvp,
@@ -28,6 +30,8 @@ from resolvlab.symbols import SymbolParams, core_values, lopatinski_values
 
 SQ2 = math.sqrt(2.0)
 BASE = FluidParams()
+NON_UNIT = FluidParams(mu=0.7, nu=1.9, sigma=1.3, m=0.8, gamma1=1.4, gamma3=2.1,
+                       rho2=1.4, rho3=2.1)
 TG = TangentialGrid(points=64, half_length=8.0)
 NG = NormalGrid(points=96, truncation=20.0)
 
@@ -261,15 +265,85 @@ def test_lame_zero_data_zero_solution():
 
 def test_lame_manufactured_solution():
     # oscillatory decay on a long box keeps the truncation floor at e^-40
-    # so the measurement sees pure collocation error
+    # so the measurement sees pure collocation error.  The non-unit fluid
+    # tells a = mu/gamma1 from the grad-div coefficient, and the 2-D grid
+    # couples two tangential components.
     lam = 2.0 + 0.7j
-    make = manufactured_lame_data(TG, lam, BASE, decay=1.0 + 2.0j)
     ng = NormalGrid(points=64, truncation=40.0)
-    vstar, F, Gp = make(ng)
-    v = solve_lame_bvp(HalfSpaceField(F, TG, ng, "spectral"),
-                       BoundaryField(Gp, TG, "spectral"), BASE, lam)
-    err = np.abs(v.values - vstar)
-    assert np.max(err) <= 1e-8 * np.abs(vstar).max()
+    tg2 = TangentialGrid(dims=2, points=8, half_length=8.0)
+    for tg, params, direction in ((TG, BASE, (1.0, 0.5)), (TG, NON_UNIT, (1.0, 0.5)),
+                                  (tg2, NON_UNIT, (1.0, -0.4, 0.5))):
+        make = manufactured_lame_data(tg, lam, params, decay=1.0 + 2.0j,
+                                      direction=direction)
+        vstar, F, Gp = make(ng)
+        v = solve_lame_bvp(HalfSpaceField(F, tg, ng, "spectral"),
+                           BoundaryField(Gp, tg, "spectral"), params, lam)
+        err = np.abs(v.values - vstar)
+        assert np.max(err) <= 1e-8 * np.abs(vstar).max(), (tg.dims, params)
+
+
+def per_mode_lame_matrix(lam, a, c, b, xi, D, D2):
+    """One mode's collocation matrix, block by block: the reference for
+    lame_operator and lame_stress_rows (interior rows, then the stress rows
+    at node 0)."""
+    n, nd = D.shape[0], xi.size
+    nc = nd + 1
+    eye = np.eye(n)
+    M = np.zeros((nc * n, nc * n), dtype=complex)
+    blk = lambda j: slice(j * n, (j + 1) * n)  # noqa: E731
+    for j in range(nc):
+        M[blk(j), blk(j)] += (lam + a * float(xi @ xi)) * eye - a * D2
+    for j in range(nd):
+        for k in range(nd):
+            M[blk(j), blk(k)] += -c * (1j * xi[j]) * (1j * xi[k]) * eye
+        M[blk(j), blk(nd)] += -c * (1j * xi[j]) * D
+        M[blk(nd), blk(j)] += -c * (1j * xi[j]) * D
+    M[blk(nd), blk(nd)] += -c * D2
+    for j in range(nc):
+        M[j * n, :] = 0.0
+    for j in range(nd):
+        M[j * n, blk(j)] = a * D[0]
+        M[j * n, nd * n] += a * 1j * xi[j]
+        M[nd * n, j * n] += b * 1j * xi[j]
+    M[nd * n, blk(nd)] = 2 * a * D[0] + b * D[0]
+    return M
+
+
+def test_lame_operator_matches_per_mode_assembly():
+    # same arithmetic entry by entry, so the matrices are equal, not close
+    ng = NormalGrid(points=12, truncation=20.0)
+    D, D2 = ng.diff, ng.diff2
+    p = SymbolParams.from_fluid(NON_UNIT, zeta=0.3 - 0.2j)
+    a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
+    for tg in (TG, TangentialGrid(dims=2, points=4, half_length=2.0)):
+        xi = tg.xi.reshape(-1, tg.dims)
+        n = ng.points
+        mats = lame_operator(2.0 - 1.5j, a, c, xi, D, D2)
+        mats[:, ::n] = lame_stress_rows(a, b, xi, D)
+        for m, x in enumerate(xi):
+            ref = per_mode_lame_matrix(2.0 - 1.5j, a, c, b, x, D, D2)
+            assert np.array_equal(mats[m], ref)
+
+
+def test_lame_batches_give_the_same_solution(monkeypatch):
+    # each mode's matrix is assembled and factored on its own, so the batch
+    # size cannot change a bit of v
+    from resolvlab import halfspace
+
+    lam = 3.0 + 0.4j
+    for tg in (TG, TangentialGrid(dims=2, points=8, half_length=8.0)):
+        ng = NormalGrid(points=24, truncation=20.0)
+        rng = np.random.default_rng(tg.dims)
+        shape = tg.mode_shape + (ng.points, tg.dims + 1)
+        F = HalfSpaceField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           tg, ng, "spectral")
+        Gp = BoundaryField(rng.standard_normal(shape[:-2] + shape[-1:]) + 0j, tg,
+                           "spectral")
+        runs = []
+        for batch in (1, 5, tg.points ** tg.dims):
+            monkeypatch.setattr(halfspace, "LAME_BATCH_MODES", batch)
+            runs.append(solve_lame_bvp(F, Gp, NON_UNIT, lam, zeta=0.3 - 0.1j).values)
+        assert all(np.array_equal(runs[0], v) for v in runs[1:])
 
 
 def test_lame_spectral_convergence():

@@ -6,12 +6,7 @@ import pytest
 from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
 from resolvlab.halfspace import ResolventData, solve_full_resolvent
 from resolvlab.regions import FluidParams
-from resolvlab.verification import (
-    NormSpec,
-    discrete_norm,
-    pde_residual,
-    rbound_estimate,
-)
+from resolvlab.verification import discrete_norm, pde_residual, rbound_estimate
 
 BASE = FluidParams()
 TG = TangentialGrid(points=64, half_length=8.0)
@@ -27,44 +22,31 @@ def make_data(seed=0):
 
 def test_norm_of_constant_is_one():
     f = BoundaryField(np.ones(64, dtype=complex), TG)
-    assert discrete_norm(f, NormSpec(q=2.0)) == pytest.approx(1.0, rel=1e-12)
+    assert discrete_norm(f) == pytest.approx(1.0, rel=1e-12)
     g = HalfSpaceField(np.ones((64, 96, 1), dtype=complex), TG, NG)
-    assert discrete_norm(g, NormSpec(q=3.0)) == pytest.approx(1.0, rel=1e-10)
+    assert discrete_norm(g) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_norm_gradient_of_sine():
-    # f = sin(pi x / L) is a full period on the box; its gradient norm at
-    # q = 2 is pi/L times the 1/sqrt(2) mean of cos^2
+def test_norm_of_sine():
+    # f = sin(pi x / L) is a full period on the box: its norm is the
+    # square root of the 1/2 mean of sin^2
     f = BoundaryField(np.sin(np.pi * TG.x / TG.half_length).astype(complex), TG)
-    n0 = discrete_norm(f, NormSpec(q=2.0, order=0))
-    assert n0 == pytest.approx(1 / math.sqrt(2), rel=1e-8)
-    n1 = discrete_norm(f, NormSpec(q=2.0, order=1))
-    k = np.pi / TG.half_length
-    expect = math.sqrt(0.5 + k**2 * 0.5)
-    assert n1 == pytest.approx(expect, rel=1e-8)
+    assert discrete_norm(f) == pytest.approx(1 / math.sqrt(2), rel=1e-8)
 
 
 def test_norm_axioms_on_random_fields():
     rng = np.random.default_rng(4)
-    spec = NormSpec(q=2.0, order=1)
     for _ in range(20):
         a = rng.standard_normal((64, 96, 2)) + 1j * rng.standard_normal((64, 96, 2))
         b = rng.standard_normal((64, 96, 2)) + 1j * rng.standard_normal((64, 96, 2))
         fa = HalfSpaceField(a, TG, NG)
         fb = HalfSpaceField(b, TG, NG)
         fab = HalfSpaceField(a + b, TG, NG)
-        na, nb, nab = (discrete_norm(f, spec) for f in (fa, fb, fab))
+        na, nb, nab = (discrete_norm(f) for f in (fa, fb, fab))
         assert nab <= na + nb + 1e-12
         c = complex(rng.standard_normal(), rng.standard_normal())
-        assert discrete_norm(HalfSpaceField(c * a, TG, NG), spec) == \
+        assert discrete_norm(HalfSpaceField(c * a, TG, NG)) == \
             pytest.approx(abs(c) * na, rel=1e-12)
-
-
-def test_norm_spec_validation():
-    with pytest.raises(ValueError):
-        NormSpec(q=1.0)
-    with pytest.raises(ValueError):
-        NormSpec(order=3)
 
 
 # -- residuals --------------------------------------------------------------
@@ -180,7 +162,7 @@ def test_square_function_quotient_applies_each_operator_once():
 
     cs = [0.5, -2.0, 1.0 + 1j]
     vecs = _vectors(count=3)
-    quot = _square_function_quotient([op(c) for c in cs], vecs, 2.0)
+    quot = _square_function_quotient([op(c) for c in cs], vecs)
     assert applied == cs
     num = np.sqrt(sum(np.abs(c * v) ** 2 for c, v in zip(cs, vecs)))
     den = np.sqrt(sum(np.abs(v) ** 2 for v in vecs))
