@@ -118,17 +118,20 @@ def cmd_solve(cfg: RunConfig, out_dir, threads):
 
 
 def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
-    """Multiplier-class scan of each [scan] symbol, one symbol per worker.
+    """Multiplier-class scan of the [scan] symbols, all from one shared pass.
 
-    Each scan (scans.multiplier_class_scan) estimates the worst ratio from
-    the first n = [scan] samples of a nested draw of 2n, plus a local
-    ascent from the worst of them, and repeats the estimate on all 2n,
-    reusing the n-set ascents.  scan.<symbol>.finite checks that every
-    worst ratio is finite; scan.<symbol>.refinement that the estimate grew
-    by less than tolerances.refinement_growth from n to 2n samples, i.e.
-    that the sup estimate has converged.  Results do not depend on
-    threads: each symbol's scan is deterministic and self-contained.
-    The symbols and their classes are symbols.SYMBOLS.
+    scans.multiplier_class_scan draws one nested set of 2n samples
+    (n = [scan] samples) and evaluates the symbol kernels once per chunk
+    of stencil points for all the symbols.  Per symbol it estimates the
+    worst ratio from the n-set plus local ascents from its worst samples,
+    and repeats the estimate on all 2n, reusing the n-set ascents.
+    scan.<symbol>.finite checks that every worst ratio is finite;
+    scan.<symbol>.refinement that the estimate grew by less than
+    tolerances.refinement_growth from n to 2n samples, i.e. that the sup
+    estimate has converged.  threads is not used: the ascents are small
+    array operations that hold the interpreter lock, so a pool only adds
+    hand-offs.  Results do not depend on which other symbols are scanned
+    alongside.  The symbols and their classes are symbols.SYMBOLS.
     """
     block = cfg.raw.get("scan", {})
     symbols = list(block.get("symbols", [s for s, c in SYMBOLS.items() if c.default]))
@@ -137,17 +140,13 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
         raise ConfigError(f"invalid [scan]: unknown symbol(s) {unknown}; "
                           f"known: {list(SYMBOLS)}")
     with config_section("scan"):
+        if not symbols:
+            raise ValueError("symbols is empty")
         n = _at_least_one("samples", int(block.get("samples", 10_000)))
     growth_cap = cfg.tolerances.get("refinement_growth", 0.05)
 
-    def one(sym):
-        cls = SYMBOLS[sym]
-        spec = scans.MultiplierClassSpec(order=cls.order, region=cfg.sector,
-                                         lam_xi_weight=cls.lam_xi_weight)
-        return scans.multiplier_class_scan(
-            sym, spec, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid)
-
-    reports = ordered_map(one, symbols, threads)
+    reports = scans.multiplier_class_scan(
+        symbols, cfg.sector, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid)
     verdicts = []
     for rep in reports:
         finite = all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .grids import NormalGrid
 from .halfspace import lame_operator, lame_stress_rows
@@ -242,4 +241,7 @@ def matrix_exponential_oracle(gen, U0, t: float):
     A = gen.matrix if isinstance(gen, PerModeGenerator) else np.asarray(gen)
     if A.shape[0] > EXPM_DIM_CAP:
         raise DimensionCapError(f"dimension {A.shape[0]} exceeds {EXPM_DIM_CAP}")
+    # scipy only here: every command imports this module, only evolve runs the oracle
+    from scipy.linalg import expm
+
     return expm(t * A) @ np.asarray(U0, dtype=complex)

@@ -13,6 +13,7 @@ differentiation matrix and Clenshaw-Curtis quadrature weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,26 +135,33 @@ class NormalGrid:
         if self.truncation <= 0:
             raise ValueError("truncation length must be positive")
 
-    @property
+    # Built once per grid, read-only: the solvers read them on every call.
+    @cached_property
+    def _chebyshev(self):
+        return chebyshev_matrix(self.points)
+
+    @cached_property
     def nodes(self) -> np.ndarray:
-        _, xc = chebyshev_matrix(self.points)
-        t = self.truncation * (1.0 - xc) / 2.0
+        t = self.truncation * (1.0 - self._chebyshev[1]) / 2.0
         t[0] = 0.0
-        return t
+        return _read_only(t)
 
-    @property
+    @cached_property
     def diff(self) -> np.ndarray:
-        Dc, _ = chebyshev_matrix(self.points)
-        return -(2.0 / self.truncation) * Dc
+        return _read_only(-(2.0 / self.truncation) * self._chebyshev[0])
 
-    @property
+    @cached_property
     def diff2(self) -> np.ndarray:
-        D = self.diff
-        return D @ D
+        return _read_only(self.diff @ self.diff)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return (self.truncation / 2.0) * clenshaw_curtis_weights(self.points)
+        return _read_only((self.truncation / 2.0) * clenshaw_curtis_weights(self.points))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass

@@ -104,7 +104,7 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     xi_sq = tgrid.xi_sq
     L = lopatinski_values(lam, xi_sq, p)
     A, B = L.A, L.B
-    nt1, nt2, nN1, nN2 = njk_values(L, q_values(lam, xi_sq, p)[0], tgrid.xi, p)
+    nt1, nt2, nN1, nN2 = njk_values(L, q_values(lam, xi_sq, p, core=(A, B))[0], tgrid.xi, p)
 
     x = ngrid.nodes
     Ax, Bx = A[..., None], B[..., None]

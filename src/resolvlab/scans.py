@@ -18,8 +18,9 @@ A scan measures
 
   * worst ratios  |d^k_xi (tau d_tau)^l m| / bound  per symbol, from the
     samples and a local ascent started at the worst of them (see
-    multiplier_class_scan).  The symbols, their evaluators and the class
-    each bound comes from are the table symbols.SYMBOLS,
+    multiplier_class_scan).  The symbols, the class each bound comes from
+    and their projections of one shared kernel evaluation are the table
+    symbols.SYMBOLS,
   * the smallest lam0 for which  |N| >= c (|lam|+|xi|)(|lam|^1/2+|xi|)^2
     holds with a positive floor, plus the certified c,
   * the decay constant c' of exp(-B x_N), for the symbols whose bound
@@ -31,17 +32,28 @@ once and nested for higher orders; (tau d_tau) is tau times the
 finite-difference d/dtau at fixed Re lambda.  Every (kappa, ell) stencil
 is a weighted sum over one shared set of offsets, so a point's stencils
 cost one stacked symbol evaluation.
+
+The sampled pass is shared by all the symbols of a scan: one draw, and
+per chunk of STENCIL_CHUNK_POINTS stencil points one evaluation of A, B,
+L, Q/Q' and n_Jk that every symbol's values are projected from.  The
+stencil sums run over the offsets in ascending order, stacked over the
+symbols.  The chunk size is fixed because numpy rounds some kernels
+differently on longer arrays (its in-place reuse of temporaries from
+256 KiB on), and the stencils amplify those last bits to ~1e-3 in the
+ratios of n11 and nN1.  The ascents run per symbol, each on its own
+points, so every symbol's report is bitwise the one it gets alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .regions import FluidParams, SectorSpec
-from .symbols import SYMBOLS, SymbolParams, core_values, lopatinski_values
+from .symbols import (SYMBOLS, SymbolParams, core_values, evaluate_symbols,
+                      lopatinski_values)
 
 FD_REL_STEP = 1e-4
 NAB_FLOOR = 1e-10
@@ -110,20 +122,6 @@ def _region_points(u, plan: SamplingPlan, spec: SectorSpec, params: FluidParams)
 def draw_samples(plan: SamplingPlan, spec: SectorSpec, params: FluidParams):
     """(lam, xi) arrays inside Gamma(eps, lam0, zeta); xi has shape (n, dims)."""
     return _region_points(_unit_draw(plan), plan, spec, params)
-
-
-@dataclass(frozen=True)
-class MultiplierClassSpec:
-    """Bound (|lam|^1/2+|xi|)^(order-|kappa|) (|lam|+|xi|)^lam_xi_weight."""
-
-    order: float
-    max_deriv_order: int = 2
-    region: SectorSpec = field(default_factory=SectorSpec)
-    lam_xi_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.max_deriv_order > 2:
-            raise ValueError("derivative order capped at 2")
 
 
 def _tangential_derivative(f, lam, xi, kappa, h):
@@ -195,36 +193,50 @@ def _stencil(kappa, ell):
     return {off: w for off, w in terms.items() if w != 0.0}
 
 
-class _RatioField:
-    """|d^kappa_xi (tau d_tau)^ell m| / bound at stacked points, per (kappa, ell).
+def _bound(order, lam_xi_weight, decay_c, lam, scale, xi_norm, korder):
+    """The class bound at korder = |kappa|; decay_c is c' or None (see SymbolClass)."""
+    bound = scale ** (order - korder)
+    if lam_xi_weight:
+        bound = bound * (np.abs(lam) + xi_norm) ** lam_xi_weight
+    if decay_c is not None:
+        bound = bound * np.exp(-decay_c * scale)
+    return bound
 
-    pairs lists the (kappa, ell); offsets (P, dims+1) is the union of their
-    stencils and weights (P, len(pairs)) their coefficients on it.
+
+class _RatioField:
+    """|d^kappa_xi (tau d_tau)^ell m| / bound at stacked points, per symbol and (kappa, ell).
+
+    names lists the symbols (entries of SYMBOLS), evaluated together from
+    one SymbolEvaluation per stack of points.  pairs lists the (kappa,
+    ell); offsets (P, dims+1) is the union of their stencils and weights
+    (P, len(pairs)) their coefficients on it.  decay_c is the fitted c' of
+    the exp_decay symbols.
     """
 
-    def __init__(self, f, spec: MultiplierClassSpec, dims: int, decay_c=None):
-        self.f, self.spec, self.dims, self.decay_c = f, spec, dims, decay_c
-        self.pairs = [(kappa, ell) for kappa in _kappa_list(dims, spec.max_deriv_order)
+    def __init__(self, names, sp: SymbolParams, dims: int, max_deriv_order: int = 2,
+                 decay_c=None):
+        self.names, self.sp, self.dims = list(names), sp, dims
+        # (order, lam_xi_weight, c' or None) of each symbol's bound
+        self.classes = [(c.order, c.lam_xi_weight, decay_c if c.exp_decay else None)
+                        for c in map(SYMBOLS.get, self.names)]
+        self.pairs = [(kappa, ell) for kappa in _kappa_list(dims, max_deriv_order)
                       for ell in (0, 1)]
         tables = [_stencil(kappa, ell) for kappa, ell in self.pairs]
         offsets = sorted(set().union(*tables))
         self.offsets = np.array(offsets)
         self.weights = np.array([[t.get(o, 0.0) for t in tables] for o in offsets])
 
-    def _bound(self, lam, scale, xi_norm, korder):
-        spec = self.spec
-        bound = scale ** (spec.order - korder)
-        if spec.lam_xi_weight:
-            bound = bound * (np.abs(lam) + xi_norm) ** spec.lam_xi_weight
-        if self.decay_c is not None:
-            bound = bound * np.exp(-self.decay_c * scale)
-        return bound
+    def bounds(self, lam, scale, xi_norm, korder):
+        """Bounds (len(names), m) at korder = |kappa|, one evaluation per class."""
+        per_class = {c: _bound(*c, lam, scale, xi_norm, korder) for c in set(self.classes)}
+        return np.stack([per_class[c] for c in self.classes])
 
     def ratios(self, groups):
-        """[(lam, xi, cols)] -> [ratios (m, len(cols))], with one call of the symbol.
+        """[(lam, xi, cols)] -> [ratios (len(names), m, len(cols))], one symbol evaluation.
 
         Group g evaluates the pairs cols at its m points, on the offsets
-        those pairs use.
+        those pairs use.  The stencil sums run over the offsets in
+        ascending order, for all symbols at once.
         """
         lam_pts, xi_pts, parts = [], [], []
         for lam, xi, cols in groups:
@@ -236,39 +248,51 @@ class _RatioField:
             xi_pts.append((xi[:, None, :] + h[:, None, None] * off[:, :-1])
                           .reshape(-1, self.dims))
             parts.append((rows, scale, h, h_tau))
-        values = self.f(np.concatenate(lam_pts), np.concatenate(xi_pts))
+        values = evaluate_symbols(self.names, np.concatenate(lam_pts),
+                                  np.concatenate(xi_pts), self.sp)
 
         out, start = [], 0
         for (lam, xi, cols), (rows, scale, h, h_tau) in zip(groups, parts):
-            v = values[start:start + lam.size * rows.size].reshape(lam.size, rows.size)
-            start += v.size
+            stop = start + lam.size * rows.size
+            v = values[:, start:stop].reshape(len(self.names), lam.size, rows.size)
+            start = stop
             xi_norm = np.linalg.norm(xi, axis=-1)
-            r = np.empty((lam.size, len(cols)))
+            bounds = {}
+            r = np.empty((len(self.names), lam.size, len(cols)))
             for c, col in enumerate(cols):
                 kappa, ell = self.pairs[col]
                 korder = sum(kappa)
+                if korder not in bounds:
+                    bounds[korder] = self.bounds(lam, scale, xi_norm, korder)
                 w = self.weights[rows, col]
-                deriv = sum(w[j] * v[:, j] for j in np.flatnonzero(w)) / h**korder
+                deriv = sum(w[j] * v[..., j] for j in np.flatnonzero(w)) / h**korder
                 if ell:
                     deriv = deriv * lam.imag / h_tau
-                r[:, c] = np.abs(deriv) / self._bound(lam, scale, xi_norm, korder)
+                r[..., c] = np.abs(deriv) / bounds[korder]
             out.append(r)
         return out
 
     def sampled(self, lam, xi):
-        """Ratios (n, len(pairs)) of every pair at every sample, in chunks."""
+        """Ratios (len(names), n, len(pairs)) of every pair at every sample.
+
+        The samples go in chunks of STENCIL_CHUNK_POINTS symbol points:
+        chunks of another size change the kernels' last bits, which the
+        stencils amplify.
+        """
         cols = list(range(len(self.pairs)))
         chunk = max(1, STENCIL_CHUNK_POINTS // len(self.offsets))
-        return np.concatenate([self.ratios([(lam[i:i + chunk], xi[i:i + chunk], cols)])[0]
-                               for i in range(0, lam.size, chunk)])
+        out = np.empty((len(self.names), lam.size, len(cols)))
+        for i in range(0, lam.size, chunk):
+            out[:, i:i + chunk] = self.ratios([(lam[i:i + chunk], xi[i:i + chunk], cols)])[0]
+        return out
 
     def at(self, lam, xi, pair):
-        """Ratio of pair[i] at point i, grouped by pair into one symbol call."""
+        """Ratio of the first symbol's pair[i] at point i, one symbol evaluation."""
         groups = [(p, np.flatnonzero(pair == p)) for p in np.unique(pair)]
         out = np.empty(pair.size)
         for (p, idx), r in zip(groups, self.ratios([(lam[idx], xi[idx], [p])
                                                     for p, idx in groups])):
-            out[idx] = r[:, 0]
+            out[idx] = r[0, :, 0]
         return out
 
 
@@ -314,94 +338,106 @@ def _top(ratio, k):
     return np.argsort(-ratio, kind="stable")[:k]
 
 
-def multiplier_class_scan(symbol: str, spec: MultiplierClassSpec, plan: SamplingPlan,
-                          params: FluidParams) -> dict:
+def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
+                          params: FluidParams, max_deriv_order: int = 2) -> list:
     """Worst ratio against the class bound, per (kappa, ell), and its refinement.
 
-    One nested draw of 2n samples (n = plan.n_samples) is made; the n-set
-    is its first n rows.  All stencils are evaluated once on the 2n-set
-    and sampledWorstRatio is the max over the n-set.  Then, for every
-    (kappa, ell), a local ascent (_ascend) starts from each of the
-    ASCENT_STARTS worst samples of the n-set.  It works in the sampler's
-    unit-cube coordinates (log|lambda|, fraction of the admissible
-    argument, log|xi|, and the xi angle in 2-D), so every iterate is an
-    admissible point of Gamma(eps, lam0, zeta) for C1, C2 and C3 inside the
-    sampled ranges.  Its first step is ASCENT_STEP; it stops once the step
-    halves below ASCENT_MIN_STEP or after ASCENT_MAX_POLLS polls.
-    worstRatio and argmaxPoint are the best ascended value and point.
+    Returns one report per name in symbols, each an entry of
+    symbols.SYMBOLS, which gives its class.  One nested draw of 2n samples
+    (n = plan.n_samples) serves every symbol; the n-set is its first n
+    rows.  The sampled pass evaluates the kernels once per chunk of
+    stencil points and takes every symbol's ratios from that one
+    evaluation; sampledWorstRatio is the max over the n-set.  Then, per
+    symbol and per (kappa, ell) up to max_deriv_order, a local ascent
+    (_ascend) starts from each of the ASCENT_STARTS worst samples of the
+    n-set.  It works in the sampler's unit-cube coordinates (log|lambda|,
+    fraction of the admissible argument, log|xi|, and the xi angle in
+    2-D), so every iterate is an admissible point of Gamma(eps, lam0, zeta)
+    for C1, C2 and C3 inside the sampled ranges.  Its first step is
+    ASCENT_STEP; it stops once the step halves below ASCENT_MIN_STEP or
+    after ASCENT_MAX_POLLS polls.  worstRatio and argmaxPoint are the best
+    ascended value and point.
 
     The refinement repeats this on the 2n-set, keeping the n-set ascents
     and starting new ones only from those of its ASCENT_STARTS worst
     samples that were not n-set starts; refinedWorstRatio is the best of
     all, so refinementGrowth = refinedWorstRatio / worstRatio - 1 >= 0.
 
-    symbol names an entry of symbols.SYMBOLS, which gives its evaluator.
-    When the entry has exp_decay, the decay constant c' of Lemma ABL(1)
+    For the symbols with exp_decay, the decay constant c' of Lemma ABL(1)
     is fitted first (0.99 x the sampled minimum of Re B/(|lam|^1/2+|xi|)
     over the 2n-set) and the bound carries the extra factor
-    exp(-c'(|lam|^1/2+|xi|)).
+    exp(-c'(|lam|^1/2+|xi|)).  Each symbol's report is bitwise the one it gets when scanned alone.
     """
+    if max_deriv_order > 2:
+        raise ValueError("derivative order capped at 2")
     sp = SymbolParams.from_fluid(params)
     n = plan.n_samples
     refined = replace(plan, n_samples=2 * n)
     u = _unit_draw(refined)  # the cube rows that draw_samples maps
-    lam, xi = draw_samples(refined, spec.region, params)
+    lam, xi = draw_samples(refined, region, params)
 
-    entry = SYMBOLS[symbol]
-    decay_c = fit_exp_decay_constant(lam, xi, sp) if entry.exp_decay else None
-    field_ = _RatioField(lambda l, x: entry.evaluate(l, x, sp), spec, plan.dims, decay_c)
-    ratio = field_.sampled(lam, xi)
+    exp_decay = any(SYMBOLS[name].exp_decay for name in symbols)
+    decay_c = fit_exp_decay_constant(lam, xi, sp) if exp_decay else None
+    ratios = _RatioField(symbols, sp, plan.dims, max_deriv_order, decay_c).sampled(lam, xi)
 
-    # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
-    starts, pair, first = [], [], []
-    for p in range(len(field_.pairs)):
-        top_n = _top(ratio[:n, p], ASCENT_STARTS)
-        top_2n = _top(ratio[:, p], ASCENT_STARTS)
-        new = top_2n[~np.isin(top_2n, top_n)]
-        starts += [top_n, new]
-        pair += [p] * (top_n.size + new.size)
-        first += [True] * top_n.size + [False] * new.size
-    starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
-    u_end, value = _ascend(field_, lambda v: _region_points(v, refined, spec.region, params),
-                           u[starts], pair, ratio[starts, pair], plan)
+    def to_region(v):
+        return _region_points(v, refined, region, params)
 
-    per_derivative = []
-    worst, refined_worst = [], []
-    for p, (kappa, ell) in enumerate(field_.pairs):
-        mine = np.flatnonzero((pair == p) & first)
-        i = mine[np.argmax(value[mine])]
-        lam_i, xi_i = _region_points(u_end[i:i + 1], refined, spec.region, params)
-        # np.max keeps a NaN sample visible to the finiteness verdict
-        worst.append(np.max(np.append(ratio[:n, p], value[mine])))
-        refined_worst.append(np.max(np.append(ratio[:, p], value[pair == p])))
-        per_derivative.append({
-            "kappa": list(kappa),
-            "ell": ell,
-            "sampledWorstRatio": float(np.max(ratio[:n, p])),
-            "worstRatio": float(worst[-1]),
-            "argmaxPoint": {"lam_re": float(lam_i[0].real),
-                            "lam_im": float(lam_i[0].imag),
-                            "xi": [float(v) for v in xi_i[0]]},
-        })
-    worst_overall = float(np.max(worst))
-    refined_overall = float(np.max(refined_worst))
+    def one(s):
+        name = symbols[s]
+        field_ = _RatioField([name], sp, plan.dims, max_deriv_order, decay_c)
+        ratio = ratios[s]
+        # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
+        starts, pair, first = [], [], []
+        for p in range(len(field_.pairs)):
+            top_n = _top(ratio[:n, p], ASCENT_STARTS)
+            top_2n = _top(ratio[:, p], ASCENT_STARTS)
+            new = top_2n[~np.isin(top_2n, top_n)]
+            starts += [top_n, new]
+            pair += [p] * (top_n.size + new.size)
+            first += [True] * top_n.size + [False] * new.size
+        starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
+        u_end, value = _ascend(field_, to_region, u[starts], pair, ratio[starts, pair], plan)
 
-    report = {
-        "symbol": symbol,
-        # type 1: the bound's xi-derivatives lower the order of |lam|^1/2 + |xi|
-        "class": {"order": spec.order, "type": 1},
-        "samples": n,
-        "seed": plan.seed,
-        "perDerivative": per_derivative,
-        "worstRatio": worst_overall,
-        "refinedWorstRatio": refined_overall,
-        "refinementGrowth": (refined_overall / worst_overall - 1.0
-                             if worst_overall > 0 else 0.0),
-        "violations": [],
-    }
-    if decay_c is not None:
-        report["decayConstant"] = float(decay_c)
-    return report
+        per_derivative = []
+        worst, refined_worst = [], []
+        for p, (kappa, ell) in enumerate(field_.pairs):
+            mine = np.flatnonzero((pair == p) & first)
+            i = mine[np.argmax(value[mine])]
+            lam_i, xi_i = to_region(u_end[i:i + 1])
+            # np.max keeps a NaN sample visible to the finiteness verdict
+            worst.append(np.max(np.append(ratio[:n, p], value[mine])))
+            refined_worst.append(np.max(np.append(ratio[:, p], value[pair == p])))
+            per_derivative.append({
+                "kappa": list(kappa),
+                "ell": ell,
+                "sampledWorstRatio": float(np.max(ratio[:n, p])),
+                "worstRatio": float(worst[-1]),
+                "argmaxPoint": {"lam_re": float(lam_i[0].real),
+                                "lam_im": float(lam_i[0].imag),
+                                "xi": [float(v) for v in xi_i[0]]},
+            })
+        worst_overall = float(np.max(worst))
+        refined_overall = float(np.max(refined_worst))
+
+        report = {
+            "symbol": name,
+            # type 1: the bound's xi-derivatives lower the order of |lam|^1/2 + |xi|
+            "class": {"order": SYMBOLS[name].order, "type": 1},
+            "samples": n,
+            "seed": plan.seed,
+            "perDerivative": per_derivative,
+            "worstRatio": worst_overall,
+            "refinedWorstRatio": refined_overall,
+            "refinementGrowth": (refined_overall / worst_overall - 1.0
+                                 if worst_overall > 0 else 0.0),
+            "violations": [],
+        }
+        if SYMBOLS[name].exp_decay:
+            report["decayConstant"] = float(decay_c)
+        return report
+
+    return [one(s) for s in range(len(symbols))]
 
 
 def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:

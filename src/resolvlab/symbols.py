@@ -18,8 +18,12 @@ P-factored one with P = lambda / (AB - xi2), is the test oracle these
 entries are checked against.
 
 SYMBOLS, at the end of this module, is the one table of the symbols the
-multiplier-class scans check: each name's evaluator, the class its bound
-comes from, and whether verify-symbols scans it by default.
+multiplier-class scans check: the class each bound comes from, whether
+verify-symbols scans it by default, and its projection of one shared
+SymbolEvaluation.  An evaluation fills A, B, L, Q/Q' and n_Jk lazily, at
+most once each, so the scans evaluate the kernels once for all the
+symbols they check at a stack of points, and a single symbol costs only
+the kernels it needs.
 
 All evaluators broadcast over numpy arrays.
 """
@@ -27,6 +31,7 @@ All evaluators broadcast over numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -133,11 +138,13 @@ def mollified_exp_derivatives(A, B, x):
     return M, M1, M2
 
 
-def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> LopatinskiMatrix:
+def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True,
+                      core=None) -> LopatinskiMatrix:
     """A, B, the boundary matrix L, its determinant and N(A, B).
 
-    check raises NearSingularError where AB - xi2 vanishes to working
-    precision and SingularSymbolError where |N| falls below n_floor.
+    core is (A, B) at the same points when already computed.  check raises
+    NearSingularError where AB - xi2 vanishes to working precision and
+    SingularSymbolError where |N| falls below n_floor.
     The quantities B^2 - xi2, A^2 - xi2 and AB - xi2 are evaluated by
     substituting the defining relations (lambda/a, lambda/(2a+b+z) and the
     rationalized product form); the literal differences lose ~6 digits at
@@ -145,7 +152,7 @@ def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> Lopati
     """
     lam = np.asarray(lam, dtype=complex)
     xi_sq = np.asarray(xi_sq)
-    A, B = core_values(lam, xi_sq, p)
+    A, B = core_values(lam, xi_sq, p) if core is None else core
     a, bz, s2 = p.alpha, p.beta + p.zeta, p.two_ab_z
     s3 = 3 * a + p.beta + p.zeta
     # AB - xi2 = lam (lam + s3 xi2) / (a s2 (AB + xi2)), so P = lam/(AB - xi2):
@@ -168,13 +175,14 @@ def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True) -> Lopati
     return LopatinskiMatrix(A=A, B=B, L11=L11, L12=L12, L21=L21, L22=L22, detL=detL, N=N)
 
 
-def q_values(lam, xi_sq, p: SymbolParams):
+def q_values(lam, xi_sq, p: SymbolParams, core=None):
     """Q = (|xi|^2 - A^2)/(AB - |xi|^2) and Q' = (AB + |xi|^2)^-1.
 
     xi2 - A^2 is -lambda/(2a+b+z) by definition, so Q reduces to the
     stable form -(a)(AB + xi2)/(lambda + s3 xi2) with s3 = 3a + b + z.
+    core is (A, B) at the same points when already computed.
     """
-    A, B = core_values(lam, xi_sq, p)
+    A, B = core_values(lam, xi_sq, p) if core is None else core
     s3 = 3 * p.alpha + p.beta + p.zeta
     Qp = 1.0 / (A * B + xi_sq)
     Q = -p.alpha * (A * B + xi_sq) / (np.asarray(lam, dtype=complex) + s3 * xi_sq)
@@ -208,11 +216,42 @@ def njk_values(L: LopatinskiMatrix, Q, xi, p: SymbolParams):
 # the symbol table of the multiplier-class scans
 # ---------------------------------------------------------------------------
 
+class SymbolEvaluation:
+    """The kernels at one stack of points (lam, xi), each evaluated at most once.
+
+    xi has shape (..., N-1).  core (A, B), L, q (Q, Q') and njk are filled
+    on first use from the ones they need, so a projection evaluates only
+    its own kernels and the projections of one evaluation share them.
+    """
+
+    def __init__(self, lam, xi, p: SymbolParams):
+        self.lam = np.asarray(lam, dtype=complex)
+        self.xi = np.asarray(xi, dtype=float)
+        self.xi_sq = np.sum(self.xi**2, axis=-1)
+        self.p = p
+
+    @cached_property
+    def core(self):
+        return core_values(self.lam, self.xi_sq, self.p)
+
+    @cached_property
+    def L(self):
+        return lopatinski_values(self.lam, self.xi_sq, self.p, check=False, core=self.core)
+
+    @cached_property
+    def q(self):
+        return q_values(self.lam, self.xi_sq, self.p, core=self.core)
+
+    @cached_property
+    def njk(self):
+        return njk_values(self.L, self.q[0], self.xi, self.p)
+
+
 @dataclass(frozen=True)
 class SymbolClass:
-    """A scanned symbol: its evaluator and the class its bound comes from.
+    """A scanned symbol: its projection and the class its bound comes from.
 
-    evaluate(lam, xi, p) takes xi of shape (..., N-1).  The bound of
+    project maps a SymbolEvaluation to the symbol's values.  The bound of
     d^kappa_xi (tau d_tau)^ell m is
 
         (|lam|^1/2 + |xi|)^(order - |kappa|) (|lam| + |xi|)^lam_xi_weight,
@@ -222,58 +261,38 @@ class SymbolClass:
     its [scan] block lists none.
     """
 
-    evaluate: Callable
+    project: Callable
     order: float
     lam_xi_weight: float = 0.0
     exp_decay: bool = False
     default: bool = True
 
 
-def _of_xi_sq(f):
-    """The (lam, xi, p) evaluator of f(lam, xi_sq, p)."""
-    def g(lam, xi, p):
-        xi = np.asarray(xi, dtype=float)
-        return f(np.asarray(lam, dtype=complex), np.sum(xi**2, axis=-1), p)
-    return g
-
-
-def _of_L(f):
-    """The evaluator of f(L), with L's guards off (check=False)."""
-    return _of_xi_sq(lambda lam, xi_sq, p: f(lopatinski_values(lam, xi_sq, p, check=False)))
-
-
-def _njk(part, axis=None):
-    """The evaluator of njk_values(...)[part], on one tangential axis if given."""
-    def g(lam, xi, p):
-        xi = np.asarray(xi, dtype=float)
-        lam = np.asarray(lam, dtype=complex)
-        xi_sq = np.sum(xi**2, axis=-1)
-        L = lopatinski_values(lam, xi_sq, p, check=False)
-        out = njk_values(L, q_values(lam, xi_sq, p)[0], xi, p)[part]
-        return out if axis is None else out[..., axis]
-    return g
-
-
 # detL/N and N^-1 carry the extra (|lam|+|xi|)^-1 factor: their certified
 # envelopes are not plain multiplier classes.
 SYMBOLS = {
-    "A": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: core_values(lam, xi_sq, p)[0]), 1.0),
-    "B": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: core_values(lam, xi_sq, p)[1]), 1.0),
-    "L11": SymbolClass(_of_L(lambda L: L.L11), 1.0),
-    "L12": SymbolClass(_of_L(lambda L: L.L12), 2.0),
-    "L21": SymbolClass(_of_L(lambda L: L.L21), 0.0),
-    "L22": SymbolClass(_of_L(lambda L: L.L22), 1.0),
-    "detL": SymbolClass(_of_L(lambda L: L.detL), 2.0),
-    "detL_inv": SymbolClass(_of_L(lambda L: 1.0 / L.detL), -2.0),
-    "Q": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: q_values(lam, xi_sq, p)[0]), 0.0),
-    "Qprime": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: q_values(lam, xi_sq, p)[1]), -2.0),
-    "n11": SymbolClass(_njk(0, 0), -2.0),
-    "n12": SymbolClass(_njk(1, 0), -2.0),
-    "nN1": SymbolClass(_njk(2), -2.0),
-    "nN2": SymbolClass(_njk(3), -2.0),
-    "detL_over_N": SymbolClass(_of_L(lambda L: L.detL / L.N), 0.0, lam_xi_weight=-1.0),
-    "N_inv": SymbolClass(_of_L(lambda L: 1.0 / L.N), -2.0, lam_xi_weight=-1.0, default=False),
+    "A": SymbolClass(lambda e: e.core[0], 1.0),
+    "B": SymbolClass(lambda e: e.core[1], 1.0),
+    "L11": SymbolClass(lambda e: e.L.L11, 1.0),
+    "L12": SymbolClass(lambda e: e.L.L12, 2.0),
+    "L21": SymbolClass(lambda e: e.L.L21, 0.0),
+    "L22": SymbolClass(lambda e: e.L.L22, 1.0),
+    "detL": SymbolClass(lambda e: e.L.detL, 2.0),
+    "detL_inv": SymbolClass(lambda e: 1.0 / e.L.detL, -2.0),
+    "Q": SymbolClass(lambda e: e.q[0], 0.0),
+    "Qprime": SymbolClass(lambda e: e.q[1], -2.0),
+    "n11": SymbolClass(lambda e: e.njk[0][..., 0], -2.0),
+    "n12": SymbolClass(lambda e: e.njk[1][..., 0], -2.0),
+    "nN1": SymbolClass(lambda e: e.njk[2], -2.0),
+    "nN2": SymbolClass(lambda e: e.njk[3], -2.0),
+    "detL_over_N": SymbolClass(lambda e: e.L.detL / e.L.N, 0.0, lam_xi_weight=-1.0),
+    "N_inv": SymbolClass(lambda e: 1.0 / e.L.N, -2.0, lam_xi_weight=-1.0, default=False),
     # exp(-B x_N) at x_N = 1, against the decay of Lemma ABL(1)
-    "exp_BxN": SymbolClass(_of_xi_sq(lambda lam, xi_sq, p: np.exp(-core_values(lam, xi_sq, p)[1])),
-                           0.0, exp_decay=True, default=False),
+    "exp_BxN": SymbolClass(lambda e: np.exp(-e.core[1]), 0.0, exp_decay=True, default=False),
 }
+
+
+def evaluate_symbols(names, lam, xi, p: SymbolParams):
+    """The named SYMBOLS at (lam, xi), stacked (len(names), ...), from one evaluation."""
+    ev = SymbolEvaluation(lam, xi, p)
+    return np.stack([SYMBOLS[name].project(ev) for name in names])

@@ -179,11 +179,30 @@ def _l2_mean(v):
     return float(np.mean(np.abs(v) ** 2) ** 0.5)
 
 
-def _square_function_quotient(ops, vecs):
+class _SquaredImages:
+    """|T_j v_k|^2 and |v_k|^2 of a linear family, each computed at most once.
+
+    T_j(-v) = -T_j(v) exactly, so a signed test vector has the same
+    squared image as the vector itself.
+    """
+
+    def __init__(self, ops, vecs):
+        self.ops, self.vecs = ops, vecs
+        self.images = {}
+        self.inputs = [np.abs(np.asarray(v)) ** 2 for v in vecs]
+
+    def __call__(self, j, k):
+        if (j, k) not in self.images:
+            self.images[j, k] = np.abs(np.asarray(self.ops[j](self.vecs[k]))) ** 2
+        return self.images[j, k]
+
+
+def _square_function_quotient(sq: _SquaredImages, terms):
+    """||(sum_t |T_j v_k|^2)^1/2|| / ||(sum_t |v_k|^2)^1/2|| over terms (j, k)."""
     num = den = 0.0
-    for op, f in zip(ops, vecs):
-        num = num + np.abs(np.asarray(op(f))) ** 2
-        den = den + np.abs(np.asarray(f)) ** 2
+    for j, k in terms:
+        num = num + sq(j, k)
+        den = den + sq.inputs[k]
     dq = _l2_mean(np.sqrt(den))
     if dq == 0:
         return 0.0
@@ -200,7 +219,9 @@ def rbound_estimate(family, test_vectors, trials: int = 200,
     keyed by (seed, trial, operator index), so restricting the family
     restricts the battery.  All singleton quotients are always included,
     which makes the estimate exact for scalar multiples of a common
-    operator and >= the measured single-operator norm in general.
+    operator and >= the measured single-operator norm in general.  The
+    operators must be linear: each is applied to each test vector at most
+    once, and the signs reuse those images.
     """
     if not family:
         raise ValueError("family must not be empty")
@@ -210,30 +231,31 @@ def rbound_estimate(family, test_vectors, trials: int = 200,
     vecs = [np.asarray(v, dtype=complex) for v in test_vectors]
     if not vecs:
         raise ValueError("need at least one test vector")
+    sq = _SquaredImages(ops, vecs)
 
-    best = max(_square_function_quotient([op], [v]) for op in ops for v in vecs)
+    best = max(_square_function_quotient(sq, [(j, k)])
+               for j in range(len(ops)) for k in range(len(vecs)))
 
     trial_quotients = []
     for t in range(trials):
-        chosen_ops, chosen_vecs = [], []
+        chosen = []
         for j in range(len(ops)):
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, j]))
             include = rng.integers(0, 2) == 1
-            sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
-            vec = vecs[rng.integers(0, len(vecs))]
+            rng.integers(0, 2)  # the Rademacher sign, which |T_j v_k|^2 does not see
+            k = rng.integers(0, len(vecs))
             if include:
-                chosen_ops.append(ops[j])
-                chosen_vecs.append(sign * vec)
-        if chosen_ops:
-            quot = _square_function_quotient(chosen_ops, chosen_vecs)
+                chosen.append((j, k))
+        if chosen:
+            quot = _square_function_quotient(sq, chosen)
             trial_quotients.append(quot)
             best = max(best, quot)
-        full_vecs = []
+        full = []
         for j in range(len(ops)):
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, j, 1]))
-            sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
-            full_vecs.append(sign * vecs[rng.integers(0, len(vecs))])
-        quot = _square_function_quotient(ops, full_vecs)
+            rng.integers(0, 2)  # sign
+            full.append((j, rng.integers(0, len(vecs))))
+        quot = _square_function_quotient(sq, full)
         trial_quotients.append(quot)
         best = max(best, quot)
 

@@ -213,6 +213,7 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("evolve", "angle", "2.0", "contour"),             # outside (0, pi/2)
     ("bent", "width", "-1.0", "bent"),                 # bump width not positive
     ("scan-nab", "samples", '"many"', "nab"),          # not an integer
+    ("verify-symbols", "symbols", "[]", "scan"),       # nothing to scan
     ("solve", "lambda_re", '"x"', "solve"),            # not a number
     ("rbound", "test_vectors", "0", "rbound"),         # no test vector
     ("rbound", "trials", "0", "rbound"),               # no trial
@@ -367,3 +368,18 @@ def test_cli_verify_symbols_independent_of_threads(tmp_path):
         rep.pop("wallTime")
         outs.append((canonical_json(rep), open(out / "symbol_scans.json", "rb").read()))
     assert outs[0] == outs[1]
+
+
+def test_cli_import_does_not_load_scipy():
+    # only evolve's expm oracle needs scipy; every other command starts without it
+    import subprocess
+    import sys
+
+    import resolvlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resolvlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, resolvlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -81,6 +81,29 @@ def test_normal_grid_nodes_and_diff():
     assert ng.weights @ f == pytest.approx(1 - math.exp(-20.0), rel=1e-12)
 
 
+def test_normal_grid_arrays_built_once_and_read_only(monkeypatch):
+    from resolvlab import grids
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return chebyshev_matrix(n)
+
+    monkeypatch.setattr(grids, "chebyshev_matrix", counted)
+    ng = NormalGrid(points=24, truncation=10.0)
+    for _ in range(3):
+        arrays = (ng.nodes, ng.diff, ng.diff2, ng.weights)
+    assert calls == [24]
+    assert ng.nodes is arrays[0] and ng.diff2 is arrays[2]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    NormalGrid(points=24, truncation=10.0).nodes  # a new grid builds its own
+    assert calls == [24, 24]
+
+
 def test_clenshaw_curtis_exactness():
     w = clenshaw_curtis_weights(16)
     _, x = chebyshev_matrix(16)

@@ -117,8 +117,8 @@ def test_surface_boundary_stress_rows():
 
 
 def test_surface_mode_profiles_evaluates_symbols_once(monkeypatch):
-    # A, B and L are evaluated once per surface solve: one L, and A, B for
-    # L and for Q; every module-level alias of each function is counted
+    # A, B and L are evaluated once per surface solve: one L, whose A, B
+    # Q reuses; every module-level alias of each function is counted
     import sys
 
     from resolvlab import symbols
@@ -139,7 +139,7 @@ def test_surface_mode_profiles_evaluates_symbols_once(monkeypatch):
     surface_mode_profiles(2.0 + 1.5j, TG, NG, SymbolParams.from_fluid(BASE),
                           k.values[..., 0])
     assert calls["lopatinski_values"] == 1
-    assert calls["core_values"] <= 2
+    assert calls["core_values"] == 1
 
 
 def test_surface_interior_ode_residual():

@@ -1,19 +1,22 @@
+import json
 import math
-from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from resolvlab import scans
 from resolvlab.regions import FluidParams, SectorSpec, in_gamma_region
 from resolvlab.scans import (
-    MultiplierClassSpec,
     SamplingPlan,
     draw_samples,
     fit_exp_decay_constant,
     multiplier_class_scan,
     nab_lower_bound_scan,
 )
-from resolvlab.symbols import SYMBOLS, SymbolParams
+from resolvlab.symbols import SYMBOLS, SymbolParams, evaluate_symbols
 
 BASE = FluidParams()
 
@@ -42,16 +45,16 @@ def test_draw_samples_deterministic():
 def test_scan_B_order_one_bound():
     # |B| <= |lam|^{1/2} + |xi| at baseline alpha = 1, so the ratio at
     # kappa=0, ell=0 cannot exceed 1
-    spec = MultiplierClassSpec(order=1, region=SectorSpec(zeta_case="C3"))
-    rep = multiplier_class_scan("B", spec, SamplingPlan(n_samples=5000, seed=3), BASE)
+    rep = multiplier_class_scan(["B"], SectorSpec(zeta_case="C3"),
+                                SamplingPlan(n_samples=5000, seed=3), BASE)[0]
     entry = next(d for d in rep["perDerivative"] if d["kappa"] == [0] and d["ell"] == 0)
     assert entry["worstRatio"] <= 1 + 1e-9
     assert all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])
 
 
 def test_scan_L12_order_two_finite():
-    spec = MultiplierClassSpec(order=2, region=SectorSpec(zeta_case="C3"))
-    rep = multiplier_class_scan("L12", spec, SamplingPlan(n_samples=5000, seed=4), BASE)
+    rep = multiplier_class_scan(["L12"], SectorSpec(zeta_case="C3"),
+                                SamplingPlan(n_samples=5000, seed=4), BASE)[0]
     assert all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])
     assert rep["worstRatio"] > 0
 
@@ -69,9 +72,9 @@ def test_scan_tau_derivative_vanishes_on_real_axis():
 
 def test_scan_refinement_stability():
     # worst ratio grows by < 5% when the sample count doubles
-    spec = MultiplierClassSpec(order=0, region=SectorSpec(zeta_case="C3"))
-    r1 = multiplier_class_scan("Q", spec, SamplingPlan(n_samples=4000, seed=5), BASE)
-    r2 = multiplier_class_scan("Q", spec, SamplingPlan(n_samples=8000, seed=5), BASE)
+    region = SectorSpec(zeta_case="C3")
+    r1 = multiplier_class_scan(["Q"], region, SamplingPlan(n_samples=4000, seed=5), BASE)[0]
+    r2 = multiplier_class_scan(["Q"], region, SamplingPlan(n_samples=8000, seed=5), BASE)[0]
     assert r2["worstRatio"] <= 1.05 * r1["worstRatio"]
 
 
@@ -138,8 +141,8 @@ def _nested_reference_ratios(f, field, lam, xi):
         else:
             d = _tau_scaled_derivative(lambda l: _tangential_derivative(f, l, xi, kappa, h),
                                        lam, FD_REL_STEP * np.abs(lam))
-        out.append(np.abs(d) / field._bound(lam, scale, np.linalg.norm(xi, axis=-1),
-                                            int(kappa.sum())))
+        out.append(np.abs(d) / field.bounds(lam, scale, np.linalg.norm(xi, axis=-1),
+                                            int(kappa.sum()))[0])
     return np.stack(out, axis=-1)
 
 
@@ -152,9 +155,10 @@ def test_stencil_tables_match_nested_reference():
     for dims in (1, 2):
         lam, xi = draw_samples(SamplingPlan(n_samples=64, seed=3, dims=dims), SectorSpec(), BASE)
         for sym in ("B", "n11"):
-            f = partial(SYMBOLS[sym].evaluate, p=sp)
-            field = _RatioField(f, MultiplierClassSpec(order=1.0), dims)
-            got = field.sampled(lam, xi)
+            f = lambda l, x: evaluate_symbols([sym], l, x, sp)[0]  # noqa: E731
+            field = _RatioField([sym], sp, dims)
+            field.classes = [(1.0, 0.0, None)]  # the order-1 bound, for both symbols
+            got = field.sampled(lam, xi)[0]
             ref = _nested_reference_ratios(f, field, lam, xi)
             assert np.allclose(got, ref, rtol=1e-3, atol=2e-3)
             assert np.allclose(got[:, 0], ref[:, 0], rtol=1e-12, atol=0)
@@ -164,11 +168,11 @@ def test_scan_sampled_ratio_is_max_over_the_n_set():
     # the scan's n-set is draw_samples at n; its 2n-set contains it
     from resolvlab.scans import _RatioField
 
-    spec = MultiplierClassSpec(order=0, region=SectorSpec(zeta_case="C3"))
+    region = SectorSpec(zeta_case="C3")
     plan = SamplingPlan(n_samples=200, seed=12)
-    rep = multiplier_class_scan("Q", spec, plan, BASE)
-    field = _RatioField(partial(SYMBOLS["Q"].evaluate, p=SymbolParams.from_fluid(BASE)), spec, 1)
-    ratio = field.sampled(*draw_samples(plan, spec.region, BASE))
+    rep = multiplier_class_scan(["Q"], region, plan, BASE)[0]
+    field = _RatioField(["Q"], SymbolParams.from_fluid(BASE), 1)
+    ratio = field.sampled(*draw_samples(plan, region, BASE))[0]
     for p, entry in enumerate(rep["perDerivative"]):
         assert [tuple(entry["kappa"]), entry["ell"]] == list(field.pairs[p])
         assert entry["sampledWorstRatio"] == pytest.approx(np.max(ratio[:, p]), rel=1e-12)
@@ -178,17 +182,15 @@ def test_scan_sampled_ratio_is_max_over_the_n_set():
 @pytest.mark.parametrize("dims", [1, 2])
 def test_scan_ascent_stays_in_region_and_only_grows(case, fp, dims):
     # first derivatives are enough to move the ascent through every coordinate
-    spec = MultiplierClassSpec(order=2, max_deriv_order=1,
-                               region=SectorSpec(epsilon=math.pi / 4, lambda0=2.0,
-                                                 zeta_case=case))
-    rep = multiplier_class_scan("L12", spec, SamplingPlan(n_samples=150, seed=13, dims=dims),
-                                fp)
+    region = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case=case)
+    rep = multiplier_class_scan(["L12"], region, SamplingPlan(n_samples=150, seed=13, dims=dims),
+                                fp, max_deriv_order=1)[0]
     assert len(rep["perDerivative"]) == (4 if dims == 1 else 6)
     for entry in rep["perDerivative"]:
         assert entry["worstRatio"] >= entry["sampledWorstRatio"]
         pt = entry["argmaxPoint"]
         assert len(pt["xi"]) == dims
-        assert in_gamma_region(complex(pt["lam_re"], pt["lam_im"]), spec.region, fp)
+        assert in_gamma_region(complex(pt["lam_re"], pt["lam_im"]), region, fp)
     assert rep["worstRatio"] == max(d["worstRatio"] for d in rep["perDerivative"])
     assert rep["refinedWorstRatio"] >= rep["worstRatio"]
     assert rep["refinementGrowth"] >= 0.0
@@ -197,10 +199,30 @@ def test_scan_ascent_stays_in_region_and_only_grows(case, fp, dims):
 def test_scan_ascent_converges_from_few_samples():
     # the n11 sup sits on a thin band near Re lam = lam0 that sampling alone
     # misses; the ascended estimate agrees across seeds and sample counts
-    spec = MultiplierClassSpec(order=-2, region=SectorSpec(zeta_case="C3"))
-    reps = [multiplier_class_scan("n11", spec, SamplingPlan(n_samples=n, seed=s), BASE)
+    region = SectorSpec(zeta_case="C3")
+    reps = [multiplier_class_scan(["n11"], region, SamplingPlan(n_samples=n, seed=s), BASE)[0]
             for n, s in ((300, 21), (600, 22))]
     assert reps[0]["perDerivative"][-1]["sampledWorstRatio"] < 0.9 * reps[0]["worstRatio"]
     assert reps[1]["worstRatio"] == pytest.approx(reps[0]["worstRatio"], rel=1e-3)
     for rep in reps:
         assert rep["refinementGrowth"] < 1e-3
+
+
+SYMBOL_NAMES = list(SYMBOLS)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@example(names=SYMBOL_NAMES[::-1], dims=1, n=60, seed=0)
+@example(names=SYMBOL_NAMES[5:] + SYMBOL_NAMES[:5], dims=2, n=25, seed=1)
+@given(names=st.lists(st.sampled_from(SYMBOL_NAMES), min_size=1, unique=True),
+       dims=st.sampled_from([1, 2]), n=st.integers(1, 60), seed=st.integers(0, 2**16))
+def test_shared_scan_reports_each_symbols_own_scan(names, dims, n, seed):
+    # one sampled pass for a subset, in any order, gives each symbol bitwise
+    # the report of its scan alone; short ascents keep the property cheap
+    region = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case="C3")
+    plan = SamplingPlan(n_samples=n, seed=seed, dims=dims)
+    with mock.patch.object(scans, "ASCENT_MAX_POLLS", 3):
+        shared = multiplier_class_scan(names, region, plan, BASE)
+        for name, rep in zip(names, shared):
+            alone = multiplier_class_scan([name], region, plan, BASE)[0]
+            assert json.dumps(rep) == json.dumps(alone), name

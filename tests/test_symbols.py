@@ -234,3 +234,53 @@ def test_core_region_rejection_happens_at_solver_level():
     # symbol evaluation itself is pure algebra; |lambda| < lambda0 is fine here
     _, B = core_values(1e-4, 0.0, BASELINE)
     assert B.real > 0
+
+
+def _count_kernels(monkeypatch):
+    """Count the calls of the four kernels through every resolvlab alias."""
+    import sys
+
+    from resolvlab import symbols
+
+    calls = dict.fromkeys(("core_values", "lopatinski_values", "q_values", "njk_values"), 0)
+    for name in calls:
+        orig = getattr(symbols, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("resolvlab") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_shared_evaluation_computes_each_kernel_once(monkeypatch):
+    # every table symbol projects one evaluation: each kernel runs once,
+    # and each symbol's values are bitwise those of its own evaluation
+    from resolvlab.symbols import SYMBOLS, evaluate_symbols
+
+    lam, xi = sample_region_points(40, seed=5)
+    names = list(SYMBOLS)
+    alone = [evaluate_symbols([name], lam, xi[:, None], BASELINE)[0] for name in names]
+    calls = _count_kernels(monkeypatch)
+    shared = evaluate_symbols(names, lam, xi[:, None], BASELINE)
+    assert calls == dict.fromkeys(calls, 1)
+    for name, values, own in zip(names, shared, alone):
+        assert np.array_equal(values, own, equal_nan=True), name
+
+
+@pytest.mark.parametrize("name,kernels", [
+    ("A", {"core_values": 1}),
+    ("Qprime", {"core_values": 1, "q_values": 1}),
+    ("L21", {"core_values": 1, "lopatinski_values": 1}),
+    ("nN1", {"core_values": 1, "lopatinski_values": 1, "q_values": 1, "njk_values": 1}),
+])
+def test_one_symbol_evaluates_only_its_kernels(monkeypatch, name, kernels):
+    from resolvlab.symbols import evaluate_symbols
+
+    lam, xi = sample_region_points(10, seed=6)
+    calls = _count_kernels(monkeypatch)
+    evaluate_symbols([name], lam, xi[:, None], BASELINE)
+    assert {k: v for k, v in calls.items() if v} == kernels

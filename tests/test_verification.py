@@ -150,7 +150,7 @@ def test_rbound_deterministic_under_seed():
 
 def test_square_function_quotient_applies_each_operator_once():
     # one application per term of the square function, no sizing probe
-    from resolvlab.verification import _square_function_quotient
+    from resolvlab.verification import _SquaredImages, _square_function_quotient
 
     applied = []
 
@@ -162,9 +162,57 @@ def test_square_function_quotient_applies_each_operator_once():
 
     cs = [0.5, -2.0, 1.0 + 1j]
     vecs = _vectors(count=3)
-    quot = _square_function_quotient([op(c) for c in cs], vecs)
+    quot = _square_function_quotient(_SquaredImages([op(c) for c in cs], vecs),
+                                     [(0, 0), (1, 1), (2, 2)])
     assert applied == cs
     num = np.sqrt(sum(np.abs(c * v) ** 2 for c, v in zip(cs, vecs)))
     den = np.sqrt(sum(np.abs(v) ** 2 for v in vecs))
     assert quot == pytest.approx(np.sqrt(np.mean(num**2)) / np.sqrt(np.mean(den**2)),
                                  rel=1e-14)
+
+
+def _signed_rbound_reference(ops, vecs, trials, seed):
+    """rbound_estimate with the Rademacher signs applied, one application per term."""
+    def quotient(terms):
+        num = den = 0.0
+        for op, f in terms:
+            num = num + np.abs(op(f)) ** 2
+            den = den + np.abs(f) ** 2
+        return np.mean(np.sqrt(num) ** 2) ** 0.5 / np.mean(np.sqrt(den) ** 2) ** 0.5
+
+    best = max(quotient([(op, v)]) for op in ops for v in vecs)
+    for t in range(trials):
+        chosen, full = [], []
+        for j, op in enumerate(ops):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, j]))
+            include = rng.integers(0, 2) == 1
+            sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
+            vec = vecs[rng.integers(0, len(vecs))]
+            if include:
+                chosen.append((op, sign * vec))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, j, 1]))
+            sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
+            full.append((op, sign * vecs[rng.integers(0, len(vecs))]))
+        best = max([best, quotient(full)] + ([quotient(chosen)] if chosen else []))
+    return best
+
+
+def test_rbound_applies_each_operator_to_each_vector_once():
+    # a linear family: the signed test vectors reuse the images of the
+    # unsigned ones, and the estimate is bitwise the signed one
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            for _ in range(5)]
+    applied = []
+
+    def op(j):
+        def apply(f):
+            applied.append(j)
+            return mats[j] @ f
+        return apply
+
+    vecs = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(4)]
+    rep = rbound_estimate([(j + 1.0, op(j)) for j in range(5)], vecs, trials=60, seed=4)
+    assert len(applied) <= 5 * 4
+    ref = _signed_rbound_reference([lambda f, m=m: m @ f for m in mats], vecs, 60, 4)
+    assert rep.estimate == ref
