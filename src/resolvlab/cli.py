@@ -256,7 +256,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
 
     def one(t):
         exact = evolution.matrix_exponential_oracle(gen, U0, t)
-        approx = evolution.propagate_contour(gen, U0, t, spec)
+        approx = evolution.propagate_contour(gen, U0, t, spec, region=cfg.sector)
         rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         return {"t": t, "rel_err": rel, "norm": float(np.linalg.norm(approx))}
 

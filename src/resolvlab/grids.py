@@ -44,16 +44,24 @@ class TangentialGrid:
         return -self.half_length + self.dx * np.arange(self.points)
 
     @property
+    def k_axis(self) -> np.ndarray:
+        """Integer wavenumbers in FFT layout: k = 0..n/2-1, -n/2..-1."""
+        return np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
+
+    @property
     def xi_axis(self) -> np.ndarray:
-        # FFT layout: pi k / L for k = 0..n/2-1, -n/2..-1
-        k = np.fft.fftfreq(self.points) * self.points
-        return (np.pi / self.half_length) * k
+        return (np.pi / self.half_length) * self.k_axis
+
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        """Integer wavenumber vectors k, shape (points,)*dims + (dims,); xi = pi k / L."""
+        axes = [self.k_axis] * self.dims
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     @property
     def xi(self) -> np.ndarray:
         """Frequency vectors, shape (points,)*dims + (dims,), FFT layout."""
-        axes = [self.xi_axis] * self.dims
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return (np.pi / self.half_length) * self.wavenumbers
 
     @property
     def xi_sq(self) -> np.ndarray:
@@ -65,8 +73,7 @@ class TangentialGrid:
 
     def _phase(self):
         # e^{i xi_k L} = (-1)^k per axis, flattening the x-offset of the box
-        k = (np.fft.fftfreq(self.points) * self.points).astype(int)
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
+        sign = np.where(self.k_axis % 2 == 0, 1.0, -1.0)
         out = sign
         for _ in range(self.dims - 1):
             out = np.multiply.outer(out, sign)

@@ -7,12 +7,15 @@ Three runtime layers, each per tangential Fourier mode:
     the velocity profiles are combinations of exp(-B x) and the mollified
     exponential M weighted by the n_Jk symbols.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
-    dense Chebyshev collocation solve per mode (the literature formula
-    the construction delegates to is replaced by this solver; equivalence
-    is established through manufactured-solution and residual tests).
+    dense Chebyshev collocation solve per shell |xi'| = r (the literature
+    formula the construction delegates to is replaced by this solver;
+    equivalence is established through manufactured-solution and residual
+    tests).  The system is rotation invariant in xi', so every mode is
+    turned into the frame where xi' = (r, 0) and all modes of a shell are
+    solved with one factorisation: 135 instead of 1024 on a 32^2 grid.
     lame_operator and lame_stress_rows assemble the interior Lame operator
     and its stress rows at x_N = 0 as broadcast expressions over a batch
-    of modes; the solve assembles and factors LAME_BATCH_MODES modes at a
+    of modes; the solve assembles and factors LAME_BATCH_MODES shells at a
     time, so only one batch of dense matrices is ever held.  The evolution
     generator takes its velocity block and stress constraints from the
     same pair.
@@ -50,7 +53,7 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
-LAME_BATCH_MODES = 16   # modes per batch of Lame matrices: 9.4 MB in 1-D at 96 nodes
+LAME_BATCH_MODES = 16   # shells |xi'| per batch of Lame matrices: 9.4 MB in 1-D at 96 nodes
 
 
 class SolverError(RuntimeError):
@@ -346,14 +349,44 @@ def lame_stress_rows(a, b, xi, D):
     return rows.reshape(nm, nd + 1, (nd + 1) * n)
 
 
+def _shell_frames(tg: TangentialGrid):
+    """Group the modes by |xi'| and rotate each into the frame where xi' = (r, 0).
+
+    The shell key is the integer k.k of the FFT wavenumbers, so modes on
+    one circle share it exactly.  Returns the sorted keys, each mode's
+    shell index and per-mode (N, N) rotations: the tangential rows are
+    e = xi'/r and e_perp = (-e_2, e_1), with e = (1, 0) at xi' = 0 (in
+    1-D, the sign of xi), and the normal row is left alone.
+    """
+    k = tg.wavenumbers.reshape(-1, tg.dims)
+    key = np.sum(k * k, axis=-1)
+    keys, shell = np.unique(key, return_inverse=True)
+    e = np.zeros(k.shape)
+    e[:, 0] = 1.0
+    moving = key > 0
+    e[moving] = k[moving] / np.sqrt(key[moving])[:, None]
+    rot = np.zeros((key.size, tg.dims + 1, tg.dims + 1))
+    rot[:, 0, :tg.dims] = e
+    if tg.dims == 2:
+        rot[:, 1, 0], rot[:, 1, 1] = -e[:, 1], e[:, 0]
+    rot[:, tg.dims, tg.dims] = 1.0
+    return keys, shell, rot
+
+
 def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams,
                    lam, *, zeta=None, sector: SectorSpec | None = None):
-    """Dense collocation solve of the stress-data system, LAME_BATCH_MODES at a time.
+    """Dense collocation solve of the stress-data system, once per shell |xi'| = r.
 
     Interior rows: (lam + a|xi|^2) v - a v'' - (a+b+z) grad(div v) = F.
     At x = 0: a(v_j' + i xi_j v_N) = -G'_j and
               2a v_N' + (b+z)(i xi . v' + v_N') = -G'_N.
     Decay is closed by v = 0 at the truncation end.
+
+    The system is rotation invariant in xi', so each mode's tangential
+    components of F and G' are turned into the frame where xi' = (r, 0)
+    (_shell_frames), every shell's matrix is assembled and factored once at
+    that xi', LAME_BATCH_MODES shells at a time, and all modes of a shell
+    are the columns of one right-hand side.  The solution is turned back.
     """
     _check_region(lam, sector, params)
     p = SymbolParams.from_fluid(params, zeta=zeta)
@@ -363,26 +396,42 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 
     n, nc = ng.points, tg.dims + 1
     D, D2 = ng.diff, ng.diff2
-    xi_flat = tg.xi.reshape(-1, tg.dims)
-    Fhat = Fs.values.reshape(-1, n, nc)
-    Ghat = Gs.values.reshape(-1, nc)
-    v = np.empty((xi_flat.shape[0], n, nc), dtype=complex)
-    for lo in range(0, xi_flat.shape[0], LAME_BATCH_MODES):
-        batch = slice(lo, lo + LAME_BATCH_MODES)
-        xi = xi_flat[batch]
-        mats = lame_operator(lam, p.alpha, p.alpha + p.beta + p.zeta, xi, D, D2)
-        rhs = Fhat[batch].transpose(0, 2, 1).astype(complex).reshape(len(xi), -1)
-        # the stress rows at node 0 and v = 0 at node n-1 replace the interior rows
-        mats[:, ::n] = lame_stress_rows(p.alpha, p.beta + p.zeta, xi, D)
-        rhs[:, ::n] = -Ghat[batch]
+    keys, shell, rot = _shell_frames(tg)
+    nm = shell.size
+    Fhat = Fs.values.reshape(nm, n, nc)
+    Ghat = Gs.values.reshape(nm, nc, 1)
+    xi = np.zeros((keys.size, tg.dims))
+    xi[:, 0] = (np.pi / tg.half_length) * np.sqrt(keys)
+    # modes sorted by shell; col is each mode's column in its shell's rhs.
+    # Every rhs has the same width, so a shell's solve does not see the batching.
+    order = np.argsort(shell, kind="stable")
+    first = np.searchsorted(shell[order], np.arange(keys.size + 1))
+    col = np.empty_like(shell)
+    col[order] = np.arange(nm) - first[shell[order]]
+    width = int(col.max()) + 1
+
+    v = np.empty((nm, n, nc), dtype=complex)
+    for lo in range(0, keys.size, LAME_BATCH_MODES):
+        hi = min(lo + LAME_BATCH_MODES, keys.size)
+        mats = lame_operator(lam, p.alpha, p.alpha + p.beta + p.zeta, xi[lo:hi], D, D2)
+        mats[:, ::n] = lame_stress_rows(p.alpha, p.beta + p.zeta, xi[lo:hi], D)
         mats[:, n - 1::n] = 0.0
         mats[:, n - 1::n, n - 1::n] = np.eye(nc)
-        rhs[:, n - 1::n] = 0.0
+        modes = order[first[lo]:first[hi]]
+        R = rot[modes]
+        # the data in the shell's frame; the stress rows at node 0 and v = 0
+        # at node n-1 replace the interior rows
+        f = Fhat[modes] @ R.transpose(0, 2, 1)
+        f[:, 0] = -(R @ Ghat[modes])[..., 0]
+        f[:, n - 1] = 0.0
+        at = (shell[modes] - lo, slice(None), col[modes])
+        rhs = np.zeros((hi - lo, nc * n, width), dtype=complex)
+        rhs[at] = f.transpose(0, 2, 1).reshape(modes.size, nc * n)
         try:
-            sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
+            sol = np.linalg.solve(mats, rhs)[at]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular collocation matrix: {exc}") from exc
-        v[batch] = sol.reshape(len(xi), nc, n).transpose(0, 2, 1)
+        v[modes] = sol.reshape(modes.size, nc, n).transpose(0, 2, 1) @ R
     out = HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
     return _match_space(out, F.space)
 

@@ -93,15 +93,15 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     xi = tg.xi
     xi_sq = tg.xi_sq
 
-    du = np.einsum("ij,...jc->...ic", D, u)
-    d2u = np.einsum("ij,...jc->...ic", D, du)
+    du = D @ u
+    d2u = D @ du
     div = du[..., nd].copy()
     for j in range(nd):
         div += 1j * xi[..., j][..., None] * u[..., j]
     grad_div = np.empty_like(u)
     for j in range(nd):
         grad_div[..., j] = 1j * xi[..., j][..., None] * div
-    grad_div[..., nd] = np.einsum("ij,...j->...i", D, div)
+    grad_div[..., nd] = div @ D.T
     lap = d2u - xi_sq[..., None, None] * u
 
     wvol = _field_weights(ds.F)

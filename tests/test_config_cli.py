@@ -250,6 +250,16 @@ def test_cli_exit_3_on_expm_dimension_cap(tmp_path, monkeypatch):
     assert rep["error"]["class"] == "DimensionCapError"
 
 
+def test_cli_exit_3_on_contour_outside_the_region(tmp_path):
+    # asymptote pi/2 + 1.2 beyond pi - epsilon and vertex 0.2 below lambda0
+    cfgp = small_cfg(tmp_path, normal_points="24", angle="1.2", offset="0.2")
+    rc = main(["evolve", "--config", cfgp, "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 3
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["type"] == "numerical"
+    assert rep["error"]["class"] == "ContourError"
+
+
 def test_cli_exit_3_on_numerical_failure(tmp_path):
     cfgp = small_cfg(tmp_path, lambda_re="0.5")  # below lambda0: region error
     rc = main(["solve", "--config", cfgp, "--out", str(tmp_path)])

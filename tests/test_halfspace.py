@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resolvlab.grids import (
     BoundaryField,
@@ -25,7 +27,7 @@ from resolvlab.halfspace import (
     solve_surface_volevich,
     surface_mode_profiles,
 )
-from resolvlab.regions import FluidParams
+from resolvlab.regions import FluidParams, SectorSpec, in_gamma_region
 from resolvlab.symbols import SymbolParams, core_values, lopatinski_values
 
 SQ2 = math.sqrt(2.0)
@@ -326,8 +328,9 @@ def test_lame_operator_matches_per_mode_assembly():
 
 
 def test_lame_batches_give_the_same_solution(monkeypatch):
-    # each mode's matrix is assembled and factored on its own, so the batch
-    # size cannot change a bit of v
+    # each shell's matrix is assembled and factored on its own, and every
+    # shell's right-hand side has the same width, so the batch size cannot
+    # change a bit of v
     from resolvlab import halfspace
 
     lam = 3.0 + 0.4j
@@ -344,6 +347,87 @@ def test_lame_batches_give_the_same_solution(monkeypatch):
             monkeypatch.setattr(halfspace, "LAME_BATCH_MODES", batch)
             runs.append(solve_lame_bvp(F, Gp, NON_UNIT, lam, zeta=0.3 - 0.1j).values)
         assert all(np.array_equal(runs[0], v) for v in runs[1:])
+
+
+def random_lame_data(tg, ng, seed):
+    rng = np.random.default_rng(seed)
+    shape = tg.mode_shape + (ng.points, tg.dims + 1)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Gp = rng.standard_normal(shape[:-2] + shape[-1:]) + 1j * rng.standard_normal(
+        shape[:-2] + shape[-1:])
+    return HalfSpaceField(F, tg, ng, "spectral"), BoundaryField(Gp, tg, "spectral")
+
+
+def per_mode_lame_solve(F, Gp, params, lam):
+    """v mode by mode in Cartesian xi', from per_mode_lame_matrix."""
+    tg, ng = F.tgrid, F.ngrid
+    p = SymbolParams.from_fluid(params)
+    a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
+    n, nc = ng.points, tg.dims + 1
+    Fm = F.values.reshape(-1, n, nc)
+    Gm = Gp.values.reshape(-1, nc)
+    v = np.empty_like(Fm)
+    for m, x in enumerate(tg.xi.reshape(-1, tg.dims)):
+        M = per_mode_lame_matrix(lam, a, c, b, x, ng.diff, ng.diff2)
+        M[n - 1::n] = 0.0
+        M[n - 1::n, n - 1::n] = np.eye(nc)
+        rhs = Fm[m].T.copy()
+        rhs[:, 0] = -Gm[m]
+        rhs[:, n - 1] = 0.0
+        v[m] = np.linalg.solve(M, rhs.reshape(-1)).reshape(nc, n).T
+    return v.reshape(F.values.shape)
+
+
+def test_lame_shell_solve_matches_per_mode_solve():
+    ng = NormalGrid(points=24, truncation=20.0)
+    for tg in (TG, TangentialGrid(dims=2, points=8, half_length=8.0)):
+        F, Gp = random_lame_data(tg, ng, seed=tg.dims)
+        v = solve_lame_bvp(F, Gp, NON_UNIT, 2.5 - 1.2j).values
+        ref = per_mode_lame_solve(F, Gp, NON_UNIT, 2.5 - 1.2j)
+        assert np.max(np.abs(v - ref)) <= 1e-10 * np.abs(ref).max(), tg.dims
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), gamma1=st.floats(0.5, 2.0),
+       gamma3=st.floats(0.5, 2.0), zeta_abs=st.floats(0.0, 1.0),
+       zeta_arg=st.floats(-2.2, 2.2), lam_re=st.floats(1.0, 20.0),
+       lam_im=st.floats(-10.0, 10.0), seed=st.integers(0, 2**16))
+def test_lame_shell_solve_matches_per_mode_solve_admissible(
+        mu, nu, gamma1, gamma3, zeta_abs, zeta_arg, lam_re, lam_im, seed):
+    # admissible fluids, complex zeta in case C2 or C3 and lambda in its Gamma region
+    params = FluidParams(mu=mu, nu=nu, gamma1=gamma1, gamma3=gamma3,
+                         zeta=zeta_abs * complex(math.cos(zeta_arg), math.sin(zeta_arg)),
+                         rho1=gamma1, rho2=gamma1, rho3=gamma3)
+    sector = SectorSpec.for_params(params)
+    lam = complex(lam_re, lam_im)
+    assume(in_gamma_region(lam, sector, params))
+    tg = TangentialGrid(dims=2, points=8, half_length=4.0)
+    F, Gp = random_lame_data(tg, NormalGrid(points=16, truncation=20.0), seed)
+    v = solve_lame_bvp(F, Gp, params, lam, sector=sector).values
+    ref = per_mode_lame_solve(F, Gp, params, lam)
+    assert np.max(np.abs(v - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+def test_lame_assembles_one_matrix_per_shell(monkeypatch):
+    # modes with the same integer k.k share one matrix: 33 of 64 in 1-D,
+    # 15 of 64 on 8^2 and 135 of 1024 on 32^2
+    from resolvlab import halfspace
+
+    assembled = []
+
+    def counted(lam, a, c, xi, D, D2):
+        assembled.append(xi.shape[0])
+        return lame_operator(lam, a, c, xi, D, D2)
+
+    monkeypatch.setattr(halfspace, "lame_operator", counted)
+    ng = NormalGrid(points=12, truncation=20.0)
+    for tg in (TG, TangentialGrid(dims=2, points=8), TangentialGrid(dims=2, points=32)):
+        k = np.fft.fftfreq(tg.points, 1.0 / tg.points).astype(int)
+        sq = k**2 if tg.dims == 1 else np.add.outer(k**2, k**2)
+        F, Gp = random_lame_data(tg, ng, seed=0)
+        assembled.clear()
+        solve_lame_bvp(F, Gp, BASE, 2.0)
+        assert sum(assembled) == np.unique(sq).size
 
 
 def test_lame_spectral_convergence():
