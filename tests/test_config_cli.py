@@ -134,6 +134,7 @@ def test_field_binary_roundtrip(tmp_path):
     f = HalfSpaceField(vals, tg, ng, "spectral")
     p = str(tmp_path / "f.bin")
     field_to_binary(f, p)
+    assert (tmp_path / "f.bin").read_bytes() == vals.astype("<c16").tobytes()
     meta = json.load(open(p + ".json"))
     assert meta == {"kind": "halfspace", "dims": 1, "counts": [16, 12, 1],
                     "dtype": "<c16", "space": "spectral"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from resolvlab.halfspace import ResolventData, solve_full_resolvent
+from resolvlab.halfspace import ResolventData, ResolventSolution, solve_full_resolvent
 from resolvlab.regions import FluidParams
 from resolvlab.verification import discrete_norm, pde_residual, rbound_estimate
 
@@ -97,6 +97,30 @@ def test_residual_verdicts():
                                  "stress_normal", "kinematic"}
     assert all(v <= 1e-6 for v in rep.relative.values())
 
+
+
+@pytest.mark.parametrize("dims, mode", [(1, (5,)), (2, (1, 6))])
+@pytest.mark.parametrize("bigger_first", [True, False])
+def test_worst_mode_reports_first_of_a_mirror_pair(dims, mode, bigger_first):
+    # zero solution: the kinematic residual is -K, whose largest entries
+    # sit on the modes +-xi' and differ in the last bit only
+    tg = TangentialGrid(dims=dims, points=8, half_length=4.0)
+    ng = NormalGrid(points=8, truncation=10.0)
+    mirror = tuple(-i % tg.points for i in mode)
+    K = np.zeros(tg.mode_shape + (1,), dtype=complex)
+    big, small = np.nextafter(1.0, 2.0), 1.0
+    K[mode], K[mirror] = (big, small) if bigger_first else (small, big)
+    zeros = np.zeros(tg.mode_shape + (ng.points, dims + 1), dtype=complex)
+    sol = ResolventSolution(
+        eta=None, u=HalfSpaceField(zeros, tg, ng, "spectral"),
+        h=BoundaryField(np.zeros(tg.mode_shape + (1,), dtype=complex), tg, "spectral"),
+        h_ext=None, v=None, w=None)
+    data = ResolventData(
+        d=None, F=HalfSpaceField(zeros, tg, ng, "spectral"),
+        G=BoundaryField(zeros[..., 0, :], tg, "spectral"),
+        K=BoundaryField(K, tg, "spectral"))
+    rep = pde_residual(sol, data, BASE, 4.0)
+    assert rep.worst_mode["kinematic"] == list(min(mode, mirror))
 
 # -- R-bound estimator ------------------------------------------------------
 
