@@ -128,9 +128,11 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     scan.<symbol>.finite checks that every worst ratio is finite;
     scan.<symbol>.refinement that the estimate grew by less than
     tolerances.refinement_growth from n to 2n samples, i.e. that the sup
-    estimate has converged.  threads is not used: the ascents are small
-    array operations that hold the interpreter lock, so a pool only adds
-    hand-offs.  Results do not depend on which other symbols are scanned
+    estimate has converged.  With threads > 1 the sampled pass and the
+    ascents run on that many forked processes, at most one per CPU and
+    task (scans.worker_count): they are small array operations that hold
+    the interpreter lock, so threads would not overlap them.  Results do
+    not depend on threads, nor on which other symbols are scanned
     alongside.  The symbols and their classes are symbols.SYMBOLS.
     """
     block = cfg.raw.get("scan", {})
@@ -146,7 +148,8 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     growth_cap = cfg.tolerances.get("refinement_growth", 0.05)
 
     reports = scans.multiplier_class_scan(
-        symbols, cfg.sector, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid)
+        symbols, cfg.sector, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid,
+        workers=threads)
     verdicts = []
     for rep in reports:
         finite = all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])

@@ -42,11 +42,30 @@ differently on longer arrays (its in-place reuse of temporaries from
 256 KiB on), and the stencils amplify those last bits to ~1e-3 in the
 ratios of n11 and nN1.  The ascents run per symbol, each on its own
 points, so every symbol's report is bitwise the one it gets alone.
+
+The pass keeps no table of ratios.  Each chunk's ratios, for all symbols
+and pairs at once, are folded into a _Summary of the n-set and one of
+the rest: the running maximum (NaN-propagating, as np.max) and the
+ASCENT_STARTS worst samples in the order of a stable argsort of -ratio.
+A chunk changes the kept samples only of a pair where it beats the last
+of them, and the fold is exact, so the maxima and the ascent starts are
+bitwise those of the full table.
+
+With workers > 1 and the fork start method, multiplier_class_scan forks
+a pool after the draw.  Each worker streams one contiguous run of whole
+chunks; the parent joins the runs' summaries in row order; then every
+symbol's ascents and report are one task.  The workers run the functions
+the serial path runs, so the reports do not depend on workers.  The
+chunks and the ascents are small array operations that hold the
+interpreter lock, which is why the pool has processes, not threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,7 +251,7 @@ class _RatioField:
         return np.stack([per_class[c] for c in self.classes])
 
     def ratios(self, groups):
-        """[(lam, xi, cols)] -> [ratios (len(names), m, len(cols))], one symbol evaluation.
+        """[(lam, xi, cols)] -> [ratios (len(names), len(cols), m)], one symbol evaluation.
 
         Group g evaluates the pairs cols at its m points, on the offsets
         those pairs use.  The stencil sums run over the offsets in
@@ -258,7 +277,7 @@ class _RatioField:
             start = stop
             xi_norm = np.linalg.norm(xi, axis=-1)
             bounds = {}
-            r = np.empty((len(self.names), lam.size, len(cols)))
+            r = np.empty((len(self.names), len(cols), lam.size))
             for c, col in enumerate(cols):
                 kappa, ell = self.pairs[col]
                 korder = sum(kappa)
@@ -268,22 +287,8 @@ class _RatioField:
                 deriv = sum(w[j] * v[..., j] for j in np.flatnonzero(w)) / h**korder
                 if ell:
                     deriv = deriv * lam.imag / h_tau
-                r[..., c] = np.abs(deriv) / bounds[korder]
+                r[:, c] = np.abs(deriv) / bounds[korder]
             out.append(r)
-        return out
-
-    def sampled(self, lam, xi):
-        """Ratios (len(names), n, len(pairs)) of every pair at every sample.
-
-        The samples go in chunks of STENCIL_CHUNK_POINTS symbol points:
-        chunks of another size change the kernels' last bits, which the
-        stencils amplify.
-        """
-        cols = list(range(len(self.pairs)))
-        chunk = max(1, STENCIL_CHUNK_POINTS // len(self.offsets))
-        out = np.empty((len(self.names), lam.size, len(cols)))
-        for i in range(0, lam.size, chunk):
-            out[:, i:i + chunk] = self.ratios([(lam[i:i + chunk], xi[i:i + chunk], cols)])[0]
         return out
 
     def at(self, lam, xi, pair):
@@ -292,7 +297,7 @@ class _RatioField:
         out = np.empty(pair.size)
         for (p, idx), r in zip(groups, self.ratios([(lam[idx], xi[idx], [p])
                                                     for p, idx in groups])):
-            out[idx] = r[0, :, 0]
+            out[idx] = r[0, 0]
         return out
 
 
@@ -333,24 +338,257 @@ def _ascend(field_, to_region, u, pair, value, plan: SamplingPlan):
     return u, value
 
 
-def _top(ratio, k):
-    """Indices of the k largest ratios, ties in index order, NaN last."""
-    return np.argsort(-ratio, kind="stable")[:k]
+@dataclass(frozen=True)
+class _Summary:
+    """What a scan keeps of the ratios at a run of consecutive samples.
+
+    Per symbol and pair: peak is the largest ratio, NaN if any is NaN (as
+    np.max); vals and rows are the ratios and sample rows of the first
+    ASCENT_STARTS samples in descending order of ratio, ties in row order
+    and NaN last (a stable argsort of -ratio).  Shapes (symbols, pairs)
+    and (symbols, pairs, <= ASCENT_STARTS); s-indexing gives symbol s's.
+    """
+
+    peak: np.ndarray
+    vals: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, s):
+        return _Summary(self.peak[s], self.vals[s], self.rows[s])
+
+
+def _first(vals, rows):
+    """The ASCENT_STARTS first of each last-axis run of vals, rows in _Summary order."""
+    order = np.argsort(-vals, axis=-1, kind="stable")[..., :ASCENT_STARTS]
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(rows, order, -1)
+
+
+def _join(head, tail):
+    """The _Summary of head's samples followed by tail's (None: no samples).
+
+    tail may be unreduced: all its samples in row order, every row after
+    head's.  The first samples of the union are among head's and tail's
+    first, and a stable sort of their concatenation breaks ties by row, so
+    the join is exact.  Once head holds ASCENT_STARTS samples, only a pair
+    where tail has a sample above head's last changes (head wins ties).
+    """
+    if tail is None:
+        return head
+    if head is None:
+        head = _Summary(tail.peak, tail.vals[..., :0], tail.rows[..., :0])
+    peak = np.maximum(head.peak, tail.peak)
+    if head.vals.shape[-1] < ASCENT_STARTS:
+        return _Summary(peak, *_first(np.concatenate([head.vals, tail.vals], -1),
+                                      np.concatenate([head.rows, tail.rows], -1)))
+    last = head.vals[..., -1:]
+    moves = np.any((tail.vals > last) | (np.isnan(last) & ~np.isnan(tail.vals)), axis=-1)
+    vals, rows = head.vals.copy(), head.rows.copy()
+    vals[moves], rows[moves] = _first(np.concatenate([vals[moves], tail.vals[moves]], -1),
+                                      np.concatenate([rows[moves], tail.rows[moves]], -1))
+    return _Summary(peak, vals, rows)
+
+
+def _block(r, start):
+    """The unreduced _Summary of ratios r (symbols, pairs, m) at rows start, ...; None if m = 0."""
+    if r.shape[-1] == 0:
+        return None
+    rows = np.broadcast_to(np.arange(start, start + r.shape[-1]), r.shape)
+    return _Summary(np.max(r, axis=-1), r, rows)
+
+
+def _reduce(blocks, n):
+    """(n-set, rest) summaries of (start row, ratios (symbols, pairs, m)) blocks in row order."""
+    head = tail = None
+    for start, r in blocks:
+        cut = min(max(n - start, 0), r.shape[-1])
+        head = _join(head, _block(r[..., :cut], start))
+        tail = _join(tail, _block(r[..., cut:], start + cut))
+    return head, tail
+
+
+def _runs(rows, chunk, workers):
+    """[first, stop) of at most workers contiguous runs of whole chunks of rows."""
+    chunks = -(-rows // chunk)
+    cuts = [min(rows, chunk * (chunks * w // workers)) for w in range(workers + 1)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _combine(parts):
+    """(n-set, 2n-set) summaries from the (n-set, rest) ones of consecutive runs."""
+    head = functools.reduce(_join, [h for h, _ in parts], None)
+    return head, functools.reduce(_join, [t for _, t in parts], head)
+
+
+def worker_count(threads: int, tasks: int) -> int:
+    """Processes to run tasks on: threads, at most one per CPU and per task; 1 means serial."""
+    return max(1, min(threads, os.cpu_count() or 1, tasks))
+
+
+class _Scan:
+    """One multiplier_class_scan: its draw, and its tasks summarize and report.
+
+    The tasks run in this process or on forked workers, on the same state
+    and with the same chunks, so their results are bitwise the same.
+    """
+
+    def __init__(self, symbols, region: SectorSpec, plan: SamplingPlan,
+                 params: FluidParams, max_deriv_order: int):
+        self.symbols, self.region, self.plan, self.params = symbols, region, plan, params
+        self.max_deriv_order = max_deriv_order
+        self.sp = SymbolParams.from_fluid(params)
+        self.refined = replace(plan, n_samples=2 * plan.n_samples)
+        self.u = _unit_draw(self.refined)  # the cube rows that draw_samples maps
+        self.lam, self.xi = draw_samples(self.refined, region, params)
+        exp_decay = any(SYMBOLS[name].exp_decay for name in symbols)
+        self.decay_c = fit_exp_decay_constant(self.lam, self.xi, self.sp) if exp_decay else None
+        self.chunk = max(1, STENCIL_CHUNK_POINTS // len(self.field(symbols).offsets))
+
+    def field(self, names):
+        return _RatioField(names, self.sp, self.plan.dims, self.max_deriv_order, self.decay_c)
+
+    def to_region(self, v):
+        return _region_points(v, self.refined, self.region, self.params)
+
+    def summarize(self, span):
+        """_reduce of the sampled ratios at rows span[0] to span[1] - 1, chunk by chunk.
+
+        span[0] is a multiple of the chunk, which is STENCIL_CHUNK_POINTS
+        symbol points: chunks of another size change the kernels' last
+        bits, which the stencils amplify.
+        """
+        field_ = self.field(self.symbols)
+        cols = list(range(len(field_.pairs)))
+        (first, stop), step = span, self.chunk
+        lam, xi = self.lam[:stop], self.xi[:stop]
+        blocks = ((i, field_.ratios([(lam[i:i + step], xi[i:i + step], cols)])[0])
+                  for i in range(first, stop, step))
+        return _reduce(blocks, self.plan.n_samples)
+
+    def report(self, job):
+        """The report of symbol s = job[0] from its n-set and 2n-set summaries."""
+        s, head, whole = job
+        name = self.symbols[s]
+        field_ = self.field([name])
+        # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
+        starts, vals, pair, first = [], [], [], []
+        for p in range(len(field_.pairs)):
+            new = ~np.isin(whole.rows[p], head.rows[p])
+            starts += [head.rows[p], whole.rows[p, new]]
+            vals += [head.vals[p], whole.vals[p, new]]
+            n_old, n_new = head.rows[p].size, int(new.sum())
+            pair += [p] * (n_old + n_new)
+            first += [True] * n_old + [False] * n_new
+        starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
+        u_end, value = _ascend(field_, self.to_region, self.u[starts], pair,
+                               np.concatenate(vals), self.plan)
+
+        per_derivative = []
+        worst, refined_worst = [], []
+        for p, (kappa, ell) in enumerate(field_.pairs):
+            mine = np.flatnonzero((pair == p) & first)
+            i = mine[np.argmax(value[mine])]
+            lam_i, xi_i = self.to_region(u_end[i:i + 1])
+            # np.max keeps a NaN sample visible to the finiteness verdict
+            worst.append(np.max(np.append(head.peak[p], value[mine])))
+            refined_worst.append(np.max(np.append(whole.peak[p], value[pair == p])))
+            per_derivative.append({
+                "kappa": list(kappa),
+                "ell": ell,
+                "sampledWorstRatio": float(head.peak[p]),
+                "worstRatio": float(worst[-1]),
+                "argmaxPoint": {"lam_re": float(lam_i[0].real),
+                                "lam_im": float(lam_i[0].imag),
+                                "xi": [float(v) for v in xi_i[0]]},
+            })
+        worst_overall = float(np.max(worst))
+        refined_overall = float(np.max(refined_worst))
+
+        report = {
+            "symbol": name,
+            # type 1: the bound's xi-derivatives lower the order of |lam|^1/2 + |xi|
+            "class": {"order": SYMBOLS[name].order, "type": 1},
+            "samples": self.plan.n_samples,
+            "seed": self.plan.seed,
+            "perDerivative": per_derivative,
+            "worstRatio": worst_overall,
+            "refinedWorstRatio": refined_overall,
+            "refinementGrowth": (refined_overall / worst_overall - 1.0
+                                 if worst_overall > 0 else 0.0),
+            "violations": [],
+        }
+        if SYMBOLS[name].exp_decay:
+            report["decayConstant"] = float(self.decay_c)
+        return report
+
+
+_WORKER_SCAN = None  # a forked worker's _Scan
+
+
+def _adopt(scan):
+    """A forked worker's set-up: its scan, and a glibc heap that keeps its pages.
+
+    With the defaults, glibc gives the top of a worker's heap back after
+    each chunk of the sampled pass and faults it in again for the next:
+    about 200k page faults and 0.3 s of CPU on the baseline scan.
+    """
+    global _WORKER_SCAN
+    _WORKER_SCAN = scan
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+def _run(job):
+    task, arg = job
+    return getattr(_WORKER_SCAN, task)(arg)
+
+
+@contextmanager
+def _task_map(scan: _Scan, workers: int):
+    """run(task, args): [scan.task(a) for a in args], here or on forked workers.
+
+    With workers > 1 and the fork start method, that many processes
+    inherit scan.  A worker's exception is re-raised here with its class;
+    a worker that dies raises BrokenProcessPool (multiprocessing.Pool
+    would wait for its task forever).  On leaving, the tasks not started
+    are cancelled and the workers joined.
+    """
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       _adopt, (scan,))
+            try:
+                yield lambda task, args: list(pool.map(_run, [(task, a) for a in args]))
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield lambda task, args: [getattr(scan, task)(a) for a in args]
 
 
 def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
-                          params: FluidParams, max_deriv_order: int = 2) -> list:
+                          params: FluidParams, max_deriv_order: int = 2,
+                          workers: int = 1) -> list:
     """Worst ratio against the class bound, per (kappa, ell), and its refinement.
 
     Returns one report per name in symbols, each an entry of
     symbols.SYMBOLS, which gives its class.  One nested draw of 2n samples
     (n = plan.n_samples) serves every symbol; the n-set is its first n
     rows.  The sampled pass evaluates the kernels once per chunk of
-    stencil points and takes every symbol's ratios from that one
-    evaluation; sampledWorstRatio is the max over the n-set.  Then, per
-    symbol and per (kappa, ell) up to max_deriv_order, a local ascent
-    (_ascend) starts from each of the ASCENT_STARTS worst samples of the
-    n-set.  It works in the sampler's unit-cube coordinates (log|lambda|,
+    stencil points, takes every symbol's ratios from that one evaluation
+    and folds them into a _Summary of the n-set and one of the rest;
+    sampledWorstRatio is the max over the n-set.  Then, per symbol and
+    per (kappa, ell) up to max_deriv_order, a local ascent (_ascend)
+    starts from each of the ASCENT_STARTS worst samples of the n-set.  It works in the sampler's unit-cube coordinates (log|lambda|,
     fraction of the admissible argument, log|xi|, and the xi angle in
     2-D), so every iterate is an admissible point of Gamma(eps, lam0, zeta)
     for C1, C2 and C3 inside the sampled ranges.  Its first step is
@@ -366,78 +604,21 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     For the symbols with exp_decay, the decay constant c' of Lemma ABL(1)
     is fitted first (0.99 x the sampled minimum of Re B/(|lam|^1/2+|xi|)
     over the 2n-set) and the bound carries the extra factor
-    exp(-c'(|lam|^1/2+|xi|)).  Each symbol's report is bitwise the one it gets when scanned alone.
+    exp(-c'(|lam|^1/2+|xi|)).  Each symbol's report is bitwise the one it
+    gets when scanned alone, whatever workers is.  workers processes are
+    asked for, at most one per CPU and per task (worker_count; the tasks
+    are the chunks or the symbols, whichever are more).  With more than
+    one, each runs a contiguous run of chunks of the sampled pass, and
+    then the symbols' ascents and reports, one task per symbol.
     """
     if max_deriv_order > 2:
         raise ValueError("derivative order capped at 2")
-    sp = SymbolParams.from_fluid(params)
-    n = plan.n_samples
-    refined = replace(plan, n_samples=2 * n)
-    u = _unit_draw(refined)  # the cube rows that draw_samples maps
-    lam, xi = draw_samples(refined, region, params)
-
-    exp_decay = any(SYMBOLS[name].exp_decay for name in symbols)
-    decay_c = fit_exp_decay_constant(lam, xi, sp) if exp_decay else None
-    ratios = _RatioField(symbols, sp, plan.dims, max_deriv_order, decay_c).sampled(lam, xi)
-
-    def to_region(v):
-        return _region_points(v, refined, region, params)
-
-    def one(s):
-        name = symbols[s]
-        field_ = _RatioField([name], sp, plan.dims, max_deriv_order, decay_c)
-        ratio = ratios[s]
-        # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
-        starts, pair, first = [], [], []
-        for p in range(len(field_.pairs)):
-            top_n = _top(ratio[:n, p], ASCENT_STARTS)
-            top_2n = _top(ratio[:, p], ASCENT_STARTS)
-            new = top_2n[~np.isin(top_2n, top_n)]
-            starts += [top_n, new]
-            pair += [p] * (top_n.size + new.size)
-            first += [True] * top_n.size + [False] * new.size
-        starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
-        u_end, value = _ascend(field_, to_region, u[starts], pair, ratio[starts, pair], plan)
-
-        per_derivative = []
-        worst, refined_worst = [], []
-        for p, (kappa, ell) in enumerate(field_.pairs):
-            mine = np.flatnonzero((pair == p) & first)
-            i = mine[np.argmax(value[mine])]
-            lam_i, xi_i = to_region(u_end[i:i + 1])
-            # np.max keeps a NaN sample visible to the finiteness verdict
-            worst.append(np.max(np.append(ratio[:n, p], value[mine])))
-            refined_worst.append(np.max(np.append(ratio[:, p], value[pair == p])))
-            per_derivative.append({
-                "kappa": list(kappa),
-                "ell": ell,
-                "sampledWorstRatio": float(np.max(ratio[:n, p])),
-                "worstRatio": float(worst[-1]),
-                "argmaxPoint": {"lam_re": float(lam_i[0].real),
-                                "lam_im": float(lam_i[0].imag),
-                                "xi": [float(v) for v in xi_i[0]]},
-            })
-        worst_overall = float(np.max(worst))
-        refined_overall = float(np.max(refined_worst))
-
-        report = {
-            "symbol": name,
-            # type 1: the bound's xi-derivatives lower the order of |lam|^1/2 + |xi|
-            "class": {"order": SYMBOLS[name].order, "type": 1},
-            "samples": n,
-            "seed": plan.seed,
-            "perDerivative": per_derivative,
-            "worstRatio": worst_overall,
-            "refinedWorstRatio": refined_overall,
-            "refinementGrowth": (refined_overall / worst_overall - 1.0
-                                 if worst_overall > 0 else 0.0),
-            "violations": [],
-        }
-        if SYMBOLS[name].exp_decay:
-            report["decayConstant"] = float(decay_c)
-        return report
-
-    return [one(s) for s in range(len(symbols))]
+    scan = _Scan(symbols, region, plan, params, max_deriv_order)
+    rows = 2 * plan.n_samples
+    workers = worker_count(workers, max(-(-rows // scan.chunk), len(symbols)))
+    with _task_map(scan, workers) as run:
+        head, whole = _combine(run("summarize", _runs(rows, scan.chunk, workers)))
+        return run("report", [(s, head[s], whole[s]) for s in range(len(symbols))])
 
 
 def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:

@@ -367,7 +367,15 @@ def test_cli_determinism_modulo_walltime(tmp_path):
     assert canonical_json(r1) == canonical_json(r2)
 
 
-def test_cli_verify_symbols_independent_of_threads(tmp_path):
+def test_cli_verify_symbols_independent_of_threads(tmp_path, monkeypatch):
+    # --threads 2 forks two workers (two CPUs on any machine); the reports
+    # match one thread's, and no worker outlives the command
+    import multiprocessing
+
+    from resolvlab import scans
+    from resolvlab.symbols import SingularSymbolError
+
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
     cfgp = small_cfg(tmp_path)
     outs = []
     for threads in ("1", "2"):
@@ -375,14 +383,31 @@ def test_cli_verify_symbols_independent_of_threads(tmp_path):
         rc = main(["verify-symbols", "--config", cfgp, "--out", str(out),
                    "--threads", threads])
         assert rc == 0
+        assert multiprocessing.active_children() == []
         rep = json.load(open(out / "report.json"))
         rep.pop("wallTime")
         outs.append((canonical_json(rep), open(out / "symbol_scans.json", "rb").read()))
     assert outs[0] == outs[1]
 
+    # a numerical failure in a worker exits 3 with its class
+    evaluate = scans.evaluate_symbols
+
+    def singular_in_workers(*args):
+        if multiprocessing.parent_process() is not None:
+            raise SingularSymbolError("N fell below its floor")
+        return evaluate(*args)
+
+    monkeypatch.setattr(scans, "evaluate_symbols", singular_in_workers)
+    out = tmp_path / "failed"
+    rc = main(["verify-symbols", "--config", cfgp, "--out", str(out), "--threads", "2"])
+    assert rc == 3
+    assert json.load(open(out / "report.json"))["error"]["class"] == "SingularSymbolError"
+    assert multiprocessing.active_children() == []
+
 
 def test_cli_import_does_not_load_scipy():
-    # only evolve's expm oracle needs scipy; every other command starts without it
+    # only evolve's expm oracle needs scipy; every other command starts without
+    # it, and only a verify-symbols run on workers loads multiprocessing
     import subprocess
     import sys
 
@@ -390,7 +415,8 @@ def test_cli_import_does_not_load_scipy():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(resolvlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, resolvlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, resolvlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -1,11 +1,16 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from resolvlab import scans
 from resolvlab.regions import FluidParams, SectorSpec, in_gamma_region
@@ -16,7 +21,7 @@ from resolvlab.scans import (
     multiplier_class_scan,
     nab_lower_bound_scan,
 )
-from resolvlab.symbols import SYMBOLS, SymbolParams, evaluate_symbols
+from resolvlab.symbols import SYMBOLS, SingularSymbolError, SymbolParams, evaluate_symbols
 
 BASE = FluidParams()
 
@@ -127,6 +132,19 @@ def test_draw_samples_nested():
             assert np.array_equal(xi_n, xi_2n[:300])
 
 
+def _sampled_table(field, lam, xi):
+    """Ratios (names, n, pairs) of every pair at every sample, in the scan's chunks.
+
+    The full table that the scan's streamed summaries replace: the
+    reference for them and for the stencils.
+    """
+    cols = list(range(len(field.pairs)))
+    chunk = max(1, scans.STENCIL_CHUNK_POINTS // len(field.offsets))
+    blocks = [field.ratios([(lam[i:i + chunk], xi[i:i + chunk], cols)])[0]
+              for i in range(0, lam.size, chunk)]
+    return np.concatenate(blocks, axis=-1).transpose(0, 2, 1)
+
+
 def _nested_reference_ratios(f, field, lam, xi):
     """Ratios from the nested stencils, pair by pair."""
     from resolvlab.scans import FD_REL_STEP, _tangential_derivative, _tau_scaled_derivative
@@ -158,7 +176,7 @@ def test_stencil_tables_match_nested_reference():
             f = lambda l, x: evaluate_symbols([sym], l, x, sp)[0]  # noqa: E731
             field = _RatioField([sym], sp, dims)
             field.classes = [(1.0, 0.0, None)]  # the order-1 bound, for both symbols
-            got = field.sampled(lam, xi)[0]
+            got = _sampled_table(field, lam, xi)[0]
             ref = _nested_reference_ratios(f, field, lam, xi)
             assert np.allclose(got, ref, rtol=1e-3, atol=2e-3)
             assert np.allclose(got[:, 0], ref[:, 0], rtol=1e-12, atol=0)
@@ -172,7 +190,7 @@ def test_scan_sampled_ratio_is_max_over_the_n_set():
     plan = SamplingPlan(n_samples=200, seed=12)
     rep = multiplier_class_scan(["Q"], region, plan, BASE)[0]
     field = _RatioField(["Q"], SymbolParams.from_fluid(BASE), 1)
-    ratio = field.sampled(*draw_samples(plan, region, BASE))[0]
+    ratio = _sampled_table(field, *draw_samples(plan, region, BASE))[0]
     for p, entry in enumerate(rep["perDerivative"]):
         assert [tuple(entry["kappa"]), entry["ell"]] == list(field.pairs[p])
         assert entry["sampledWorstRatio"] == pytest.approx(np.max(ratio[:, p]), rel=1e-12)
@@ -226,3 +244,118 @@ def test_shared_scan_reports_each_symbols_own_scan(names, dims, n, seed):
         for name, rep in zip(names, shared):
             alone = multiplier_class_scan([name], region, plan, BASE)[0]
             assert json.dumps(rep) == json.dumps(alone), name
+
+
+def _top(ratio, k):
+    """Indices of the k largest ratios, ties in index order, NaN last."""
+    return np.argsort(-ratio, kind="stable")[:k]
+
+
+# ratios are |.| / bound >= 0 or NaN; -inf and the repeated values test the order
+RATIOS = st.sampled_from([0.0, 0.5, 1.0, 3.0, np.inf, -np.inf, np.nan]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       n=st.integers(1, 40), chunk=st.integers(1, 17), workers=st.integers(1, 3))
+def test_streamed_summaries_equal_the_full_table(data, shape, n, chunk, workers):
+    # each worker's run of chunks streams into summaries; joined, they give
+    # bitwise the n-set and 2n-set maxima and ascent starts of the full table
+    table = data.draw(arrays(np.float64, shape + (2 * n,), elements=RATIOS))
+    runs = scans._runs(2 * n, chunk, workers)
+    assert runs[0][0] == 0 and runs[-1][1] == 2 * n and len(runs) <= workers
+    parts = [scans._reduce(((i, table[..., i:min(i + chunk, b)]) for i in range(a, b, chunk)), n)
+             for a, b in runs]
+    head, whole = scans._combine(parts)
+    for got, ratio in ((head, table[..., :n]), (whole, table)):
+        assert got.peak.tobytes() == np.max(ratio, axis=-1).tobytes()
+        for s in range(shape[0]):
+            for p in range(shape[1]):
+                top = _top(ratio[s, p], scans.ASCENT_STARTS)
+                assert np.array_equal(got.rows[s, p], top)
+                assert got.vals[s, p].tobytes() == ratio[s, p, top].tobytes()
+
+
+def test_worker_count_is_capped_by_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
+    assert scans.worker_count(10_000, 15) == 2
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 64)
+    assert scans.worker_count(10_000, 15) == 15
+    assert scans.worker_count(3, 15) == 3
+    assert scans.worker_count(0, 15) == scans.worker_count(-4, 15) == 1
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: None)
+    assert scans.worker_count(10_000, 15) == 1
+
+    # the scan asks for no more: 2 CPUs, 2 symbols and 3 chunks of samples
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
+    asked = []
+    serial = scans._task_map
+    monkeypatch.setattr(scans, "_task_map",
+                        lambda scan, workers: asked.append(workers) or serial(scan, 1))
+    multiplier_class_scan(["A", "B"], SectorSpec(zeta_case="C3"),
+                          SamplingPlan(n_samples=100, seed=16), BASE, workers=10_000)
+    assert asked == [2]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_forked_scan_equals_the_serial_scan(dims, monkeypatch):
+    # every symbol, every case: the sampled pass in two runs of chunks and
+    # the ascents on two forked workers give the serial reports, bitwise
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(scans, "ASCENT_MAX_POLLS", 3)
+    plan = SamplingPlan(n_samples=100 if dims == 1 else 30, seed=14, dims=dims)
+    field = scans._RatioField(["A"], SymbolParams.from_fluid(BASE), dims)
+    chunk = scans.STENCIL_CHUNK_POINTS // len(field.offsets)
+    assert len(scans._runs(2 * plan.n_samples, chunk, 2)) == 2
+    for case, fp in CASES:
+        region = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case=case)
+        serial = multiplier_class_scan(SYMBOL_NAMES, region, plan, fp)
+        forked = multiplier_class_scan(SYMBOL_NAMES, region, plan, fp, workers=2)
+        assert json.dumps(forked) == json.dumps(serial), case
+        assert multiprocessing.active_children() == []
+
+
+def test_forked_scan_reraises_a_worker_error(monkeypatch):
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
+
+    def singular_in_workers(*args):
+        if multiprocessing.parent_process() is not None:
+            raise SingularSymbolError("N fell below its floor")
+        return evaluate_symbols(*args)
+
+    monkeypatch.setattr(scans, "evaluate_symbols", singular_in_workers)
+    with pytest.raises(SingularSymbolError, match="below its floor"):
+        multiplier_class_scan(["A", "B"], SectorSpec(zeta_case="C3"),
+                              SamplingPlan(n_samples=100, seed=15), BASE, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_scan_fails_at_once_when_a_worker_dies():
+    # a worker killed by a signal fails the scan instead of leaving it
+    # waiting for the lost task; run apart, so that a hang fails the test
+    code = """if True:
+        import multiprocessing, os, signal
+        from resolvlab import scans
+        from resolvlab.regions import FluidParams, SectorSpec
+
+        evaluate = scans.evaluate_symbols
+
+        def killed_in_workers(*args):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return evaluate(*args)
+
+        scans.evaluate_symbols = killed_in_workers
+        scans.os.cpu_count = lambda: 2
+        try:
+            scans.multiplier_class_scan(["A"], SectorSpec(zeta_case="C3"),
+                                        scans.SamplingPlan(n_samples=100), FluidParams(),
+                                        workers=2)
+        except Exception as exc:
+            print(type(exc).__name__, len(multiprocessing.active_children()))
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scans.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == ["BrokenProcessPool", "0"]
