@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
+from .grids import (BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid,
+                    transform_tangential)
 from .halfspace import _require_spectral, solve_reduced_resolvent
 from .regions import FluidParams
+from .verification import discrete_norm
 
 
 class GeometryError(ValueError):
@@ -165,7 +167,6 @@ def pushforward_velocity(w: HalfSpaceField) -> HalfSpaceField:
 
 
 def _to_physical(fld):
-    from .grids import transform_tangential
     return transform_tangential(fld, "inverse")
 
 
@@ -334,20 +335,13 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
     Boundary Sobolev norms act tangentially through (1 + |xi|^2)^(k/2)
     multipliers at q = 2; the interior norm is the volume L^2.
     """
-    from .verification import discrete_norm
-
     nF = discrete_norm(F)
     tg = G.tgrid
-    mult = np.sqrt(1.0 + tg.xi_sq)
+    mult = np.sqrt(1.0 + tg.xi_sq)[..., None]
 
     def sobolev(fld, k):
-        vals = _require_spectral(fld).values
-        weighted = mult[..., None] ** k * vals
-        phys = tg.inverse(weighted)
-        w = np.full(tg.mode_shape, tg.dx**tg.dims)
-        w = w / w.sum()
-        mag = np.sqrt(np.sum(np.abs(phys) ** 2, axis=-1))
-        return float(np.sqrt(np.sum(w * mag**2)))
+        vals = mult**k * _require_spectral(fld).values
+        return discrete_norm(BoundaryField(vals, tg, "spectral"))
 
     return (nF + math.sqrt(abs(lam)) * sobolev(G, 0) + sobolev(G, 1)
             + sobolev(K, 2))

@@ -8,7 +8,9 @@ Every run writes report.json with {command, configHash, gitDescribe,
 wallTime, verdicts, ...}; exit status is 0 when all verdicts pass,
 2 on configuration errors, 3 on numerical failures, 4 on verdict
 failures.  Identical config + seed reproduce report.json byte for byte
-except for the wallTime field.
+except for the wallTime field.  --threads sets the number of forked
+workers of verify-symbols' sampled pass and nothing else: every other
+command runs in one process, and no output depends on it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from . import bent as bent_mod
 from . import evolution, fieldio, scans, verification
 from .config import ConfigError, RunConfig, canonical_json, config_hash, config_section
 from .grids import BoundaryField, HalfSpaceField
-from .halfspace import ResolventData, SolverError, solve_full_resolvent
+from .halfspace import (ResolventData, SolverError, solve_full_resolvent,
+                        solve_surface_homogeneous)
 from .regions import DegenerateCaseError, RegionError
 from .symbols import SYMBOLS, NearSingularError, SingularSymbolError
 
@@ -36,14 +38,6 @@ NUMERICAL_ERRORS = (SolverError, RegionError, DegenerateCaseError,
                     evolution.ContourError, evolution.DimensionCapError,
                     bent_mod.DivergenceError, bent_mod.GeometryError,
                     np.linalg.LinAlgError)
-
-
-def ordered_map(fn, items, threads):
-    """Index-ordered map over a worker pool; results independent of threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def git_describe():
@@ -184,8 +178,6 @@ def cmd_scan_nab(cfg: RunConfig, out_dir, threads):
 
 
 def cmd_rbound(cfg: RunConfig, out_dir, threads):
-    from .halfspace import solve_surface_homogeneous
-
     tg, ng = cfg.grids()
     block = cfg.raw.get("rbound", {})
     with config_section("rbound"):
@@ -263,7 +255,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
         rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         return {"t": t, "rel_err": rel, "norm": float(np.linalg.norm(approx))}
 
-    rows = ordered_map(one, times, threads)
+    rows = [one(t) for t in times]
     verdicts = [_verdict(f"evolve.t={r['t']:g}", r["rel_err"] <= tol, r["rel_err"], tol)
                 for r in rows]
     fieldio.write_csv_table(os.path.join(out_dir, "evolution.csv"),
@@ -338,7 +330,9 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker processes for verify-symbols' sampled pass; "
+                         "no other command reads it")
     ap.add_argument("--tol-override", action="append", default=[],
                     metavar="KEY=VAL")
     args = ap.parse_args(argv)

@@ -10,7 +10,9 @@ angle is pi/2 + delta; delta must keep the contour inside the sectorial
 resolvent region.  Uniform theta steps give spectral accuracy in the
 node count, with (mu, step, T) balanced for the requested time.
 
-An expm-based propagator (scaling and squaring) is the independent
+One complex Schur factor of the generator serves every node with a
+triangular solve (Laub, IEEE TAC 26, 1981).  An expm-based propagator
+(scaling and squaring) of the generator itself is the independent
 oracle for the contour path.
 """
 
@@ -219,21 +221,31 @@ class ContourSpec:
 
 def propagate_contour(gen, U0, t: float, contour: ContourSpec,
                       region: SectorSpec | None = None):
-    """U(t) as the quadrature of e^{z t}(z - gen)^{-1} U0 over the contour."""
+    """U(t) as the quadrature of e^{z t}(z - gen)^{-1} U0 over the contour.
+
+    One complex Schur factor gen = Z T Z* (T upper triangular, Z unitary)
+    serves every node: each resolvent is a triangular solve
+    (z_k - T) y_k = Z* U0, and U(t) = Z sum_k w_k e^{z_k t} y_k.
+    """
+    # scipy only here and in the oracle: every command imports this module
+    from scipy.linalg import schur, solve_triangular
+
     A = gen.matrix if isinstance(gen, PerModeGenerator) else np.asarray(gen)
     U0 = np.asarray(U0, dtype=complex)
     if region is not None:
         contour.validate_region(t, region)
     z, w = contour.nodes_weights(t)
+    T, Z = schur(A, output="complex")
+    b = Z.conj().T @ U0
     eye = np.eye(A.shape[0])
-    out = np.zeros_like(U0)
-    for zk, wk in sorted(zip(z, w), key=lambda p: p[0].imag):
+    out = np.zeros_like(b)
+    for zk, wk in zip(z, w):
         try:
-            resolvent = np.linalg.solve(zk * eye - A, U0)
+            resolvent = solve_triangular(zk * eye - T, b)
         except np.linalg.LinAlgError as exc:
             raise ContourError(f"resolvent solve failed at node {zk}") from exc
         out = out + wk * cmath.exp(zk * t) * resolvent
-    return out
+    return Z @ out
 
 
 def matrix_exponential_oracle(gen, U0, t: float):
@@ -241,7 +253,6 @@ def matrix_exponential_oracle(gen, U0, t: float):
     A = gen.matrix if isinstance(gen, PerModeGenerator) else np.asarray(gen)
     if A.shape[0] > EXPM_DIM_CAP:
         raise DimensionCapError(f"dimension {A.shape[0]} exceeds {EXPM_DIM_CAP}")
-    # scipy only here: every command imports this module, only evolve runs the oracle
     from scipy.linalg import expm
 
     return expm(t * A) @ np.asarray(U0, dtype=complex)

@@ -353,23 +353,36 @@ def test_cli_verify_symbols_every_table_symbol(tmp_path):
     assert all(v["passed"] for v in verdicts if v["name"].endswith(".finite"))
 
 
-def test_cli_determinism_modulo_walltime(tmp_path):
+@pytest.mark.parametrize("command", ["scan-nab", "solve", "verify-symbols", "rbound",
+                                     "evolve", "bent"])
+def test_cli_determinism_modulo_walltime(tmp_path, monkeypatch, command):
+    # report.json minus wallTime and every artifact are the same whatever
+    # --threads says.  verify-symbols forks two workers with --threads 2 (two
+    # CPUs on any machine), and no worker outlives the command.
+    import multiprocessing
+
+    from resolvlab import scans
+
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
     cfgp = small_cfg(tmp_path)
-    out1 = tmp_path / "r1"
-    out2 = tmp_path / "r2"
-    for out in (out1, out2):
-        rc = main(["scan-nab", "--config", cfgp, "--out", str(out),
-                   "--seed", "1", "--threads", "2"])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        rc = main([command, "--config", cfgp, "--out", str(out),
+                   "--seed", "1", "--threads", threads])
         assert rc == 0
-    r1 = json.load(open(out1 / "report.json"))
-    r2 = json.load(open(out2 / "report.json"))
-    r1.pop("wallTime"), r2.pop("wallTime")
-    assert canonical_json(r1) == canonical_json(r2)
+        assert multiprocessing.active_children() == []
+        rep = json.load(open(out / "report.json"))
+        rep.pop("wallTime")
+        assert rep["artifacts"]
+        runs.append([canonical_json(rep)]
+                    + [open(out / name, "rb").read() for name in rep["artifacts"]])
+    assert runs[0] == runs[1]
 
 
-def test_cli_verify_symbols_independent_of_threads(tmp_path, monkeypatch):
-    # --threads 2 forks two workers (two CPUs on any machine); the reports
-    # match one thread's, and no worker outlives the command
+def test_cli_verify_symbols_worker_failure_exits_3(tmp_path, monkeypatch):
+    # a numerical failure in a forked worker exits 3 with its class, and no
+    # worker outlives the command
     import multiprocessing
 
     from resolvlab import scans
@@ -377,19 +390,6 @@ def test_cli_verify_symbols_independent_of_threads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
     cfgp = small_cfg(tmp_path)
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        rc = main(["verify-symbols", "--config", cfgp, "--out", str(out),
-                   "--threads", threads])
-        assert rc == 0
-        assert multiprocessing.active_children() == []
-        rep = json.load(open(out / "report.json"))
-        rep.pop("wallTime")
-        outs.append((canonical_json(rep), open(out / "symbol_scans.json", "rb").read()))
-    assert outs[0] == outs[1]
-
-    # a numerical failure in a worker exits 3 with its class
     evaluate = scans.evaluate_symbols
 
     def singular_in_workers(*args):
@@ -406,8 +406,9 @@ def test_cli_verify_symbols_independent_of_threads(tmp_path, monkeypatch):
 
 
 def test_cli_import_does_not_load_scipy():
-    # only evolve's expm oracle needs scipy; every other command starts without
-    # it, and only a verify-symbols run on workers loads multiprocessing
+    # only evolve's contour and expm oracle need scipy; every other command
+    # starts without it, only a verify-symbols run on workers loads
+    # multiprocessing, and no command loads concurrent
     import subprocess
     import sys
 
@@ -416,7 +417,8 @@ def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(resolvlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, resolvlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'multiprocessing'))))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

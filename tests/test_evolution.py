@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -29,6 +30,20 @@ def shifted_stable_matrix(n, seed, margin=1.0):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     A = A - (np.max(np.linalg.eigvals(A).real) + margin) * np.eye(n)
     return A, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def reference_propagate_contour(A, U0, t, contour):
+    """The dense contour path: one LU of z_k - A per node."""
+    z, w = contour.nodes_weights(t)
+    eye = np.eye(A.shape[0])
+    out = np.zeros_like(U0)
+    for zk, wk in zip(z, w):
+        out = out + wk * cmath.exp(zk * t) * np.linalg.solve(zk * eye - A, U0)
+    return out
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 # -- oracle -----------------------------------------------------------------
@@ -70,6 +85,23 @@ def test_contour_vs_oracle_random_40():
         approx = propagate_contour(A, U0, t, spec)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)
+
+
+@pytest.mark.parametrize("case", ["generator_96", "random_40"])
+def test_contour_schur_matches_dense_reference(case):
+    if case == "generator_96":
+        A = build_generator([0.5], BASE, NormalGrid(96, 20.0)).matrix
+        rng = np.random.default_rng(7)
+        U0 = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    else:
+        A, U0 = shifted_stable_matrix(40, 0)
+    spec = ContourSpec(nodes=48)
+    for t in (0.1, 0.5, 1.0, 2.0):
+        # the nodes come in ascending Im z, the order the dense path summed them in
+        assert np.all(np.diff(spec.nodes_weights(t)[0].imag) > 0)
+        approx = propagate_contour(A, U0, t, spec)
+        assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
+        assert _rel(approx, matrix_exponential_oracle(A, U0, t)) <= 1e-10, t
 
 
 def test_contour_strong_continuity_at_zero():
