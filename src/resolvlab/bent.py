@@ -86,15 +86,12 @@ class DiffeoSpec:
 class SurfaceGeometry:
     """First fundamental form and derived quantities on the boundary curve."""
 
-    g11: np.ndarray
-    ginv11: np.ndarray
-    gdet: np.ndarray
+    ginv11: np.ndarray        # g^11 = 1 / (1 + b'^2)
     christoffel: np.ndarray   # Lambda^1_11
     gtilde11: np.ndarray      # g^11 - 1
     normal: np.ndarray        # outward unit normal, shape (n, 2)
     jac_norm: np.ndarray      # |A_Phi n0| = sqrt(1 + b'^2)
     bp: np.ndarray            # b' on the tangential grid
-    bpp: np.ndarray
 
 
 def build_geometry(spec: DiffeoSpec, tgrid: TangentialGrid) -> SurfaceGeometry:
@@ -109,10 +106,8 @@ def build_geometry(spec: DiffeoSpec, tgrid: TangentialGrid) -> SurfaceGeometry:
     jac = np.sqrt(g11)
     normal = np.stack([bp / jac, -1.0 / jac], axis=-1)
     return SurfaceGeometry(
-        g11=g11, ginv11=ginv11, gdet=g11,
-        christoffel=bpp * bp * ginv11,
-        gtilde11=ginv11 - 1.0,
-        normal=normal, jac_norm=jac, bp=bp, bpp=bpp)
+        ginv11=ginv11, christoffel=bpp * bp * ginv11,
+        gtilde11=ginv11 - 1.0, normal=normal, jac_norm=jac, bp=bp)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def _transpose(Xm):
     return np.einsum("ij...->ji...", Xm)
 
 
-def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams, zeta,
+def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams,
                   tg: TangentialGrid, ng: NormalGrid):
     """Jw, div w, S(w), A_Phi and F(w) = F1 + F2 of a physical-space iterate.
 
@@ -197,7 +192,7 @@ def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams, zeta,
     B_- = A_Phi - I has the single entry -b' at (0, 1).
     """
     mu, nu = params.mu, params.nu
-    zg3 = complex(zeta) * params.gamma3
+    zg3 = complex(params.zeta) * params.gamma3
     bp = geom.bp[:, None]
 
     J = np.empty((2, 2) + wp.shape[:-1], dtype=complex)
@@ -239,8 +234,7 @@ def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams, zeta,
 
 
 def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
-                       geom: SurfaceGeometry, params: FluidParams, lam,
-                       zeta=0.0):
+                       geom: SurfaceGeometry, params: FluidParams, lam):
     """Perturbation data triple (R1, R2, R3) for the current iterate.
 
     R1 collects the interior terms -Div F(w)/gamma1 (+ F0(w) Div A_Phi,
@@ -254,7 +248,7 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
     Hp = H.values[..., 0] if H.space == "physical" else \
         tg.inverse(H.values[..., 0])
     g1 = params.gamma1
-    _, _, _, _, F = _tensor_split(wp, geom, params, zeta, tg, ng)
+    _, _, _, _, F = _tensor_split(wp, geom, params, tg, ng)
 
     # R1 = -(Div F)/gamma1; the F0 Div(A_Phi) term is identically zero here
     R1 = np.empty(wp.shape, dtype=complex)
@@ -286,8 +280,7 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
             BoundaryField(R3, tg, "physical"))
 
 
-def consistency_gap(w: HalfSpaceField, spec: DiffeoSpec, params: FluidParams,
-                    zeta=0.0):
+def consistency_gap(w: HalfSpaceField, spec: DiffeoSpec, params: FluidParams):
     """Max deviation of F0(w) A_Phi - S(w) - zeta g3 div w I - F(w) from zero.
 
     Transcription check of the printed tensor split, on the F(w) that
@@ -297,9 +290,9 @@ def consistency_gap(w: HalfSpaceField, spec: DiffeoSpec, params: FluidParams,
     tg, ng = w.tgrid, w.ngrid
     wp = w.values if w.space == "physical" else _to_physical(w).values
     mu, nu = params.mu, params.nu
-    zg3 = complex(zeta) * params.gamma3
+    zg3 = complex(params.zeta) * params.gamma3
     geom = build_geometry(spec, tg)
-    J, divw, S, Aphi, F = _tensor_split(wp, geom, params, zeta, tg, ng)
+    J, divw, S, Aphi, F = _tensor_split(wp, geom, params, tg, ng)
 
     AJ = _matmul(Aphi, J)
     trAJ = AJ[0, 0] + AJ[1, 1]
@@ -347,17 +340,16 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
             + sobolev(K, 2))
 
 
-def _perturb_of_data(F, G, K, spec, geom, params, lam, zeta):
-    sol = solve_reduced_resolvent(F, G, K, params, lam, zeta=zeta)
+def _perturb_of_data(F, G, K, spec, geom, params, lam):
+    sol = solve_reduced_resolvent(F, G, K, params, lam)
     w_phys = _to_physical(sol.u)
     h_phys = _to_physical(sol.h)
-    return apply_perturbation(w_phys, h_phys, spec, geom, params, lam,
-                              zeta=zeta), sol
+    return apply_perturbation(w_phys, h_phys, spec, geom, params, lam), sol
 
 
 def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
                   tgrid: TangentialGrid, ngrid: NormalGrid, *,
-                  max_iter: int = 40, tol: float = 1e-10, zeta=0.0):
+                  max_iter: int = 40, tol: float = 1e-10):
     """Fixed-point solve of the curved-domain problem via the flat solver.
 
     Returns (v, h, state) with v, h terrain-following on the flat grid.
@@ -370,7 +362,7 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
     z0_norm = data_norm(F0, G0, K0, lam)
     state = PerturbationState()
     if z0_norm == 0:
-        sol = solve_reduced_resolvent(F0, G0, K0, params, lam, zeta=zeta)
+        sol = solve_reduced_resolvent(F0, G0, K0, params, lam)
         state.converged = True
         return pushforward_velocity(sol.u), _to_physical(sol.h), state
 
@@ -378,7 +370,7 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
     bad_streak = 0
     sol = None
     for it in range(1, max_iter + 1):
-        (R1, R2, R3), sol = _perturb_of_data(*Z, spec, geom, params, lam, zeta)
+        (R1, R2, R3), sol = _perturb_of_data(*Z, spec, geom, params, lam)
         Fn = HalfSpaceField(F0.values - R1.values, tgrid, ngrid, "physical")
         Gn = BoundaryField(G0.values - R2.values, tgrid, "physical")
         Kn = BoundaryField(K0.values - R3.values, tgrid, "physical")
@@ -404,17 +396,16 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
             state.converged = True
             break
 
-    sol = solve_reduced_resolvent(*Z, params, lam, zeta=zeta)
+    sol = solve_reduced_resolvent(*Z, params, lam)
     v = pushforward_velocity(sol.u)
     h = _to_physical(sol.h)
-    state.residuals = bent_residual(v, h, f, g, k, spec, params, lam,
-                                    tgrid, ngrid, zeta=zeta)
+    state.residuals = bent_residual(v, h, f, g, k, spec, params, lam, tgrid, ngrid)
     return v, h, state
 
 
 def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
                       tgrid: TangentialGrid, ngrid: NormalGrid, *,
-                      n_probes: int = 8, seed: int = 0, zeta=0.0) -> float:
+                      n_probes: int = 8, seed: int = 0) -> float:
     """Measured operator-norm proxy max ||F_lam R(lam) Z|| / ||Z||."""
     geom = build_geometry(spec, tgrid)
     rng = np.random.default_rng(seed)
@@ -430,7 +421,7 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
         F = HalfSpaceField(Fv, tgrid, ngrid, "physical")
         G = BoundaryField(Gv, tgrid, "physical")
         K = BoundaryField(Kv, tgrid, "physical")
-        (R1, R2, R3), _ = _perturb_of_data(F, G, K, spec, geom, params, lam, zeta)
+        (R1, R2, R3), _ = _perturb_of_data(F, G, K, spec, geom, params, lam)
         num = data_norm(HalfSpaceField(R1.values, tgrid, ngrid, "physical"),
                         BoundaryField(R2.values, tgrid, "physical"),
                         BoundaryField(R3.values, tgrid, "physical"), lam)
@@ -445,7 +436,7 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
 
 def bent_residual(v: HalfSpaceField, h: BoundaryField, f, g, k,
                   spec: DiffeoSpec, params: FluidParams, lam,
-                  tgrid: TangentialGrid, ngrid: NormalGrid, zeta=0.0) -> dict:
+                  tgrid: TangentialGrid, ngrid: NormalGrid) -> dict:
     """Relative residuals of the curved-domain system at Phi(grid).
 
     x-derivatives are assembled by the chain rule d_x1 = d_1 - b' d_2,
@@ -457,7 +448,7 @@ def bent_residual(v: HalfSpaceField, h: BoundaryField, f, g, k,
     Hp = h.values[..., 0]
     mu, nu = params.mu, params.nu
     g1 = params.gamma1
-    zg3 = complex(zeta) * params.gamma3
+    zg3 = complex(params.zeta) * params.gamma3
 
     def dx(q, axis):
         d2 = q @ ngrid.diff.T

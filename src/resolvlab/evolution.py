@@ -10,10 +10,11 @@ angle is pi/2 + delta; delta must keep the contour inside the sectorial
 resolvent region.  Uniform theta steps give spectral accuracy in the
 node count, with (mu, step, T) balanced for the requested time.
 
-One complex Schur factor of the generator serves every node with a
-triangular solve (Laub, IEEE TAC 26, 1981).  An expm-based propagator
-(scaling and squaring) of the generator itself is the independent
-oracle for the contour path.
+One complex Schur factor of the generator per run serves every node of
+every time with a triangular solve (Laub, IEEE TAC 26, 1981), and its
+diagonal gives the contour's distance to the spectrum.  An expm-based
+propagator (scaling and squaring) of the generator itself is the
+independent oracle for the contour path.
 """
 
 from __future__ import annotations
@@ -211,46 +212,45 @@ class ContourSpec:
         w = h * dz / (2j * math.pi)
         return z, w
 
-    def validate_region(self, t: float, region: SectorSpec):
-        z, _ = self.nodes_weights(t)
-        ok = in_lambda_region(z, region)
-        if not np.all(ok):
-            bad = z[~np.asarray(ok)]
-            raise ContourError(f"contour node(s) outside Lambda region: {bad[:3]}")
 
-
-def propagate_contour(gen, U0, t: float, contour: ContourSpec,
+def propagate_contour(A, U0, times, contour: ContourSpec,
                       region: SectorSpec | None = None):
-    """U(t) as the quadrature of e^{z t}(z - gen)^{-1} U0 over the contour.
+    """U(t) for every t in times, as the quadrature of e^{z t}(z - A)^{-1} U0.
 
-    One complex Schur factor gen = Z T Z* (T upper triangular, Z unitary)
-    serves every node: each resolvent is a triangular solve
-    (z_k - T) y_k = Z* U0, and U(t) = Z sum_k w_k e^{z_k t} y_k.
+    One complex Schur factor A = Z T Z* (T upper triangular, Z unitary)
+    serves every node of every time: each resolvent is a triangular solve
+    (z_k - T) y_k = Z* U0, and U(t) = Z sum_k w_k e^{z_k t} y_k.  Returns
+    the states, one row per time, and the smallest |z_k - T_jj| over all
+    nodes: the contour's distance to the spectrum of A.
     """
     # scipy only here and in the oracle: every command imports this module
     from scipy.linalg import schur, solve_triangular
 
-    A = gen.matrix if isinstance(gen, PerModeGenerator) else np.asarray(gen)
-    U0 = np.asarray(U0, dtype=complex)
-    if region is not None:
-        contour.validate_region(t, region)
-    z, w = contour.nodes_weights(t)
     T, Z = schur(A, output="complex")
-    b = Z.conj().T @ U0
+    b = Z.conj().T @ np.asarray(U0, dtype=complex)
     eye = np.eye(A.shape[0])
-    out = np.zeros_like(b)
-    for zk, wk in zip(z, w):
-        try:
-            resolvent = solve_triangular(zk * eye - T, b)
-        except np.linalg.LinAlgError as exc:
-            raise ContourError(f"resolvent solve failed at node {zk}") from exc
-        out = out + wk * cmath.exp(zk * t) * resolvent
-    return Z @ out
+    spectrum = np.diag(T)
+    states, margin = [], math.inf
+    for t in times:
+        z, w = contour.nodes_weights(t)
+        if region is not None:
+            ok = in_lambda_region(z, region)
+            if not np.all(ok):
+                raise ContourError(f"contour node(s) outside Lambda region: {z[~ok][:3]}")
+        margin = min(margin, float(np.abs(z[:, None] - spectrum).min()))
+        out = np.zeros_like(b)
+        for zk, wk in zip(z, w):
+            try:
+                resolvent = solve_triangular(zk * eye - T, b)
+            except np.linalg.LinAlgError as exc:
+                raise ContourError(f"resolvent solve failed at node {zk}") from exc
+            out = out + wk * cmath.exp(zk * t) * resolvent
+        states.append(Z @ out)
+    return np.array(states), margin
 
 
-def matrix_exponential_oracle(gen, U0, t: float):
-    """e^{t gen} U0 by scaling-and-squaring Pade (backward-error bounded)."""
-    A = gen.matrix if isinstance(gen, PerModeGenerator) else np.asarray(gen)
+def matrix_exponential_oracle(A, U0, t: float):
+    """e^{t A} U0 by scaling-and-squaring Pade (backward-error bounded)."""
     if A.shape[0] > EXPM_DIM_CAP:
         raise DimensionCapError(f"dimension {A.shape[0]} exceeds {EXPM_DIM_CAP}")
     from scipy.linalg import expm

@@ -49,10 +49,6 @@ class TangentialGrid:
         return np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
 
     @property
-    def xi_axis(self) -> np.ndarray:
-        return (np.pi / self.half_length) * self.k_axis
-
-    @property
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumber vectors k, shape (points,)*dims + (dims,); xi = pi k / L."""
         axes = [self.k_axis] * self.dims
@@ -188,14 +184,6 @@ class HalfSpaceField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    @property
-    def ncomp(self) -> int:
-        return self.values.shape[-1]
-
-    def boundary(self) -> np.ndarray:
-        """Trace at x_N = 0 (first normal node)."""
-        return self.values[..., 0, :]
-
 
 @dataclass
 class BoundaryField:
@@ -213,10 +201,6 @@ class BoundaryField:
             self.values = self.values[..., None]
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    @property
-    def ncomp(self) -> int:
-        return self.values.shape[-1]
 
 
 def transform_tangential(fld, direction: str):

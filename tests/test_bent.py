@@ -44,8 +44,7 @@ def vector_data(scale=1.0):
 
 def test_geometry_flat_limit():
     geom = build_geometry(DiffeoSpec(amplitude=0.0), TG)
-    assert np.allclose(geom.g11, 1.0)
-    assert np.allclose(geom.gdet, 1.0)
+    assert np.allclose(geom.ginv11, 1.0)
     assert np.allclose(geom.christoffel, 0.0)
     assert np.allclose(geom.normal, np.tile([0.0, -1.0], (64, 1)))
 
@@ -54,8 +53,8 @@ def test_geometry_first_fundamental_form():
     spec = DiffeoSpec(amplitude=0.3, width=2.0)
     geom = build_geometry(spec, TG)
     bp = spec.bump_d1(TG.x)
-    assert np.max(np.abs(geom.g11 - (1 + bp**2))) <= 1e-12
-    assert np.max(np.abs(geom.g11 * geom.ginv11 - 1)) <= 1e-12
+    assert np.max(np.abs(geom.jac_norm**2 - (1 + bp**2))) <= 1e-12
+    assert np.max(np.abs((1 + bp**2) * geom.ginv11 - 1)) <= 1e-12
 
 
 def test_geometry_normal_matches_graph_formula():
@@ -88,9 +87,9 @@ def test_tensor_split_consistency():
     vals = np.stack([env * rng.standard_normal(), env * (1 + 1j)], axis=-1)
     w = HalfSpaceField(vals, TG, NG, "physical")
     spec = DiffeoSpec(amplitude=0.1, width=2.0)
-    gap = consistency_gap(w, spec, BASE, zeta=0.0)
+    gap = consistency_gap(w, spec, BASE)
     assert gap <= 1e-12
-    gap = consistency_gap(w, spec, FluidParams(zeta=0.3, zeta0=1.0), zeta=0.3)
+    gap = consistency_gap(w, spec, FluidParams(zeta=0.3, zeta0=1.0))
     assert gap <= 1e-12
 
 
@@ -215,6 +214,23 @@ def test_neumann_bump_converges_and_residual():
     assert state.residuals["interior"] <= 1e-6
     assert state.residuals["stress"] <= 1e-6
     assert state.residuals["kinematic"] <= 1e-6
+
+
+@pytest.mark.parametrize("params", [
+    FluidParams(zeta=0.3),
+    FluidParams(zeta=0.3, gamma1=2.0, gamma3=1.5, rho2=2.0, rho3=1.5),
+])
+def test_neumann_solves_the_configured_zeta(params):
+    # the fixed point and its residual check both read params.zeta, so the
+    # zeta = 0.3 solution differs from the zeta = 0 one and still passes
+    spec = DiffeoSpec(amplitude=0.05, width=2.0)
+    f, g, k = vector_data()
+    flat_params = FluidParams(**{**params.__dict__, "zeta": 0.0})
+    v0, _, _ = neumann_solve(f, g, k, spec, flat_params, 16.0, TG, NG, tol=1e-9)
+    v, _, state = neumann_solve(f, g, k, spec, params, 16.0, TG, NG, tol=1e-9)
+    assert state.converged
+    assert np.max(np.abs(v.values - v0.values)) >= 1e-3 * np.abs(v0.values).max()
+    assert max(state.residuals.values()) <= 1e-9, state.residuals
 
 
 def test_contraction_ratio_monotone_in_amplitude():

@@ -219,6 +219,7 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("rbound", "test_vectors", "0", "rbound"),         # no test vector
     ("rbound", "trials", "0", "rbound"),               # no trial
     ("evolve", "times", "[-1.0]", "evolve"),           # time not positive
+    ("evolve", "times", "[]", "evolve"),               # no time
     ("solve", "residual", '"x"', "tolerances"),        # not a number
 ])
 def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section):
@@ -292,6 +293,23 @@ def test_cli_evolve(tmp_path):
     assert (tmp_path / "evolution.csv").exists()
     header = open(tmp_path / "evolution.csv").readline().strip().split(",")
     assert header[0] == "t"
+
+
+@pytest.mark.parametrize("times", ["[0.5]", "[0.1, 0.5, 1.0, 2.0]"],
+                         ids=["one_time", "four_times"])
+def test_cli_evolve_factors_the_generator_once(tmp_path, monkeypatch, times):
+    import scipy.linalg
+
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    rc = main(["evolve", "--config", small_cfg(tmp_path, normal_points="24", times=times),
+               "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    assert len(calls) == 1
+    rep = json.load(open(tmp_path / "report.json"))
+    assert len(rep["verdicts"]) == len(rep["result"]["rows"]) == times.count(",") + 1
+    assert rep["result"]["spectralDistance"] > 0
 
 
 def test_cli_rbound(tmp_path):

@@ -46,6 +46,11 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def propagate_one(A, U0, t, contour):
+    states, _ = propagate_contour(A, U0, [t], contour)
+    return states[0]
+
+
 # -- oracle -----------------------------------------------------------------
 
 def test_oracle_identity_and_diagonal():
@@ -73,7 +78,7 @@ def test_oracle_dimension_cap():
 def test_contour_scalar_benchmark():
     gen = np.array([[-1.0 + 0j]])
     spec = ContourSpec(nodes=32)
-    out = propagate_contour(gen, np.array([1.0 + 0j]), 1.0, spec)
+    out = propagate_one(gen, np.array([1.0 + 0j]), 1.0, spec)
     assert abs(out[0] - math.exp(-1)) <= 1e-8
 
 
@@ -82,7 +87,7 @@ def test_contour_vs_oracle_random_40():
     spec = ContourSpec(nodes=48)
     for t in (0.1, 0.5, 1.0, 2.0):
         exact = matrix_exponential_oracle(A, U0, t)
-        approx = propagate_contour(A, U0, t, spec)
+        approx = propagate_one(A, U0, t, spec)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)
 
@@ -96,10 +101,16 @@ def test_contour_schur_matches_dense_reference(case):
     else:
         A, U0 = shifted_stable_matrix(40, 0)
     spec = ContourSpec(nodes=48)
-    for t in (0.1, 0.5, 1.0, 2.0):
+    times = (0.1, 0.5, 1.0, 2.0)
+    states, margin = propagate_contour(A, U0, times, spec)
+    # the margin is the nodes' distance to the eigenvalues
+    nodes = np.concatenate([spec.nodes_weights(t)[0] for t in times])
+    assert margin == pytest.approx(np.abs(nodes[:, None] - np.linalg.eigvals(A)).min(), rel=1e-8)
+    for t, approx in zip(times, states):
         # the nodes come in ascending Im z, the order the dense path summed them in
         assert np.all(np.diff(spec.nodes_weights(t)[0].imag) > 0)
-        approx = propagate_contour(A, U0, t, spec)
+        # one call for all times gives each time's state bit for bit
+        assert np.array_equal(approx, propagate_one(A, U0, t, spec))
         assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
         assert _rel(approx, matrix_exponential_oracle(A, U0, t)) <= 1e-10, t
 
@@ -110,7 +121,7 @@ def test_contour_strong_continuity_at_zero():
     A, U0 = shifted_stable_matrix(20, seed=1)
     A = 0.05 * A / np.linalg.norm(A, 2)
     spec = ContourSpec(nodes=64)
-    out = propagate_contour(A, U0, 1e-3, spec)
+    out = propagate_one(A, U0, 1e-3, spec)
     drift = np.linalg.norm(out - U0) / np.linalg.norm(U0)
     assert drift <= 1e-4
     exact = matrix_exponential_oracle(A, U0, 1e-3)
@@ -122,24 +133,27 @@ def test_contour_node_refinement():
     exact = matrix_exponential_oracle(A, U0, 0.7)
     errs = []
     for M in (12, 24, 48):
-        approx = propagate_contour(A, U0, 0.7, ContourSpec(nodes=M))
+        approx = propagate_one(A, U0, 0.7, ContourSpec(nodes=M))
         errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= coarse / 10 or fine <= 1e-10
 
 
 def test_contour_nodes_inside_lambda_region():
-    spec = ContourSpec(nodes=48, offset=1.0)
+    A, U0 = shifted_stable_matrix(8, seed=4)
     region = SectorSpec(epsilon=math.pi / 4, lambda0=1.0, rho3_over_nu=1.0)
-    for t in (0.1, 1.0, 2.0):
-        spec.validate_region(t, region)  # raises on failure
+    propagate_contour(A, U0, [0.1, 1.0, 2.0], ContourSpec(nodes=48, offset=1.0),
+                      region=region)  # raises on failure
+    with pytest.raises(ContourError, match="outside Lambda region"):
+        propagate_contour(A, U0, [0.1, 1.0], ContourSpec(angle=1.2, offset=0.2),
+                          region=region)
 
 
 def test_contour_semigroup_property():
     A, U0 = shifted_stable_matrix(20, seed=3)
     spec = ContourSpec(nodes=48)
-    one = propagate_contour(A, U0, 1.5, spec)
-    two = propagate_contour(A, propagate_contour(A, U0, 0.9, spec), 0.6, spec)
+    one = propagate_one(A, U0, 1.5, spec)
+    two = propagate_one(A, propagate_one(A, U0, 0.9, spec), 0.6, spec)
     assert np.linalg.norm(one - two) / np.linalg.norm(one) <= 1e-6
 
 
@@ -150,7 +164,7 @@ def test_contour_rejects_node_on_spectrum():
     nodes, _ = spec.nodes_weights(1.0)
     gen = np.array([[nodes[5]]])
     with pytest.raises(ContourError):
-        propagate_contour(gen, np.array([1.0 + 0j]), 1.0, spec)
+        propagate_one(gen, np.array([1.0 + 0j]), 1.0, spec)
 
 
 # -- per-mode generator -----------------------------------------------------
@@ -238,8 +252,8 @@ def test_generator_evolution_vs_oracle():
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
     spec = ContourSpec(nodes=48)
     for t in (0.1, 1.0, 2.0):
-        exact = matrix_exponential_oracle(gen, U0, t)
-        approx = propagate_contour(gen, U0, t, spec)
+        exact = matrix_exponential_oracle(gen.matrix, U0, t)
+        approx = propagate_one(gen.matrix, U0, t, spec)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)
 

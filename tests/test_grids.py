@@ -57,7 +57,7 @@ def test_gaussian_transforms_to_gaussian():
     w = 1.0
     f = BoundaryField(np.exp(-g.x**2 / (2 * w**2)), g)
     fh = transform_tangential(f, "forward")
-    xi = g.xi_axis
+    xi = g.xi[:, 0]
     exact = w * math.sqrt(2 * math.pi) * np.exp(-(w**2) * xi**2 / 2)
     assert np.max(np.abs(fh.values[:, 0] - exact)) <= 1e-8
 

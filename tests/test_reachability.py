@@ -1,11 +1,16 @@
-"""Every top-level name in src/resolvlab is run by the CLI or is a listed oracle.
+"""Every name in src/resolvlab is run by the CLI or is a listed oracle.
 
 The walk is by name: a top-level function, class or constant of any
 resolvlab module counts as reached when its name occurs, as a name or an
-attribute, inside something already reached.  It starts from cli.main and
-cli.COMMANDS, and separately from ORACLES: code the CLI never runs that
-tests use as an independent check of code it does run.  Whatever neither
-walk reaches is dead code and should be deleted.
+attribute, inside something already reached.  A class member (method,
+property, dataclass field or class constant) counts as reached when its
+name occurs as an attribute, as in `obj.member`: a keyword argument or a
+local variable of the same name does not read it.  A reached class brings
+in its bases, decorators and dunder methods, not its other members.  The
+walk starts from cli.main and cli.COMMANDS, and separately from ORACLES:
+code the CLI never runs that tests use as an independent check of code it
+does run.  Whatever neither walk reaches is dead code and should be
+deleted.
 """
 
 import ast
@@ -15,6 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "resolvlab"
 
 CLI_ROOTS = ("main", "COMMANDS")
+
+# members called through getattr with a task-name string: scans._Scan's
+# summarize and report are the tasks that multiplier_class_scan passes to run
+DISPATCHED = ("summarize", "report")
 
 ORACLES = (
     # the trace-free (Volevich) form of the surface solve and its datum
@@ -38,40 +47,66 @@ ORACLES = (
 )
 
 
-def top_level_definitions():
-    """{name: [node, ...]} for every top-level def, class and assignment."""
-    defs = {}
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _is_member(node):
+    return any(not _is_dunder(name) for name in _defined_names(node))
+
+
+def definitions():
+    """({name: [node, ...]} for every top-level def, class and assignment,
+    {member name: [node, ...]} for every named member of those classes)."""
+    defs, members = {}, {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            for name in names:
-                if not (name.startswith("__") and name.endswith("__")):
-                    defs.setdefault(name, []).append(node)
-    return defs
+            for name in filter(lambda n: not _is_dunder(n), _defined_names(node)):
+                defs.setdefault(name, []).append(node)
+            if isinstance(node, ast.ClassDef):
+                for sub in filter(_is_member, node.body):
+                    for name in _defined_names(sub):
+                        members.setdefault(name, []).append(sub)
+    return defs, members
 
 
-def names_used(node):
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+def _own_parts(node):
+    """What a reached definition runs itself: a class without its named members."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return (node.bases + node.keywords + node.decorator_list
+            + [sub for sub in node.body if not _is_member(sub)])
 
 
-def reached(defs, roots):
-    seen, todo = set(), list(roots)
+def reached(defs, members, roots, member_roots=()):
+    """(top-level names, member names) reached from roots and member_roots."""
+    seen, seen_members = set(), set()
+    todo = [(name, False) for name in roots] + [(name, True) for name in member_roots]
     while todo:
-        name = todo.pop()
-        if name in seen or name not in defs:
-            continue
-        seen.add(name)
-        for node in defs[name]:
-            todo.extend(names_used(node))
-    return seen
+        name, as_attr = todo.pop()
+        nodes = []
+        if name in defs and name not in seen:
+            seen.add(name)
+            nodes += [part for node in defs[name] for part in _own_parts(node)]
+        if as_attr and name in members and name not in seen_members:
+            seen_members.add(name)
+            nodes += members[name]
+        for sub in (sub for node in nodes for sub in ast.walk(node)):
+            if isinstance(sub, ast.Name):
+                todo.append((sub.id, False))
+            elif isinstance(sub, ast.Attribute):
+                todo.append((sub.attr, True))
+    return seen, seen_members
 
 
 def imported_names(paths):
@@ -84,15 +119,16 @@ def imported_names(paths):
 
 
 def test_every_definition_is_reached_from_the_cli_or_an_oracle():
-    defs = top_level_definitions()
-    unreached = set(defs) - reached(defs, CLI_ROOTS + ORACLES)
+    defs, members = definitions()
+    seen, seen_members = reached(defs, members, CLI_ROOTS + ORACLES, DISPATCHED)
+    unreached = (set(defs) - seen) | (set(members) - seen_members)
     assert not unreached, f"dead code in src/resolvlab: {sorted(unreached)}"
 
 
 def test_oracles_are_defined_and_not_run_by_the_cli():
-    defs = top_level_definitions()
+    defs, members = definitions()
     assert set(ORACLES) <= set(defs)
-    run_by_cli = reached(defs, CLI_ROOTS)
+    run_by_cli, _ = reached(defs, members, CLI_ROOTS, DISPATCHED)
     assert not run_by_cli & set(ORACLES), "an oracle the CLI runs checks nothing"
 
 
