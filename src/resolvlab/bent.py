@@ -73,9 +73,6 @@ class DiffeoSpec:
     def forward(self, xi1, xi2):
         return xi1, xi2 + self.bump(xi1)
 
-    def inverse(self, x1, x2):
-        return x1, x2 - self.bump(x1)
-
     @property
     def m1(self) -> float:
         # sup |b'| at s = width/sqrt(2)

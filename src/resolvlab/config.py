@@ -150,8 +150,8 @@ REQUIRED_BLOCKS = {
 }
 
 # The seed of each command that draws random numbers when neither --seed
-# nor its own block sets one; None: rbound is randomized and needs a seed.
-DEFAULT_SEEDS = {"verify-symbols": 0, "scan-nab": 0, "evolve": 0, "rbound": None}
+# nor its own block sets one.
+DEFAULT_SEEDS = {"verify-symbols": 0, "scan-nab": 0, "evolve": 0}
 
 
 @dataclass
@@ -196,9 +196,6 @@ class RunConfig:
         # the command's own block is the last of its required blocks
         run_seed = seed if seed is not None else \
             cfg[blocks[-1]].get("seed", DEFAULT_SEEDS.get(command))
-        if command in DEFAULT_SEEDS and run_seed is None:
-            raise ConfigError(f"{command} is randomized: a seed is required "
-                              f"(--seed or a seed key in [{blocks[-1]}])")
 
         with config_section("tolerances"):
             tol = {k: float(v) for k, v in

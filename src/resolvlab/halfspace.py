@@ -42,7 +42,7 @@ from .grids import (
     edge_support_ratio,
     transform_tangential,
 )
-from .regions import FluidParams, SectorSpec, in_gamma_region
+from .regions import FluidParams, RegionError, SectorSpec, in_gamma_region
 from .symbols import (
     SymbolParams,
     lopatinski_values,
@@ -85,12 +85,6 @@ def _match_space(fld, like_space):
         return fld
     direction = "forward" if like_space == "spectral" else "inverse"
     return transform_tangential(fld, direction)
-
-
-def _check_region(lam, sector: SectorSpec | None, params: FluidParams):
-    if sector is not None and not in_gamma_region(lam, sector, params):
-        from .regions import RegionError
-        raise RegionError(f"lambda = {lam} outside Gamma region {sector}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +132,8 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
-                              ngrid: NormalGrid, *, zeta=None,
-                              sector: SectorSpec | None = None):
+                              ngrid: NormalGrid, *, zeta=None):
     """Surface-driven solve: returns (u, h-trace) in k's tangential space."""
-    _check_region(lam, sector, params)
     p = SymbolParams.from_fluid(params, zeta=zeta)
     ks = _require_spectral(k)
     khat = ks.values[..., 0]
@@ -216,8 +208,7 @@ def chebyshev_interp_matrix(nodes: np.ndarray, targets: np.ndarray) -> np.ndarra
 
 
 def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
-                           zeta=None, sector: SectorSpec | None = None,
-                           quad: VolevichQuadrature | None = None,
+                           zeta=None, quad: VolevichQuadrature | None = None,
                            quad_rtol: float = 1e-6):
     """Surface solve through the trace-free kernel integrals.
 
@@ -226,7 +217,6 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
     refined quadrature pass estimates the achieved error and raises
     QuadratureError above quad_rtol.
     """
-    _check_region(lam, sector, params)
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = k_field.tgrid, k_field.ngrid
     ks = _require_spectral(k_field)
@@ -374,7 +364,7 @@ def _shell_frames(tg: TangentialGrid):
 
 
 def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams,
-                   lam, *, zeta=None, sector: SectorSpec | None = None):
+                   lam, *, zeta=None):
     """Dense collocation solve of the stress-data system, once per shell |xi'| = r.
 
     Interior rows: (lam + a|xi|^2) v - a v'' - (a+b+z) grad(div v) = F.
@@ -388,7 +378,6 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     that xi', LAME_BATCH_MODES shells at a time, and all modes of a shell
     are the columns of one right-hand side.  The solution is turned back.
     """
-    _check_region(lam, sector, params)
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
     Fs = _require_spectral(F)
@@ -469,14 +458,12 @@ class ResolventSolution:
 
 
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
-                            params: FluidParams, lam, *, zeta=None,
-                            sector: SectorSpec | None = None) -> ResolventSolution:
+                            params: FluidParams, lam, *, zeta=None) -> ResolventSolution:
     """Velocity-height solve without the density row.
 
     zeta is the effective (reduced) compressibility parameter; defaults
     to gamma3 zeta / gamma1 from params.
     """
-    _check_region(lam, sector, params)
     tg, ng = F.tgrid, F.ngrid
     Fs = _require_spectral(F)
     Gs = _require_spectral(G)
@@ -508,7 +495,8 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
             if fld is not None and edge_support_ratio(_match_space(fld, "physical")
                                                       if fld.space == "spectral" else fld) > EDGE_SUPPORT_TOL:
                 raise SolverError("data not numerically supported inside the box")
-    _check_region(lam, sector, params)
+    if sector is not None and not in_gamma_region(lam, sector, params):
+        raise RegionError(f"lambda = {lam} outside Gamma region {sector}")
     ds = data.spectral()
     tg, ng = ds.F.tgrid, ds.F.ngrid
     g1, g2 = params.gamma1, params.gamma2

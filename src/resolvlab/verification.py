@@ -11,7 +11,11 @@ The R-bound estimator samples the discrete square-function quotient
     || (sum_j |T_j f_j|^2)^(1/2) ||_2  /  || (sum_j |f_j|^2)^(1/2) ||_2
 
 over random subfamilies, Rademacher sign assignments and test vectors;
-the maximum observed quotient is a lower estimate of the R-bound.
+the maximum observed quotient is a lower estimate of the R-bound.  The
+rbound command computes the l2 R-bound exactly, as the largest per-mode
+norm of its family (in a Hilbert space the R-bound is the sup of the
+norms); the sampler is the oracle of that value: it never exceeds it,
+and reaches it on the maximising mode's unit vector.
 """
 
 from __future__ import annotations
@@ -173,8 +177,6 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
 
 @dataclass
 class RBoundReport:
-    n_operators: int
-    trials: int
     estimate: float
     band: tuple
 
@@ -265,4 +267,4 @@ def rbound_estimate(family, test_vectors, trials: int = 200,
 
     tq = np.asarray(trial_quotients)
     band = (float(np.quantile(tq, 0.05)), float(np.quantile(tq, 0.95)))
-    return RBoundReport(n_operators=len(ops), trials=trials, estimate=best, band=band)
+    return RBoundReport(estimate=best, band=band)

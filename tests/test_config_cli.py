@@ -61,12 +61,11 @@ def test_run_config_missing_block():
         RunConfig.load("[fluid]\nmu = 1.0\n", "scan-nab")
 
 
-def test_run_config_seed_required_for_rbound():
-    text = "[fluid]\n[sector]\n[grid]\n[rbound]\ntrials = 10\n"
-    with pytest.raises(ConfigError):
-        RunConfig.load(text, "rbound")
-    cfg = RunConfig.load(text, "rbound", seed=7)
-    assert cfg.seed == 7
+def test_run_config_rbound_loads_without_a_seed():
+    # rbound draws nothing: it needs no seed, and records one only when given
+    text = "[fluid]\n[sector]\n[grid]\n[rbound]\n"
+    assert RunConfig.load(text, "rbound").seed is None
+    assert RunConfig.load(text, "rbound", seed=7).seed == 7
 
 
 def test_run_config_seed_from_the_commands_own_block():
@@ -149,7 +148,6 @@ def small_cfg(tmp_path, **over):
     text = open(CFG).read()
     text = text.replace("samples = 100000", "samples = 20000")
     text = text.replace("samples = 10000", "samples = 2000")
-    text = text.replace("trials = 200", "trials = 40")
     text = text.replace("normal_points = 96", "normal_points = 48")
     for k, v in over.items():
         text = re.sub(rf"(?m)^{k} = .*$", f"{k} = {v}", text)
@@ -216,8 +214,7 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("scan-nab", "samples", '"many"', "nab"),          # not an integer
     ("verify-symbols", "symbols", "[]", "scan"),       # nothing to scan
     ("solve", "lambda_re", '"x"', "solve"),            # not a number
-    ("rbound", "test_vectors", "0", "rbound"),         # no test vector
-    ("rbound", "trials", "0", "rbound"),               # no trial
+    ("rbound", "lambda_factors", "[]", "rbound"),      # no operator
     ("evolve", "times", "[-1.0]", "evolve"),           # time not positive
     ("evolve", "times", "[]", "evolve"),               # no time
     ("solve", "residual", '"x"', "tolerances"),        # not a number
@@ -314,11 +311,28 @@ def test_cli_evolve_factors_the_generator_once(tmp_path, monkeypatch, times):
 
 def test_cli_rbound(tmp_path):
     rc = main(["rbound", "--config", small_cfg(tmp_path, normal_points="32"),
-               "--out", str(tmp_path), "--seed", "3"])
+               "--out", str(tmp_path)])
     assert rc == 0
     rep = json.load(open(tmp_path / "report.json"))
-    assert rep["result"]["scalar"]["estimate"] <= 1.0 + 1e-9
-    assert np.isfinite(rep["result"]["solver"]["estimate"])
+    res = rep["result"]
+    assert "seed" not in rep
+    assert json.load(open(tmp_path / "rbound.json")) == res
+    assert [v["name"] for v in rep["verdicts"]] == ["rbound.solver_finite"]
+    assert rep["verdicts"][0]["value"] == res["bound"] and np.isfinite(res["bound"])
+    assert [r["lambda"] for r in res["perLambda"]] == [1.0, 1.5, 2.0, 3.0, 5.0, 10.0,
+                                                        30.0, 100.0]
+    assert res["bound"] == max(r["bound"] for r in res["perLambda"])
+    assert {"lambda": res["lambda"], "bound": res["bound"]} in res["perLambda"]
+    assert len(res["wavenumber"]) == 1 and -32 <= res["wavenumber"][0] < 32
+
+
+def test_cli_rbound_2d(tmp_path):
+    cfgp = small_cfg(tmp_path, dims="2", tangential_points="8", normal_points="16")
+    rc = main(["rbound", "--config", cfgp, "--out", str(tmp_path)])
+    assert rc == 0
+    res = json.load(open(tmp_path / "report.json"))["result"]
+    assert np.isfinite(res["bound"]) and res["bound"] > 0
+    assert len(res["wavenumber"]) == 2
 
 
 def test_cli_bent(tmp_path):

@@ -403,7 +403,7 @@ def test_lame_shell_solve_matches_per_mode_solve_admissible(
     assume(in_gamma_region(lam, sector, params))
     tg = TangentialGrid(dims=2, points=8, half_length=4.0)
     F, Gp = random_lame_data(tg, NormalGrid(points=16, truncation=20.0), seed)
-    v = solve_lame_bvp(F, Gp, params, lam, sector=sector).values
+    v = solve_lame_bvp(F, Gp, params, lam).values
     ref = per_mode_lame_solve(F, Gp, params, lam)
     assert np.max(np.abs(v - ref)) <= 1e-10 * np.abs(ref).max()
 

@@ -1,10 +1,16 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resolvlab.cli import cmd_rbound
+from resolvlab.config import RunConfig
 from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from resolvlab.halfspace import ResolventData, ResolventSolution, solve_full_resolvent
+from resolvlab.halfspace import (ResolventData, ResolventSolution, solve_full_resolvent,
+                                 solve_surface_homogeneous)
 from resolvlab.regions import FluidParams
 from resolvlab.verification import discrete_norm, pde_residual, rbound_estimate
 
@@ -240,3 +246,45 @@ def test_rbound_applies_each_operator_to_each_vector_once():
     assert len(applied) <= 5 * 4
     ref = _signed_rbound_reference([lambda f, m=m: m @ f for m in mats], vecs, 60, 4)
     assert rep.estimate == ref
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), sigma=st.floats(0.0, 3.0),
+       m=st.floats(0.3, 3.0), gamma1=st.floats(0.5, 2.0), gamma3=st.floats(0.5, 2.0),
+       zeta_abs=st.floats(0.0, 1.0), zeta_arg=st.floats(-2.2, 2.2),
+       factors=st.lists(st.floats(1.0, 100.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_rbound_estimate_is_bounded_by_and_reaches_the_exact_bound(
+        mu, nu, sigma, m, gamma1, gamma3, zeta_abs, zeta_arg, factors, seed):
+    # admissible fluids, zeta in case C2 or C3, real lambda >= lambda0 = 1:
+    # the sampled estimate of the family lam^(1/2) A(lam), applied through
+    # the surface solve, never exceeds rbound's exact value and equals it
+    # on the unit vector of the mode where rbound finds it
+    zeta = zeta_abs * complex(math.cos(zeta_arg), math.sin(zeta_arg))
+    text = (f"[fluid]\nmu = {mu!r}\nnu = {nu!r}\nsigma = {sigma!r}\nm = {m!r}\n"
+            f"gamma1 = {gamma1!r}\ngamma3 = {gamma3!r}\nrho1 = {gamma1!r}\n"
+            f"rho2 = {gamma1!r}\nrho3 = {gamma3!r}\n"
+            f"zeta_re = {zeta.real!r}\nzeta_im = {zeta.imag!r}\n"
+            "[sector]\nlambda0 = 1.0\n"
+            "[grid]\ntangential_points = 16\nnormal_points = 24\n"
+            f"[rbound]\nlambda_factors = [{', '.join(map(repr, factors))}]\n")
+    cfg = RunConfig.load(text, "rbound")
+    with tempfile.TemporaryDirectory() as out:
+        verdicts, res, _ = cmd_rbound(cfg, out, 1)
+    assert verdicts[0]["passed"]
+    tg, ng = cfg.grids()
+
+    def op(lam):
+        def apply(khat):
+            k = BoundaryField(khat, tg, "spectral")
+            return lam ** 0.5 * solve_surface_homogeneous(k, cfg.fluid, lam, ng)[0].values
+        return apply
+
+    family = [(lam, op(lam)) for lam in factors]
+    rng = np.random.default_rng(seed)
+    vecs = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(3)]
+    sampled = rbound_estimate(family, vecs, trials=20, seed=seed).estimate
+    assert sampled <= res["bound"] * (1 + 1e-12)
+    unit = (tg.wavenumbers[:, 0] == res["wavenumber"][0]).astype(complex)
+    reached = rbound_estimate(family, [unit], trials=20, seed=seed).estimate
+    assert reached == pytest.approx(res["bound"], rel=1e-14, abs=0)
