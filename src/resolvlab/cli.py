@@ -119,19 +119,25 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     """Multiplier-class scan of the [scan] symbols, all from one shared pass.
 
     scans.multiplier_class_scan draws one nested set of 2n samples
-    (n = [scan] samples) and evaluates the symbol kernels once per chunk
-    of stencil points for all the symbols.  Per symbol it estimates the
-    worst ratio from the n-set plus local ascents from its worst samples,
-    and repeats the estimate on all 2n, reusing the n-set ascents.
+    (n = [scan] samples) of (lambda, xi') with xi' in [grid] dims
+    dimensions, and evaluates the symbol kernels once per chunk of stencil
+    points for all the symbols.  Per symbol it estimates the worst ratio
+    from the n-set plus local ascents from its worst samples, and repeats
+    the estimate on all 2n, reusing the n-set ascents.  The ascents of all
+    the symbols run in lock-step: each poll evaluates every symbol's new
+    points in turn, skipping the points a start already rated (a poll
+    clipped back onto the start, or the point it just left), and no
+    kernel call takes more than scans.STENCIL_CHUNK_POINTS points.
     scan.<symbol>.finite checks that every worst ratio is finite;
     scan.<symbol>.refinement that the estimate grew by less than
     tolerances.refinement_growth from n to 2n samples, i.e. that the sup
     estimate has converged.  With threads > 1 the sampled pass and the
     ascents run on that many forked processes, at most one per CPU and
-    task (scans.worker_count): they are small array operations that hold
-    the interpreter lock, so threads would not overlap them.  Results do
-    not depend on threads, nor on which other symbols are scanned
-    alongside.  The symbols and their classes are symbols.SYMBOLS.
+    task (scans.worker_count), each ascending one group of symbols: they
+    are small array operations that hold the interpreter lock, so threads
+    would not overlap them.  Results do not depend on threads, nor on
+    which other symbols are scanned alongside.  The symbols and their
+    classes are symbols.SYMBOLS.
     """
     block = cfg.raw.get("scan", {})
     symbols = list(block.get("symbols", [s for s, c in SYMBOLS.items() if c.default]))
@@ -145,9 +151,9 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
         n = _at_least_one("samples", int(block.get("samples", 10_000)))
     growth_cap = cfg.tolerances.get("refinement_growth", 0.05)
 
-    reports = scans.multiplier_class_scan(
-        symbols, cfg.sector, scans.SamplingPlan(n_samples=n, seed=cfg.seed), cfg.fluid,
-        workers=threads)
+    plan = scans.SamplingPlan(n_samples=n, seed=cfg.seed, dims=cfg.grids()[0].dims)
+    reports = scans.multiplier_class_scan(symbols, cfg.sector, plan, cfg.fluid,
+                                          workers=threads)
     verdicts = []
     for rep in reports:
         finite = all(np.isfinite(d["worstRatio"]) for d in rep["perDerivative"])

@@ -36,12 +36,14 @@ cost one stacked symbol evaluation.
 The sampled pass is shared by all the symbols of a scan: one draw, and
 per chunk of STENCIL_CHUNK_POINTS stencil points one evaluation of A, B,
 L, Q/Q' and n_Jk that every symbol's values are projected from.  The
-stencil sums run over the offsets in ascending order, stacked over the
-symbols.  The chunk size is fixed because numpy rounds some kernels
-differently on longer arrays (its in-place reuse of temporaries from
-256 KiB on), and the stencils amplify those last bits to ~1e-3 in the
-ratios of n11 and nN1.  The ascents run per symbol, each on its own
-points, so every symbol's report is bitwise the one it gets alone.
+values are laid out offset-major, and the stencil sums run over the
+offsets in ascending order, one slab per offset, stacked over the
+symbols.  No kernel call of a scan takes more than STENCIL_CHUNK_POINTS
+points, because numpy rounds some kernels differently on longer arrays
+(its in-place reuse of temporaries from 256 KiB on), and the stencils
+amplify those last bits to ~1e-3 in the ratios of n11 and nN1.  Below
+that size a point's values do not depend on the points evaluated with
+it, so the reports do not depend on how points are batched.
 
 The pass keeps no table of ratios.  Each chunk's ratios, for all symbols
 and pairs at once, are folded into a _Summary of the n-set and one of
@@ -51,12 +53,21 @@ A chunk changes the kept samples only of a pair where it beats the last
 of them, and the fold is exact, so the maxima and the ascent starts are
 bitwise those of the full table.
 
+The ascents of a group of symbols poll in lock-step (_ascend): each poll
+evaluates each symbol's new stencil points in turn, then folds every
+symbol's points of a pair at once.  A poll point that is bitwise the
+start's point (clipped at a cube face) or the point it last left is not
+evaluated: its ratio is the start's value or one below it, so it cannot
+win.  So each symbol's report is bitwise the one of its own ascents with
+every poll point evaluated, which the tests keep as the reference.
+
 With workers > 1 and the fork start method, multiplier_class_scan forks
 a pool after the draw.  Each worker streams one contiguous run of whole
-chunks; the parent joins the runs' summaries in row order; then every
-symbol's ascents and report are one task.  The workers run the functions
-the serial path runs, so the reports do not depend on workers.  The
-chunks and the ascents are small array operations that hold the
+chunks; the parent joins the runs' summaries in row order; then each
+worker ascends one group of symbols (every workers-th) and reports them.
+One process ascends all the symbols as one group.  The workers run the
+functions the serial path runs, so the reports do not depend on workers.
+The chunks and the ascents are small array operations that hold the
 interpreter lock, which is why the pool has processes, not threads.
 """
 
@@ -225,11 +236,10 @@ def _bound(order, lam_xi_weight, decay_c, lam, scale, xi_norm, korder):
 class _RatioField:
     """|d^kappa_xi (tau d_tau)^ell m| / bound at stacked points, per symbol and (kappa, ell).
 
-    names lists the symbols (entries of SYMBOLS), evaluated together from
-    one SymbolEvaluation per stack of points.  pairs lists the (kappa,
-    ell); offsets (P, dims+1) is the union of their stencils and weights
-    (P, len(pairs)) their coefficients on it.  decay_c is the fitted c' of
-    the exp_decay symbols.
+    names lists the symbols (entries of SYMBOLS).  pairs lists the (kappa,
+    ell); offsets (P, dims+1) is the union of their stencils, weights
+    (P, len(pairs)) their coefficients on it and rows[col] the offsets pair
+    col uses.  decay_c is the fitted c' of the exp_decay symbols.
     """
 
     def __init__(self, names, sp: SymbolParams, dims: int, max_deriv_order: int = 2,
@@ -244,72 +254,114 @@ class _RatioField:
         offsets = sorted(set().union(*tables))
         self.offsets = np.array(offsets)
         self.weights = np.array([[t.get(o, 0.0) for t in tables] for o in offsets])
+        self.rows = [np.flatnonzero(self.weights[:, col]) for col in range(len(self.pairs))]
 
     def bounds(self, lam, scale, xi_norm, korder):
         """Bounds (len(names), m) at korder = |kappa|, one evaluation per class."""
         per_class = {c: _bound(*c, lam, scale, xi_norm, korder) for c in set(self.classes)}
         return np.stack([per_class[c] for c in self.classes])
 
-    def ratios(self, groups):
-        """[(lam, xi, cols)] -> [ratios (len(names), len(cols), m)], one symbol evaluation.
+    @staticmethod
+    def _steps(lam, xi):
+        """|xi|, the scale |lam|^1/2 + |xi| and the steps h in xi and h_tau in tau."""
+        xi_norm = np.linalg.norm(xi, axis=-1)
+        scale = np.sqrt(np.abs(lam)) + xi_norm
+        return xi_norm, scale, FD_REL_STEP * scale, FD_REL_STEP * np.abs(lam)
 
-        Group g evaluates the pairs cols at its m points, on the offsets
-        those pairs use.  The stencil sums run over the offsets in
-        ascending order, for all symbols at once.
+    @staticmethod
+    def _points(lam, xi, h, h_tau, off):
+        """The stencil points (lam + i h_tau off_tau, xi + h off_xi); off broadcasts on lam."""
+        return lam + 1j * h_tau * off[..., -1], xi + h[..., None] * off[..., :-1]
+
+    def _derivative(self, v, col, rows, lam, h, h_tau):
+        """|d^kappa_xi (tau d_tau)^ell| of pair col from v[..., j, :], the values at offset rows[j].
+
+        The stencil sum runs over the offsets in ascending order.
         """
-        lam_pts, xi_pts, parts = [], [], []
-        for lam, xi, cols in groups:
-            rows = np.flatnonzero(np.any(self.weights[:, cols] != 0.0, axis=1))
-            off = self.offsets[rows]
-            scale = np.sqrt(np.abs(lam)) + np.linalg.norm(xi, axis=-1)
-            h, h_tau = FD_REL_STEP * scale, FD_REL_STEP * np.abs(lam)
-            lam_pts.append((lam[:, None] + 1j * h_tau[:, None] * off[:, -1]).ravel())
-            xi_pts.append((xi[:, None, :] + h[:, None, None] * off[:, :-1])
-                          .reshape(-1, self.dims))
-            parts.append((rows, scale, h, h_tau))
-        values = evaluate_symbols(self.names, np.concatenate(lam_pts),
-                                  np.concatenate(xi_pts), self.sp)
+        kappa, ell = self.pairs[col]
+        w = self.weights[rows, col]
+        deriv = sum(w[j] * v[..., j, :] for j in np.flatnonzero(w)) / h**sum(kappa)
+        if ell:
+            deriv = deriv * lam.imag / h_tau
+        return np.abs(deriv)
 
-        out, start = [], 0
-        for (lam, xi, cols), (rows, scale, h, h_tau) in zip(groups, parts):
-            stop = start + lam.size * rows.size
-            v = values[:, start:stop].reshape(len(self.names), lam.size, rows.size)
-            start = stop
-            xi_norm = np.linalg.norm(xi, axis=-1)
-            bounds = {}
-            r = np.empty((len(self.names), len(cols), lam.size))
-            for c, col in enumerate(cols):
-                kappa, ell = self.pairs[col]
-                korder = sum(kappa)
-                if korder not in bounds:
-                    bounds[korder] = self.bounds(lam, scale, xi_norm, korder)
-                w = self.weights[rows, col]
-                deriv = sum(w[j] * v[..., j] for j in np.flatnonzero(w)) / h**korder
-                if ell:
-                    deriv = deriv * lam.imag / h_tau
-                r[:, c] = np.abs(deriv) / bounds[korder]
-            out.append(r)
+    def ratios(self, lam, xi):
+        """Ratios (len(names), len(pairs), m) of every symbol and pair at m points.
+
+        One symbol evaluation of the m points at every offset, offset-major,
+        takes len(offsets) * m points.
+        """
+        xi_norm, scale, h, h_tau = self._steps(lam, xi)
+        lam_pts, xi_pts = self._points(lam, xi, h, h_tau, self.offsets[:, None])
+        v = evaluate_symbols(self.names, lam_pts.ravel(), xi_pts.reshape(-1, self.dims),
+                             self.sp).reshape(len(self.names), len(self.offsets), lam.size)
+        out, bounds = np.empty((len(self.names), len(self.pairs), lam.size)), {}
+        for col, (kappa, ell) in enumerate(self.pairs):
+            korder = sum(kappa)
+            if korder not in bounds:
+                bounds[korder] = self.bounds(lam, scale, xi_norm, korder)
+            out[:, col] = self._derivative(v, col, slice(None), lam, h, h_tau) / bounds[korder]
         return out
 
-    def at(self, lam, xi, pair):
-        """Ratio of the first symbol's pair[i] at point i, one symbol evaluation."""
-        groups = [(p, np.flatnonzero(pair == p)) for p in np.unique(pair)]
-        out = np.empty(pair.size)
-        for (p, idx), r in zip(groups, self.ratios([(lam[idx], xi[idx], [p])
-                                                    for p, idx in groups])):
-            out[idx] = r[0, 0]
+    def ratios_at(self, lam, xi, sym, pair):
+        """Ratio of symbol sym[i]'s pair[i] at point i; points sorted by pair, then symbol.
+
+        Each symbol's stencil points are made and evaluated in turn, in
+        calls of at most STENCIL_CHUNK_POINTS points, and only their values
+        kept.  A pair's values are laid out offset-major, so that each term
+        of its stencil sum is one slab over every symbol's points.
+        """
+        xi_norm, scale, h, h_tau = self._steps(lam, xi)
+        n_sym = len(self.names)
+        cut = np.searchsorted(pair * n_sym + sym, np.arange(len(self.pairs) * n_sym + 1))
+        # pair p's points are first[p] to first[p + 1], its symbol s's lo[p, s] to hi[p, s]
+        first, lo, hi = cut[::n_sym], cut[:-1].reshape(-1, n_sym), cut[1:].reshape(-1, n_sym)
+        values = [np.empty((rows.size, b - a), complex)
+                  for rows, a, b in zip(self.rows, first, first[1:])]
+        bound = np.empty(lam.size)
+        for s, name in enumerate(self.names):
+            spans = [(p, lo[p, s], hi[p, s]) for p in np.flatnonzero(lo[:, s] < hi[:, s])]
+            if not spans:
+                continue
+            lam_pts, xi_pts = self._span_points(spans, lam, xi, h, h_tau)
+            v = np.concatenate([
+                evaluate_symbols([name], lam_pts[c:c + STENCIL_CHUNK_POINTS],
+                                 xi_pts[c:c + STENCIL_CHUNK_POINTS], self.sp)[0]
+                for c in range(0, lam_pts.size, STENCIL_CHUNK_POINTS)])
+            for p, a, b in spans:
+                n = self.rows[p].size * (b - a)
+                values[p][:, a - first[p]:b - first[p]] = v[:n].reshape(-1, b - a)
+                v = v[n:]
+                bound[a:b] = _bound(*self.classes[s], lam[a:b], scale[a:b], xi_norm[a:b],
+                                    sum(self.pairs[p][0]))
+        out = np.empty(lam.size)
+        for p, (a, b, v) in enumerate(zip(first, first[1:], values)):
+            if a < b:
+                out[a:b] = self._derivative(v, p, self.rows[p], lam[a:b], h[a:b],
+                                            h_tau[a:b]) / bound[a:b]
         return out
 
+    def _span_points(self, spans, lam, xi, h, h_tau):
+        """The stencil points of pair p at points a to b, offset-major, for (p, a, b) in spans."""
+        points = [self._points(lam[a:b], xi[a:b], h[a:b], h_tau[a:b],
+                               self.offsets[self.rows[p], None]) for p, a, b in spans]
+        return (np.concatenate([pts.ravel() for pts, _ in points]),
+                np.concatenate([pts.reshape(-1, self.dims) for _, pts in points]))
 
-def _ascend(field_, to_region, u, pair, value, plan: SamplingPlan):
-    """Batched compass search for larger ratios, inside the sampled region.
 
-    Each start i ascends the ratio of its own pair[i] from the unit-cube
-    point u[i] with ratio value[i].  A poll evaluates u +- step along each
-    cube coordinate (not the 1-D xi sign) and along the parabolic scaling
-    lam -> s^2 lam, xi -> s xi, clipped to the cube (the 2-D xi angle
-    wraps); the start moves to its best poll point if that beats its
-    value, otherwise its step halves.  All starts poll in one symbol call.
+def _ascend(field_, to_region, u, sym, pair, value, plan: SamplingPlan):
+    """Lock-step compass search for larger ratios, inside the sampled region.
+
+    Start i ascends the ratio of field_.names[sym[i]]'s pair[i] from the
+    unit-cube point u[i] with ratio value[i].  A poll evaluates u +- step
+    along each cube coordinate (not the 1-D xi sign) and along the
+    parabolic scaling lam -> s^2 lam, xi -> s xi, clipped to the cube (the
+    2-D xi angle wraps); the start moves to its best poll point if that
+    beats its value, otherwise its step halves.  All starts of all symbols
+    poll together (_RatioField.ratios_at).  A poll point that is bitwise
+    the start's point (clipped at a cube face) or the point it last left
+    is not evaluated: equal points give equal ratios, the start's value
+    and one below it, so neither can win, and it counts as -inf.
     """
     dims = plan.dims
     # d u2 / d u0 along the scaling: half the log-range ratio
@@ -317,7 +369,10 @@ def _ascend(field_, to_region, u, pair, value, plan: SamplingPlan):
                0.0]
     dirs = np.concatenate([np.eye(4)[:3 if dims == 1 else 4], [scaling]])
     dirs = np.concatenate([dirs, -dirs])
+    order = np.lexsort((sym, pair))  # as ratios_at takes the points
+    u, sym, pair, value = u[order], sym[order], pair[order], value[order]
     step = np.full(len(u), ASCENT_STEP)
+    left = np.full_like(u, -1.0)  # outside the cube: nothing left yet
     for _ in range(ASCENT_MAX_POLLS):
         act = np.flatnonzero(step >= ASCENT_MIN_STEP)
         if act.size == 0:
@@ -326,16 +381,23 @@ def _ascend(field_, to_region, u, pair, value, plan: SamplingPlan):
         trial[..., :3] = np.clip(trial[..., :3], 0.0, 1.0)
         if dims == 2:
             trial[..., 3] %= 1.0
-        lam, xi = to_region(trial.reshape(-1, 4))
-        r = field_.at(lam, xi, np.repeat(pair[act], len(dirs))).reshape(act.size, len(dirs))
+        bits = trial.view(np.int64)
+        seen = (np.all(bits == u[act, None].view(np.int64), axis=-1)
+                | np.all(bits == left[act, None].view(np.int64), axis=-1))
+        i, k = np.nonzero(~seen)
+        r = np.full(seen.shape, -np.inf)
+        r[i, k] = field_.ratios_at(*to_region(trial[i, k]), sym[act[i]], pair[act[i]])
         r[np.isnan(r)] = -np.inf
         best = np.argmax(r, axis=1)
         best_r = r[np.arange(act.size), best]
         gain = best_r > value[act]
-        u[act[gain]] = trial[gain, best[gain]]
-        value[act[gain]] = best_r[gain]
+        moved = act[gain]
+        left[moved] = u[moved]
+        u[moved] = trial[gain, best[gain]]
+        value[moved] = best_r[gain]
         step[act[~gain]] /= 2
-    return u, value
+    back = np.argsort(order)
+    return u[back], value[back]
 
 
 @dataclass(frozen=True)
@@ -437,8 +499,8 @@ class _Scan:
         self.max_deriv_order = max_deriv_order
         self.sp = SymbolParams.from_fluid(params)
         self.refined = replace(plan, n_samples=2 * plan.n_samples)
-        self.u = _unit_draw(self.refined)  # the cube rows that draw_samples maps
-        self.lam, self.xi = draw_samples(self.refined, region, params)
+        self.u = _unit_draw(self.refined)
+        self.lam, self.xi = self.to_region(self.u)  # draw_samples of the refined plan
         exp_decay = any(SYMBOLS[name].exp_decay for name in symbols)
         self.decay_c = fit_exp_decay_constant(self.lam, self.xi, self.sp) if exp_decay else None
         self.chunk = max(1, STENCIL_CHUNK_POINTS // len(self.field(symbols).offsets))
@@ -457,34 +519,36 @@ class _Scan:
         bits, which the stencils amplify.
         """
         field_ = self.field(self.symbols)
-        cols = list(range(len(field_.pairs)))
         (first, stop), step = span, self.chunk
         lam, xi = self.lam[:stop], self.xi[:stop]
-        blocks = ((i, field_.ratios([(lam[i:i + step], xi[i:i + step], cols)])[0])
+        blocks = ((i, field_.ratios(lam[i:i + step], xi[i:i + step]))
                   for i in range(first, stop, step))
         return _reduce(blocks, self.plan.n_samples)
 
     def report(self, job):
-        """The report of symbol s = job[0] from its n-set and 2n-set summaries."""
-        s, head, whole = job
-        name = self.symbols[s]
-        field_ = self.field([name])
-        # starts: per pair, the n-set's worst samples, then the 2n-set's new ones
-        starts, vals, pair, first = [], [], [], []
-        for p in range(len(field_.pairs)):
-            new = ~np.isin(whole.rows[p], head.rows[p])
-            starts += [head.rows[p], whole.rows[p, new]]
-            vals += [head.vals[p], whole.vals[p, new]]
-            n_old, n_new = head.rows[p].size, int(new.sum())
-            pair += [p] * (n_old + n_new)
-            first += [True] * n_old + [False] * n_new
-        starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
-        u_end, value = _ascend(field_, self.to_region, self.u[starts], pair,
-                               np.concatenate(vals), self.plan)
+        """The reports of symbols job[0] from their n-set and 2n-set summaries.
 
+        The ascents of all these symbols run in lock-step (_ascend).
+        """
+        group, head, whole = job
+        field_ = self.field([self.symbols[s] for s in group])
+        # starts: per symbol and pair, the n-set's worst samples, then the 2n-set's new ones
+        new = ~np.any(whole.rows[..., :, None] == head.rows[..., None, :], axis=-1)
+        keep = np.concatenate([np.ones(head.rows.shape, bool), new], axis=-1)
+        sym, pair, col = np.nonzero(keep)
+        starts = np.concatenate([head.rows, whole.rows], axis=-1)[keep]
+        vals = np.concatenate([head.vals, whole.vals], axis=-1)[keep]
+        first = col < head.rows.shape[-1]
+        u_end, value = _ascend(field_, self.to_region, self.u[starts], sym, pair, vals, self.plan)
+        return [self._report(field_.names[g], field_.pairs, head[g], whole[g],
+                             u_end[sym == g], value[sym == g], pair[sym == g], first[sym == g])
+                for g in range(len(group))]
+
+    def _report(self, name, pairs, head, whole, u_end, value, pair, first):
+        """Symbol name's report from its summaries and its ascents' end points and values."""
         per_derivative = []
         worst, refined_worst = [], []
-        for p, (kappa, ell) in enumerate(field_.pairs):
+        for p, (kappa, ell) in enumerate(pairs):
             mine = np.flatnonzero((pair == p) & first)
             i = mine[np.argmax(value[mine])]
             lam_i, xi_i = self.to_region(u_end[i:i + 1])
@@ -595,7 +659,9 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     and folds them into a _Summary of the n-set and one of the rest;
     sampledWorstRatio is the max over the n-set.  Then, per symbol and
     per (kappa, ell) up to max_deriv_order, a local ascent (_ascend)
-    starts from each of the ASCENT_STARTS worst samples of the n-set.  It works in the sampler's unit-cube coordinates (log|lambda|,
+    starts from each of the ASCENT_STARTS worst samples of the n-set;
+    the ascents of a group of symbols poll in lock-step.  An ascent
+    works in the sampler's unit-cube coordinates (log|lambda|,
     fraction of the admissible argument, log|xi|, and the xi angle in
     2-D), so every iterate is an admissible point of Gamma(eps, lam0, zeta)
     for C1, C2 and C3 inside the sampled ranges.  Its first step is
@@ -616,7 +682,7 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     asked for, at most one per CPU and per task (worker_count; the tasks
     are the chunks or the symbols, whichever are more).  With more than
     one, each runs a contiguous run of chunks of the sampled pass, and
-    then the symbols' ascents and reports, one task per symbol.
+    then the ascents and reports of one group of symbols.
     """
     if max_deriv_order > 2:
         raise ValueError("derivative order capped at 2")
@@ -625,7 +691,10 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     workers = worker_count(workers, max(-(-rows // scan.chunk), len(symbols)))
     with _task_map(scan, workers) as run:
         head, whole = _combine(run("summarize", _runs(rows, scan.chunk, workers)))
-        return run("report", [(s, head[s], whole[s]) for s in range(len(symbols))])
+        # symbol s is the (s // workers)-th of group s % workers
+        groups = [np.arange(w, len(symbols), workers) for w in range(workers)]
+        reports = run("report", [(g, head[g], whole[g]) for g in groups])
+    return [reports[s % workers][s // workers] for s in range(len(symbols))]
 
 
 def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:

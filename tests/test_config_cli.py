@@ -353,6 +353,17 @@ def test_cli_verify_symbols(tmp_path):
     assert {r["symbol"] for r in scans_out} >= {"A", "B", "detL_over_N"}
 
 
+def test_cli_verify_symbols_scans_the_grid_dims(tmp_path):
+    cfgp = small_cfg(tmp_path, dims="2", samples="40", symbols='["A", "n11"]')
+    rc = main(["verify-symbols", "--config", cfgp, "--out", str(tmp_path)])
+    assert rc in (0, 4)
+    for rep in json.load(open(tmp_path / "symbol_scans.json")):
+        # (kappa, ell) up to |kappa| = 2 over two tangential axes
+        assert len(rep["perDerivative"]) == 12
+        for d in rep["perDerivative"]:
+            assert len(d["kappa"]) == 2 and len(d["argmaxPoint"]["xi"]) == 2
+
+
 def test_cli_unknown_symbol_is_a_config_error(tmp_path):
     cfgp = small_cfg(tmp_path)
     text = re.sub(r"(?m)^symbols = .*$", 'symbols = ["A", "bogus"]', open(cfgp).read())

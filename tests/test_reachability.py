@@ -27,7 +27,8 @@ SRC = ROOT / "src" / "resolvlab"
 CLI_ROOTS = ("main", "COMMANDS")
 
 # members called through getattr with a task-name string: scans._Scan's
-# summarize and report are the tasks that multiplier_class_scan passes to run
+# summarize (a run of chunks) and report (a group of symbols, ascended in
+# lock-step) are the tasks that multiplier_class_scan passes to run
 DISPATCHED = ("summarize", "report")
 
 # fields of an oracle's result: the tests that check against the oracle read them

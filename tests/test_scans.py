@@ -132,17 +132,107 @@ def test_draw_samples_nested():
             assert np.array_equal(xi_n, xi_2n[:300])
 
 
+def _point_major_ratios(field, lam, xi, cols):
+    """Ratios (names, len(cols), m) of the pairs cols, from the offsets they use.
+
+    The stencil points are laid out point-major (the scan lays them out
+    offset-major) and evaluated in calls of at most STENCIL_CHUNK_POINTS
+    points: the reference for _RatioField.ratios and ratios_at.
+    """
+    rows = np.flatnonzero(np.any(field.weights[:, cols] != 0.0, axis=1))
+    off = field.offsets[rows]
+    scale = np.sqrt(np.abs(lam)) + np.linalg.norm(xi, axis=-1)
+    h, h_tau = scans.FD_REL_STEP * scale, scans.FD_REL_STEP * np.abs(lam)
+    lam_pts = (lam[:, None] + 1j * h_tau[:, None] * off[:, -1]).ravel()
+    xi_pts = (xi[:, None, :] + h[:, None, None] * off[:, :-1]).reshape(-1, field.dims)
+    chunk = scans.STENCIL_CHUNK_POINTS
+    v = np.concatenate([evaluate_symbols(field.names, lam_pts[c:c + chunk], xi_pts[c:c + chunk],
+                                         field.sp) for c in range(0, lam_pts.size, chunk)],
+                       axis=-1).reshape(len(field.names), lam.size, rows.size)
+    xi_norm = np.linalg.norm(xi, axis=-1)
+    r = np.empty((len(field.names), len(cols), lam.size))
+    for c, col in enumerate(cols):
+        kappa, ell = field.pairs[col]
+        korder = sum(kappa)
+        w = field.weights[rows, col]
+        deriv = sum(w[j] * v[..., j] for j in np.flatnonzero(w)) / h**korder
+        if ell:
+            deriv = deriv * lam.imag / h_tau
+        r[:, c] = np.abs(deriv) / field.bounds(lam, scale, xi_norm, korder)
+    return r
+
+
 def _sampled_table(field, lam, xi):
     """Ratios (names, n, pairs) of every pair at every sample, in the scan's chunks.
 
-    The full table that the scan's streamed summaries replace: the
-    reference for them and for the stencils.
+    The full table that the scan's streamed summaries replace.
     """
-    cols = list(range(len(field.pairs)))
     chunk = max(1, scans.STENCIL_CHUNK_POINTS // len(field.offsets))
-    blocks = [field.ratios([(lam[i:i + chunk], xi[i:i + chunk], cols)])[0]
-              for i in range(0, lam.size, chunk)]
+    blocks = [field.ratios(lam[i:i + chunk], xi[i:i + chunk]) for i in range(0, lam.size, chunk)]
     return np.concatenate(blocks, axis=-1).transpose(0, 2, 1)
+
+
+def _reference_ascend(field, to_region, u, pair, value, plan):
+    """The compass search of _ascend for one symbol, evaluating every poll point."""
+    dims = plan.dims
+    scaling = [1.0, 0.0, 0.5 * math.log(plan.lam_factor) / math.log(plan.xi_hi / plan.xi_lo),
+               0.0]
+    dirs = np.concatenate([np.eye(4)[:3 if dims == 1 else 4], [scaling]])
+    dirs = np.concatenate([dirs, -dirs])
+    step = np.full(len(u), scans.ASCENT_STEP)
+    for _ in range(scans.ASCENT_MAX_POLLS):
+        act = np.flatnonzero(step >= scans.ASCENT_MIN_STEP)
+        if act.size == 0:
+            break
+        trial = u[act, None, :] + step[act, None, None] * dirs
+        trial[..., :3] = np.clip(trial[..., :3], 0.0, 1.0)
+        if dims == 2:
+            trial[..., 3] %= 1.0
+        lam, xi = to_region(trial.reshape(-1, 4))
+        at = np.repeat(pair[act], len(dirs))
+        r = np.empty(at.size)
+        for p in np.unique(at):
+            idx = np.flatnonzero(at == p)
+            r[idx] = _point_major_ratios(field, lam[idx], xi[idx], [p])[0, 0]
+        r = r.reshape(act.size, len(dirs))
+        r[np.isnan(r)] = -np.inf
+        best = np.argmax(r, axis=1)
+        best_r = r[np.arange(act.size), best]
+        gain = best_r > value[act]
+        u[act[gain]] = trial[gain, best[gain]]
+        value[act[gain]] = best_r[gain]
+        step[act[~gain]] /= 2
+    return u, value
+
+
+def reference_reports(symbols, region, plan, params, max_deriv_order=2):
+    """multiplier_class_scan's reports, by the per-symbol path.
+
+    The sampled ratios come from one full point-major table, and each
+    symbol's ascents run alone, one symbol evaluation per poll, with every
+    poll point evaluated.
+    """
+    scan = scans._Scan(symbols, region, plan, params, max_deriv_order)
+    field = scan.field(symbols)
+    table = _point_major_ratios(field, scan.lam, scan.xi, list(range(len(field.pairs))))
+    head, whole = scans._combine([scans._reduce([(0, table)], plan.n_samples)])
+    reports = []
+    for s, name in enumerate(symbols):
+        field = scan.field([name])
+        starts, vals, pair, first = [], [], [], []
+        for p in range(len(field.pairs)):
+            new = ~np.isin(whole.rows[s, p], head.rows[s, p])
+            starts += [head.rows[s, p], whole.rows[s, p, new]]
+            vals += [head.vals[s, p], whole.vals[s, p, new]]
+            n_old, n_new = head.rows[s, p].size, int(new.sum())
+            pair += [p] * (n_old + n_new)
+            first += [True] * n_old + [False] * n_new
+        starts, pair, first = np.concatenate(starts), np.array(pair), np.array(first)
+        u_end, value = _reference_ascend(field, scan.to_region, scan.u[starts], pair,
+                                         np.concatenate(vals), plan)
+        reports.append(scan._report(name, field.pairs, head[s], whole[s], u_end, value, pair,
+                                    first))
+    return reports
 
 
 def _nested_reference_ratios(f, field, lam, xi):
@@ -244,6 +334,74 @@ def test_shared_scan_reports_each_symbols_own_scan(names, dims, n, seed):
         for name, rep in zip(names, shared):
             alone = multiplier_class_scan([name], region, plan, BASE)[0]
             assert json.dumps(rep) == json.dumps(alone), name
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(names=SYMBOL_NAMES, case=CASES[1], dims=2, n=30, seed=2)
+@example(names=SYMBOL_NAMES[::-1], case=CASES[0], dims=1, n=60, seed=3)
+@given(names=st.lists(st.sampled_from(SYMBOL_NAMES), min_size=1, unique=True),
+       case=st.sampled_from(CASES), dims=st.sampled_from([1, 2]), n=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+def test_lock_step_reports_equal_the_per_symbol_reference(names, case, dims, n, seed):
+    # the ascents of all symbols in lock-step, with offset-major stencils,
+    # skipped poll points and capped kernel calls, give bitwise the reports
+    # of each symbol's own ascents; short ascents keep the property cheap
+    zeta_case, fp = case
+    region = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case=zeta_case)
+    plan = SamplingPlan(n_samples=n, seed=seed, dims=dims)
+    with mock.patch.object(scans, "ASCENT_MAX_POLLS", 6):
+        got = multiplier_class_scan(names, region, plan, fp)
+        ref = reference_reports(names, region, plan, fp)
+    assert json.dumps(got) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_offset_major_ratios_equal_the_point_major_reference(dims):
+    # every symbol and pair at every sample, bitwise
+    field = scans._RatioField(SYMBOL_NAMES, SymbolParams.from_fluid(BASE), dims, decay_c=0.5)
+    lam, xi = draw_samples(SamplingPlan(n_samples=200, seed=17, dims=dims), SectorSpec(), BASE)
+    ref = _point_major_ratios(field, lam, xi, list(range(len(field.pairs))))
+    assert _sampled_table(field, lam, xi).tobytes() == ref.transpose(0, 2, 1).tobytes()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_no_kernel_call_takes_more_than_a_chunk(dims, monkeypatch):
+    # from 256 KiB of complex points on, numpy reuses temporaries in place and
+    # rounds some kernels differently: no call of the scan gets that far
+    sizes = []
+
+    def recorded(names, lam, xi, sp):
+        sizes.append(lam.size)
+        return evaluate_symbols(names, lam, xi, sp)
+
+    monkeypatch.setattr(scans, "evaluate_symbols", recorded)
+    monkeypatch.setattr(scans, "ASCENT_MAX_POLLS", 2)
+    multiplier_class_scan(SYMBOL_NAMES, SectorSpec(zeta_case="C3"),
+                          SamplingPlan(n_samples=40, seed=18, dims=dims), BASE)
+    # a symbol's first poll has more points than a chunk
+    assert max(sizes) == scans.STENCIL_CHUNK_POINTS
+
+
+def test_a_start_on_a_cube_face_rates_none_of_its_clipped_polls():
+    # at u0 = u2 = 1 the polls +u0, +u2 and +scaling clip back onto the start;
+    # the ratio rises with u1, so the start climbs u1 to its face, and no
+    # point is rated twice: not the start, nor a point it left
+    rated = []
+
+    class RisingInU1:
+        def ratios_at(self, lam, xi, sym, pair):
+            rated.append(lam.copy())
+            return lam[:, 1]
+
+    start = np.array([1.0, 0.25, 1.0, 0.75])
+    u_end, value = scans._ascend(RisingInU1(), lambda v: (v, v), start[None].copy(),
+                                 np.array([0]), np.array([0]), np.array([0.25]),
+                                 SamplingPlan(dims=1))
+    assert len(rated[0]) == 8 - 3
+    rows = np.concatenate(rated)
+    assert not np.any(np.all(rows == start, axis=1))
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    assert u_end.tolist() == [[1.0, 1.0, 1.0, 0.75]] and value.tolist() == [1.0]
 
 
 def _top(ratio, k):
