@@ -236,7 +236,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
             offset=float(cblock.get("offset", 1.0)),
             nodes=int(cblock.get("nodes", 48)))
     with config_section("evolve"):
-        xi = [float(eblock.get("mode_xi", 0.5))]
+        xi = float(eblock.get("mode_xi", 0.5))
         times = [float(t) for t in eblock.get("times", [0.1, 0.5, 1.0, 2.0])]
         if not (times and all(t > 0 for t in times)):
             raise ValueError(f"times must be non-empty and positive, got {times}")
@@ -263,6 +263,8 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
 
 def cmd_bent(cfg: RunConfig, out_dir, threads):
     tg, ng = cfg.grids()
+    if tg.dims != 1:
+        raise ConfigError(f"invalid [grid]: the bent half space is 1-D, got dims = {tg.dims}")
     block = cfg.raw.get("bent", {})
     with config_section("bent"):
         spec = bent_mod.DiffeoSpec(amplitude=float(block.get("amplitude", 0.05)),

@@ -48,18 +48,17 @@ class DimensionCapError(ValueError):
 class PerModeGenerator:
     """Dense reduced generator for one tangential mode.
 
-    State layout before reduction: [eta (n nodes), u (n nodes per
-    component), h].  The stress rows at x=0 and the Dirichlet closure at
-    x=X are eliminated by expressing the boundary velocity values
-    through the interior ones (bordering), leaving a plain square matrix
-    on [eta, u-interior, h].
+    State layout before reduction: [eta, u_r, u_N (n nodes each), h].
+    The stress rows at x=0 and the Dirichlet closure at x=X are
+    eliminated by expressing the boundary velocity values through the
+    interior ones (bordering), leaving a plain square matrix on
+    [eta, u-interior, h].
     """
 
     matrix: np.ndarray        # reduced square generator
     reconstruct: np.ndarray   # reduced state -> full state
     project: np.ndarray       # full state -> reduced state
     full_action: np.ndarray   # un-eliminated operator on the full state
-    xi: np.ndarray
     ngrid: NormalGrid
 
     @property
@@ -67,17 +66,19 @@ class PerModeGenerator:
         return self.matrix.shape[0]
 
 
-def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenerator:
-    """Assemble the block operator for one mode of the density-coupled system.
+def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerModeGenerator:
+    """Assemble the block operator for the mode xi of the density-coupled system.
 
     Rows: d_t eta = -gamma1 div u; gamma1 d_t u = Div(S(u) - gamma2 eta I);
-    d_t h = -u_N(0).  Constraints: tangential stress mu(u_j' + i xi_j u_N)=0
-    and normal stress 2 mu u_N' + (nu-mu) div u - gamma2 eta + sigma(m+|xi|^2)h = 0
-    at x=0, u = 0 at x=X.
+    d_t h = -u_N(0), with div u = i xi u_r + u_N'.  Constraints: tangential
+    stress mu(u_r' + i xi u_N) = 0 and normal stress
+    2 mu u_N' + (nu-mu) div u - gamma2 eta + sigma(m+xi^2)h = 0 at x=0,
+    u = 0 at x=X.
+
+    The system is rotation invariant in xi', so this 1-D generator at
+    xi = |xi'| is every shell's generator up to rotation, with the
+    azimuthal velocity left out: it solves its own scalar problem.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nd = xi.size
-    nc = nd + 1
     n = ngrid.points
     D = ngrid.diff
     Ident = np.eye(n)
@@ -85,44 +86,38 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
     g1, g2 = params.gamma1, params.gamma2
     sg, m = params.sigma, params.m
 
-    dim_full = n + nc * n + 1
-    i_eta = slice(0, n)
-    i_u = lambda c: slice(n + c * n, n + (c + 1) * n)  # noqa: E731
-    i_vel = slice(n, n + nc * n)
+    dim_full = 3 * n + 1
+    i_eta, i_r, i_N = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    i_vel = slice(n, 3 * n)
     i_h = dim_full - 1
 
     A = np.zeros((dim_full, dim_full), dtype=complex)
-    # density row: -gamma1 (i xi . u' + u_N')
-    for c in range(nd):
-        A[i_eta, i_u(c)] += -g1 * 1j * xi[c] * Ident
-    A[i_eta, i_u(nd)] += -g1 * D
+    # density row: -gamma1 (i xi u_r + u_N')
+    A[i_eta, i_r] += -g1 * 1j * xi * Ident
+    A[i_eta, i_N] += -g1 * D
 
     # velocity rows: (mu lap u + nu grad div u)/gamma1, the Lame operator at
     # lam = 0 with its sign flipped, and -gamma2 grad eta/gamma1
-    A[i_vel, i_vel] -= lame_operator(0.0, mu / g1, nu / g1, xi[None], D, ngrid.diff2)[0]
-    for c in range(nd):
-        A[i_u(c), i_eta] += -(g2 / g1) * 1j * xi[c] * Ident
-    A[i_u(nd), i_eta] += -(g2 / g1) * D
+    r = np.array([xi])
+    A[i_vel, i_vel] -= lame_operator(0.0, mu / g1, nu / g1, r, D, ngrid.diff2)[0]
+    A[i_r, i_eta] += -(g2 / g1) * 1j * xi * Ident
+    A[i_N, i_eta] += -(g2 / g1) * D
 
     # height row: d_t h = -u_N(0)
-    A[i_h, i_u(nd).start] = -1.0
+    A[i_h, i_N.start] = -1.0
 
-    # constraint rows: C x = 0
-    ncon = nc + nc
-    C = np.zeros((ncon, dim_full), dtype=complex)
-    C[:nc, i_vel] = lame_stress_rows(mu, nu - mu, xi[None], D)[0]
-    C[nd, 0] = -g2              # -gamma2 eta(0)
-    C[nd, i_h] = sg * (m + float(xi @ xi))
-    for c in range(nc):
-        C[nc + c, n + c * n + (n - 1)] = 1.0  # u_c(X) = 0
+    # constraint rows C x = 0: the two stress rows, then u_r(X) = u_N(X) = 0
+    C = np.zeros((4, dim_full), dtype=complex)
+    C[:2, i_vel] = lame_stress_rows(mu, nu - mu, r, D)[0]
+    C[1, 0] = -g2              # -gamma2 eta(0)
+    C[1, i_h] = sg * (m + xi * xi)
+    C[2, 2 * n - 1] = C[3, 3 * n - 1] = 1.0
 
-    # boundary unknowns: u_c at node 0 and node n-1
-    b_idx = [n + c * n for c in range(nc)] + [n + c * n + (n - 1) for c in range(nc)]
+    # boundary unknowns: u_r, u_N at node 0, then at node n-1
+    b_idx = [n, 2 * n, 2 * n - 1, 3 * n - 1]
     r_idx = [i for i in range(dim_full) if i not in set(b_idx)]
-    Cb = C[:, b_idx]
-    Cr = C[:, r_idx]
     try:
-        Xel = -np.linalg.solve(Cb, Cr)     # u_b = Xel @ x_reduced
+        Xel = -np.linalg.solve(C[:, b_idx], C[:, r_idx])     # u_b = Xel @ x_reduced
     except np.linalg.LinAlgError as exc:
         raise ContourError(f"singular boundary bordering: {exc}") from exc
 
@@ -135,7 +130,7 @@ def build_generator(xi, params: FluidParams, ngrid: NormalGrid) -> PerModeGenera
 
     gen = P @ A @ R
     return PerModeGenerator(matrix=gen, reconstruct=R, project=P,
-                            full_action=A, xi=xi, ngrid=ngrid)
+                            full_action=A, ngrid=ngrid)
 
 
 def apply_full(gen: PerModeGenerator, eta, u, h):
@@ -145,8 +140,7 @@ def apply_full(gen: PerModeGenerator, eta, u, h):
                             np.asarray(u, dtype=complex).T.ravel(),
                             [complex(h)]])
     out = gen.full_action @ state
-    nc = gen.xi.size + 1
-    return out[:n], out[n:n + nc * n].reshape(nc, n).T, out[-1]
+    return out[:n], out[n:3 * n].reshape(2, n).T, out[-1]
 
 
 def pack_state(gen: PerModeGenerator, eta, u, h):
@@ -159,8 +153,7 @@ def pack_state(gen: PerModeGenerator, eta, u, h):
 def unpack_state(gen: PerModeGenerator, reduced):
     full = gen.reconstruct @ np.asarray(reduced, dtype=complex)
     n = gen.ngrid.points
-    nc = gen.xi.size + 1
-    return full[:n], full[n:n + nc * n].reshape(nc, n).T, full[-1]
+    return full[:n], full[n:3 * n].reshape(2, n).T, full[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ Three runtime layers, each per tangential Fourier mode:
     formula the construction delegates to is replaced by this solver;
     equivalence is established through manufactured-solution and residual
     tests).  The system is rotation invariant in xi', so every mode is
-    turned into the frame where xi' = (r, 0) and all modes of a shell are
-    solved with one factorisation: 135 instead of 1024 on a 32^2 grid.
-    lame_operator and lame_stress_rows assemble the interior Lame operator
-    and its stress rows at x_N = 0 as broadcast expressions over a batch
-    of modes; the solve assembles and factors LAME_BATCH_MODES shells at a
-    time, so only one batch of dense matrices is ever held.  The evolution
-    generator takes its velocity block and stress constraints from the
-    same pair.
+    turned into the frame where xi' = (r, 0) and all modes of a shell share
+    one factorisation: 135 instead of 1024 on a 32^2 grid.  In that frame
+    (v_r, v_N) solve the 2n block of lame_operator and lame_stress_rows,
+    the 1-D system at xi = r, and in 2-D v_perp solves the n block of
+    azimuthal_operator: 9n^3 of LU work per shell instead of 27n^3.  The
+    blocks of LAME_BATCH_MODES shells are held at a time.  The evolution
+    generator takes its velocity block and stress rows from the same pair.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition and density recovery.
 
@@ -53,7 +52,7 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
-LAME_BATCH_MODES = 16   # shells |xi'| per batch of Lame matrices: 9.4 MB in 1-D at 96 nodes
+LAME_BATCH_MODES = 16   # shells per batch: 9.4 MB of 2n blocks at 96 nodes, 2-D adds 2.4 MB
 
 
 class SolverError(RuntimeError):
@@ -111,21 +110,16 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
     mxi2 = (p.m + xi_sq)[..., None]
     kb = khat[..., None]
-    nd = tgrid.dims
-    u = np.empty(tgrid.mode_shape + (ngrid.points, nd + 1), dtype=complex)
-    du = np.empty_like(u)
-    d2u = np.empty_like(u)
-    for j in range(nd):
-        c1 = nt1[..., j][..., None] * mxi2 * kb
-        c2 = nt2[..., j][..., None] * mxi2 * kb
-        u[..., j] = c1 * (Bx * M - E) + c2 * E
-        du[..., j] = c1 * (Bx * M1 - E1) + c2 * E1
-        d2u[..., j] = c1 * (Bx * M2 - E2) + c2 * E2
+    c1 = nt1[..., None, :] * mxi2[..., None] * kb[..., None]
+    c2 = nt2[..., None, :] * mxi2[..., None] * kb[..., None]
     cN1 = nN1[..., None] * mxi2 * kb
     cN2 = nN2[..., None] * mxi2 * kb
-    u[..., nd] = cN1 * Bx * M + cN2 * E
-    du[..., nd] = cN1 * Bx * M1 + cN2 * E1
-    d2u[..., nd] = cN1 * Bx * M2 + cN2 * E2
+    u = np.empty(tgrid.mode_shape + (ngrid.points, tgrid.dims + 1), dtype=complex)
+    du = np.empty_like(u)
+    d2u = np.empty_like(u)
+    for out, Mk, Ek in ((u, M, E), (du, M1, E1), (d2u, M2, E2)):
+        out[..., :-1] = c1 * (Bx * Mk - Ek)[..., None] + c2 * Ek[..., None]
+        out[..., -1] = cN1 * Bx * Mk + cN2 * Ek
 
     hhat = (L.detL / L.N) * khat
     return u, du, d2u, hhat
@@ -295,48 +289,47 @@ def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp):
 # Lame boundary value problem
 # ---------------------------------------------------------------------------
 
-def lame_operator(lam, a, c, xi, D, D2):
-    """(lam + a|xi|^2 - a d_N^2) v - c grad(div v) on every mode of xi.
+def azimuthal_operator(lam, a, r, D2):
+    """(lam + a r^2) I - a d_N^2 per shell radius r, as (shells, n, n) blocks.
 
-    xi is (modes, N-1); grad = (i xi, d_N) and div v = i xi . v + v_N'.
-    Returns the (modes, nc n, nc n) collocation blocks, nc = N, with the
-    unknowns ordered component by component.
+    The operator on v_perp in the frame where xi' = (r, 0), and the
+    diagonal blocks of lame_operator before its grad(div v) terms.
     """
-    nm, nd = xi.shape
+    return (lam + a * (r * r))[:, None, None] * np.eye(D2.shape[0]) - a * D2
+
+
+def lame_operator(lam, a, c, r, D, D2):
+    """(lam + a r^2 - a d_N^2) v - c grad(div v) on (v_r, v_N) per shell radius r.
+
+    In the frame where xi' = (r, 0), grad = (i r, d_N) and div v =
+    i r v_r + v_N' couple v_r with v_N only.  Returns the (shells, 2n, 2n)
+    collocation blocks with the unknowns ordered v_r, then v_N.
+    """
     n = D.shape[0]
-    ixi = 1j * xi
-    cixi = -c * ixi
-    xi2 = (xi[:, None, :] @ xi[:, :, None])[:, 0, 0]   # |xi|^2 rounded as xi @ xi
+    ir = 1j * r
+    cir = -c * ir
+    out = np.empty((r.size, 2, n, 2, n), dtype=complex)
+    out[:, 0, :, 0] = azimuthal_operator(lam, a, r, D2)
+    out[:, 1, :, 1] = out[:, 0, :, 0] - c * D2
+    out[:, 0, :, 1] = out[:, 1, :, 0] = cir[:, None, None] * D
     diag = np.arange(n)
-    out = np.empty((nm, nd + 1, n, nd + 1, n), dtype=complex)
-    for j in range(nd + 1):
-        out[:, j, :, j] = -a * D2
-        out[:, j, diag, j, diag] += (lam + a * xi2)[:, None]
-        for k in range(j + 1, nd):
-            out[:, j, :, k] = out[:, k, :, j] = 0.0
-    for j in range(nd):
-        out[:, j, :, nd] = out[:, nd, :, j] = cixi[:, j, None, None] * D
-    out[:, nd, :, nd] -= c * D2
-    # the (i xi_j)(i xi_k) terms lie on the diagonals of the tangential blocks
-    out[:, :nd, diag, :nd, diag] += cixi[:, :, None] * ixi[:, None, :]
-    return out.reshape(nm, (nd + 1) * n, (nd + 1) * n)
+    out[:, 0, diag, 0, diag] += (cir * ir)[:, None]
+    return out.reshape(r.size, 2 * n, 2 * n)
 
 
-def lame_stress_rows(a, b, xi, D):
-    """Stress rows at x_N = 0 on every mode of xi (modes, N-1).
+def lame_stress_rows(a, b, r, D):
+    """Stress rows at x_N = 0 per shell radius r, over the unknowns of lame_operator.
 
-    Row j < N-1 is a(v_j' + i xi_j v_N), row N-1 is 2a v_N' + b(i xi . v + v_N');
-    returns (modes, nc, nc n) over the unknowns of lame_operator.
+    Row 0 is a(v_r' + i r v_N), row 1 is 2a v_N' + b(i r v_r + v_N');
+    returns (shells, 2, 2n).
     """
-    nm, nd = xi.shape
     n = D.shape[0]
-    rows = np.zeros((nm, nd + 1, nd + 1, n), dtype=complex)
-    for j in range(nd):
-        rows[:, j, j] = a * D[0]
-        rows[:, j, nd, 0] += a * 1j * xi[:, j]
-        rows[:, nd, j, 0] += b * 1j * xi[:, j]
-    rows[:, nd, nd] = 2 * a * D[0] + b * D[0]
-    return rows.reshape(nm, nd + 1, (nd + 1) * n)
+    rows = np.zeros((r.size, 2, 2, n), dtype=complex)
+    rows[:, 0, 0] = a * D[0]
+    rows[:, 0, 1, 0] += a * 1j * r
+    rows[:, 1, 0, 0] += b * 1j * r
+    rows[:, 1, 1] = 2 * a * D[0] + b * D[0]
+    return rows.reshape(r.size, 2, 2 * n)
 
 
 def _shell_frames(tg: TangentialGrid):
@@ -344,9 +337,9 @@ def _shell_frames(tg: TangentialGrid):
 
     The shell key is the integer k.k of the FFT wavenumbers, so modes on
     one circle share it exactly.  Returns the sorted keys, each mode's
-    shell index and per-mode (N, N) rotations: the tangential rows are
-    e = xi'/r and e_perp = (-e_2, e_1), with e = (1, 0) at xi' = 0 (in
-    1-D, the sign of xi), and the normal row is left alone.
+    shell index and per-mode (N, N) rotations onto the frame (v_r, v_N,
+    v_perp): the rows are e = xi'/r, the normal and, in 2-D, e_perp =
+    (-e_2, e_1), with e = (1, 0) at xi' = 0 (in 1-D, the sign of xi).
     """
     k = tg.wavenumbers.reshape(-1, tg.dims)
     key = np.sum(k * k, axis=-1)
@@ -357,10 +350,29 @@ def _shell_frames(tg: TangentialGrid):
     e[moving] = k[moving] / np.sqrt(key[moving])[:, None]
     rot = np.zeros((key.size, tg.dims + 1, tg.dims + 1))
     rot[:, 0, :tg.dims] = e
+    rot[:, 1, tg.dims] = 1.0
     if tg.dims == 2:
-        rot[:, 1, 0], rot[:, 1, 1] = -e[:, 1], e[:, 0]
-    rot[:, tg.dims, tg.dims] = 1.0
+        rot[:, 2, 0], rot[:, 2, 1] = -e[:, 1], e[:, 0]
     return keys, shell, rot
+
+
+def _solve_shells(mats, stress, f, at, width):
+    """Solve each shell's block of mats on the frame data f (modes, n, k) of its modes.
+
+    The stress rows replace node 0 and v = 0 closes node n-1; at puts each
+    mode in a column of its shell's rhs.  Returns the (modes, n, k) solution.
+    """
+    nm, n, k = f.shape
+    mats[:, ::n] = stress
+    mats[:, n - 1::n] = 0.0
+    mats[:, n - 1::n, n - 1::n] = np.eye(k)
+    rhs = np.zeros((mats.shape[0], k * n, width), dtype=complex)
+    rhs[at] = f.transpose(0, 2, 1).reshape(nm, k * n)
+    try:
+        sol = np.linalg.solve(mats, rhs)[at]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular collocation matrix: {exc}") from exc
+    return sol.reshape(nm, k, n).transpose(0, 2, 1)
 
 
 def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams,
@@ -374,9 +386,11 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 
     The system is rotation invariant in xi', so each mode's tangential
     components of F and G' are turned into the frame where xi' = (r, 0)
-    (_shell_frames), every shell's matrix is assembled and factored once at
-    that xi', LAME_BATCH_MODES shells at a time, and all modes of a shell
-    are the columns of one right-hand side.  The solution is turned back.
+    (_shell_frames).  There (v_r, v_N) solve lame_operator's 2n block and,
+    in 2-D, v_perp solves azimuthal_operator's n block with the stress row
+    a v_perp' = -G'_perp.  Each shell's blocks are factored once,
+    LAME_BATCH_MODES shells at a time, with the shell's modes as the
+    columns of one right-hand side.  The solution is turned back.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
@@ -385,12 +399,12 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 
     n, nc = ng.points, tg.dims + 1
     D, D2 = ng.diff, ng.diff2
+    a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
     keys, shell, rot = _shell_frames(tg)
     nm = shell.size
     Fhat = Fs.values.reshape(nm, n, nc)
     Ghat = Gs.values.reshape(nm, nc, 1)
-    xi = np.zeros((keys.size, tg.dims))
-    xi[:, 0] = (np.pi / tg.half_length) * np.sqrt(keys)
+    r = (np.pi / tg.half_length) * np.sqrt(keys)
     # modes sorted by shell; col is each mode's column in its shell's rhs.
     # Every rhs has the same width, so a shell's solve does not see the batching.
     order = np.argsort(shell, kind="stable")
@@ -402,25 +416,21 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     v = np.empty((nm, n, nc), dtype=complex)
     for lo in range(0, keys.size, LAME_BATCH_MODES):
         hi = min(lo + LAME_BATCH_MODES, keys.size)
-        mats = lame_operator(lam, p.alpha, p.alpha + p.beta + p.zeta, xi[lo:hi], D, D2)
-        mats[:, ::n] = lame_stress_rows(p.alpha, p.beta + p.zeta, xi[lo:hi], D)
-        mats[:, n - 1::n] = 0.0
-        mats[:, n - 1::n, n - 1::n] = np.eye(nc)
         modes = order[first[lo]:first[hi]]
         R = rot[modes]
-        # the data in the shell's frame; the stress rows at node 0 and v = 0
+        # the data in the shell's frame; the stress data at node 0 and v = 0
         # at node n-1 replace the interior rows
         f = Fhat[modes] @ R.transpose(0, 2, 1)
         f[:, 0] = -(R @ Ghat[modes])[..., 0]
         f[:, n - 1] = 0.0
         at = (shell[modes] - lo, slice(None), col[modes])
-        rhs = np.zeros((hi - lo, nc * n, width), dtype=complex)
-        rhs[at] = f.transpose(0, 2, 1).reshape(modes.size, nc * n)
-        try:
-            sol = np.linalg.solve(mats, rhs)[at]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular collocation matrix: {exc}") from exc
-        v[modes] = sol.reshape(modes.size, nc, n).transpose(0, 2, 1) @ R
+        w = _solve_shells(lame_operator(lam, a, c, r[lo:hi], D, D2),
+                          lame_stress_rows(a, b, r[lo:hi], D), f[..., :2], at, width)
+        if nc == 3:
+            w_perp = _solve_shells(azimuthal_operator(lam, a, r[lo:hi], D2), a * D[0],
+                                   f[..., 2:], at, width)
+            w = np.concatenate([w, w_perp], axis=-1)
+        v[modes] = w @ R
     out = HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
     return _match_space(out, F.space)
 
@@ -508,10 +518,8 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
         dhat = ds.d.values[..., 0]
 
     # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N)
-    grad_d = np.empty(tg.mode_shape + (ng.points, tg.dims + 1), dtype=complex)
-    for j in range(tg.dims):
-        grad_d[..., j] = 1j * tg.xi[..., j][..., None] * dhat
-    grad_d[..., tg.dims] = dhat @ ng.diff.T
+    grad_d = np.concatenate([1j * tg.xi[..., None, :] * dhat[..., None],
+                             (dhat @ ng.diff.T)[..., None]], axis=-1)
     fvals = (ds.F.values - (g2 / lam) * grad_d) / g1
     # g = G + (gamma2/lam) d n0 at the boundary, n0 = (0, ..., 0, -1)
     gvals = ds.G.values.copy()
@@ -521,16 +529,9 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
                                   BoundaryField(gvals, tg, "spectral"), ds.K,
                                   params, lam, zeta=zeta_eff)
 
-    div_u = _divergence(sol.u, tg, ng)
+    u = sol.u.values
+    div_u = u[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * u[..., :-1], axis=-1)
     eta_vals = (dhat - g1 * div_u) / lam
     eta = HalfSpaceField(eta_vals[..., None], tg, ng, "spectral")
     return ResolventSolution(eta=eta, u=sol.u, h=sol.h, h_ext=sol.h_ext,
                              v=sol.v, w=sol.w)
-
-
-def _divergence(u: HalfSpaceField, tg: TangentialGrid, ng: NormalGrid):
-    us = _require_spectral(u)
-    div = us.values[..., tg.dims] @ ng.diff.T
-    for j in range(tg.dims):
-        div = div + 1j * tg.xi[..., j][..., None] * us.values[..., j]
-    return div

@@ -211,6 +211,7 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("solve", "dims", "2", "grid"),                    # built-in data are 1-D
     ("evolve", "angle", "2.0", "contour"),             # outside (0, pi/2)
     ("bent", "width", "-1.0", "bent"),                 # bump width not positive
+    ("bent", "dims", "2", "grid"),                     # the bent half space is 1-D
     ("scan-nab", "samples", '"many"', "nab"),          # not an integer
     ("verify-symbols", "symbols", "[]", "scan"),       # nothing to scan
     ("solve", "lambda_re", '"x"', "solve"),            # not a number

@@ -95,7 +95,7 @@ def test_contour_vs_oracle_random_40():
 @pytest.mark.parametrize("case", ["generator_96", "random_40"])
 def test_contour_schur_matches_dense_reference(case):
     if case == "generator_96":
-        A = build_generator([0.5], BASE, NormalGrid(96, 20.0)).matrix
+        A = build_generator(0.5, BASE, NormalGrid(96, 20.0)).matrix
         rng = np.random.default_rng(7)
         U0 = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     else:
@@ -170,14 +170,14 @@ def test_contour_rejects_node_on_spectrum():
 # -- per-mode generator -----------------------------------------------------
 
 def test_generator_zero_state():
-    gen = build_generator([0.5], BASE, NG)
+    gen = build_generator(0.5, BASE, NG)
     out = gen.matrix @ np.zeros(gen.dim)
     assert np.all(out == 0)
 
 
 def test_generator_constant_velocity_density_row():
     # constant u with xi = 0: div u = 0, so the density row vanishes
-    gen = build_generator([0.0], BASE, NG)
+    gen = build_generator(0.0, BASE, NG)
     n = NG.points
     eta = np.zeros(n)
     u = np.ones((n, 2), dtype=complex)
@@ -194,7 +194,7 @@ def test_generator_matches_analytic_operator():
     ng = NormalGrid(points=48, truncation=40.0)
     t = ng.nodes
     for params in (BASE, NON_UNIT):
-        gen = build_generator([xi], params, ng)
+        gen = build_generator(xi, params, ng)
         mu, nu, g1, g2 = params.mu, params.nu, params.gamma1, params.gamma2
         sg, m = params.sigma, params.m
 
@@ -237,7 +237,7 @@ def test_generator_matches_analytic_operator():
 
 
 def test_generator_roundtrip_pack_unpack():
-    gen = build_generator([0.7], BASE, NG)
+    gen = build_generator(0.7, BASE, NG)
     rng = np.random.default_rng(5)
     red = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
     eta, u, h = unpack_state(gen, red)
@@ -246,7 +246,7 @@ def test_generator_roundtrip_pack_unpack():
 
 
 def test_generator_evolution_vs_oracle():
-    gen = build_generator([0.5], BASE, NormalGrid(points=24, truncation=20.0))
+    gen = build_generator(0.5, BASE, NormalGrid(points=24, truncation=20.0))
     assert gen.dim <= 200
     rng = np.random.default_rng(6)
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)

@@ -16,6 +16,7 @@ from resolvlab.halfspace import (
     QuadratureError,
     ResolventData,
     VolevichQuadrature,
+    azimuthal_operator,
     chebyshev_interp_matrix,
     extend_boundary_datum,
     lame_operator,
@@ -312,19 +313,36 @@ def per_mode_lame_matrix(lam, a, c, b, xi, D, D2):
 
 
 def test_lame_operator_matches_per_mode_assembly():
-    # same arithmetic entry by entry, so the matrices are equal, not close
+    # same arithmetic entry by entry, so the matrices are equal, not close.
+    # In 1-D the per-mode matrix is the (v_r, v_N) block for signed xi.  In
+    # 2-D at xi' = (r, 0) the per-mode matrix does not couple v_perp with
+    # (v_r, v_N), stress rows included, and its two blocks are the ones the
+    # shell solve factors.
     ng = NormalGrid(points=12, truncation=20.0)
     D, D2 = ng.diff, ng.diff2
+    n = ng.points
     p = SymbolParams.from_fluid(NON_UNIT, zeta=0.3 - 0.2j)
     a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
-    for tg in (TG, TangentialGrid(dims=2, points=4, half_length=2.0)):
-        xi = tg.xi.reshape(-1, tg.dims)
-        n = ng.points
-        mats = lame_operator(2.0 - 1.5j, a, c, xi, D, D2)
-        mats[:, ::n] = lame_stress_rows(a, b, xi, D)
-        for m, x in enumerate(xi):
-            ref = per_mode_lame_matrix(2.0 - 1.5j, a, c, b, x, D, D2)
-            assert np.array_equal(mats[m], ref)
+    lam = 2.0 - 1.5j
+
+    def coupled(r):
+        mats = lame_operator(lam, a, c, r, D, D2)
+        mats[:, ::n] = lame_stress_rows(a, b, r, D)
+        return mats
+
+    xi = TG.xi[:, 0]
+    for x, mat in zip(xi, coupled(xi)):
+        assert np.array_equal(mat, per_mode_lame_matrix(lam, a, c, b, np.array([x]), D, D2))
+
+    r = np.unique(np.sqrt(TangentialGrid(dims=2, points=4, half_length=2.0).xi_sq))
+    azimuthal = azimuthal_operator(lam, a, r, D2)
+    azimuthal[:, 0] = a * D[0]
+    rN, perp = np.r_[0:n, 2 * n:3 * n], np.arange(n, 2 * n)
+    for x, mat, az in zip(r, coupled(r), azimuthal):
+        ref = per_mode_lame_matrix(lam, a, c, b, np.array([x, 0.0]), D, D2)
+        assert not ref[np.ix_(rN, perp)].any() and not ref[np.ix_(perp, rN)].any()
+        assert np.array_equal(ref[np.ix_(rN, rN)], mat)
+        assert np.array_equal(ref[np.ix_(perp, perp)], az)
 
 
 def test_lame_batches_give_the_same_solution(monkeypatch):
@@ -415,9 +433,9 @@ def test_lame_assembles_one_matrix_per_shell(monkeypatch):
 
     assembled = []
 
-    def counted(lam, a, c, xi, D, D2):
-        assembled.append(xi.shape[0])
-        return lame_operator(lam, a, c, xi, D, D2)
+    def counted(lam, a, c, r, D, D2):
+        assembled.append(r.shape[0])
+        return lame_operator(lam, a, c, r, D, D2)
 
     monkeypatch.setattr(halfspace, "lame_operator", counted)
     ng = NormalGrid(points=12, truncation=20.0)
