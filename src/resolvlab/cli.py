@@ -243,6 +243,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
     gen = evolution.build_generator(xi, cfg.fluid, ng)
     rng = np.random.default_rng(cfg.seed)
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+    U0 = U0 * gen.phase.conj()   # physical -> the real generator's variables, norm kept
     tol = cfg.tolerances.get("evolve_rel", 1e-6)
 
     states, margin = evolution.propagate_contour(gen.matrix, U0, times, spec,

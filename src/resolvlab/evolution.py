@@ -10,16 +10,17 @@ angle is pi/2 + delta; delta must keep the contour inside the sectorial
 resolvent region.  Uniform theta steps give spectral accuracy in the
 node count, with (mu, step, T) balanced for the requested time.
 
-One complex Schur factor of the generator per run serves every node of
-every time with a triangular solve (Laub, IEEE TAC 26, 1981), and its
-diagonal gives the contour's distance to the spectrum.  An expm-based
-propagator (scaling and squaring) of the generator itself is the
-independent oracle for the contour path.
+The generator is real in the variables (eta, w_r, u_N, h) with u_r =
+i w_r, so one real Schur factor per run, turned complex by rsf2csf,
+serves every node of every time: one back-substitution sweep over the
+rows of the triangular factor solves all nodes at once (Laub, IEEE TAC
+26, 1981), and its diagonal gives the contour's distance to the
+spectrum.  An expm-based propagator (scaling and squaring) of the real
+generator itself is the independent oracle for the contour path.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -48,17 +49,22 @@ class DimensionCapError(ValueError):
 class PerModeGenerator:
     """Dense reduced generator for one tangential mode.
 
-    State layout before reduction: [eta, u_r, u_N (n nodes each), h].
-    The stress rows at x=0 and the Dirichlet closure at x=X are
-    eliminated by expressing the boundary velocity values through the
+    Physical state layout before reduction: [eta, u_r, u_N (n nodes
+    each), h].  The stress rows at x=0 and the Dirichlet closure at x=X
+    are eliminated by expressing the boundary velocity values through the
     interior ones (bordering), leaving a plain square matrix on
-    [eta, u-interior, h].
+    [eta, u-interior, h].  For real xi every i in the operator couples u_r
+    to (eta, u_N), so in the variables u_r = i w_r the matrix is real:
+    the reduced state is [eta, w_r-interior, u_N-interior, h], and
+    physical = phase * reduced.  pack_state, unpack_state and apply_full
+    take and give physical (eta, u, h).
     """
 
-    matrix: np.ndarray        # reduced square generator
-    reconstruct: np.ndarray   # reduced state -> full state
-    project: np.ndarray       # full state -> reduced state
-    full_action: np.ndarray   # un-eliminated operator on the full state
+    matrix: np.ndarray        # reduced square generator, float64
+    reconstruct: np.ndarray   # reduced state -> physical full state
+    project: np.ndarray       # physical full state -> reduced state
+    full_action: np.ndarray   # un-eliminated operator on the physical full state
+    phase: np.ndarray         # diagonal of S = diag(1, i on w_r, 1) on the reduced state
     ngrid: NormalGrid
 
     @property
@@ -128,9 +134,14 @@ def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerMod
     P = np.zeros((dim_red, dim_full))
     P[np.arange(dim_red), r_idx] = 1.0
 
-    gen = P @ A @ R
-    return PerModeGenerator(matrix=gen, reconstruct=R, project=P,
-                            full_action=A, ngrid=ngrid)
+    # S^-1 (P A R) S with S = diag(phase): multiplying by 1 and +-i is exact
+    phase = np.array([1j if n <= i < 2 * n else 1 for i in r_idx], dtype=complex)
+    gen = phase.conj()[:, None] * (P @ A @ R) * phase
+    if np.any(gen.imag):
+        raise ContourError("generator not real in the variables u_r = i w_r")
+    return PerModeGenerator(matrix=gen.real, reconstruct=R * phase,
+                            project=P * phase.conj()[:, None], full_action=A,
+                            phase=phase, ngrid=ngrid)
 
 
 def apply_full(gen: PerModeGenerator, eta, u, h):
@@ -210,40 +221,46 @@ def propagate_contour(A, U0, times, contour: ContourSpec,
                       region: SectorSpec | None = None):
     """U(t) for every t in times, as the quadrature of e^{z t}(z - A)^{-1} U0.
 
-    One complex Schur factor A = Z T Z* (T upper triangular, Z unitary)
-    serves every node of every time: each resolvent is a triangular solve
-    (z_k - T) y_k = Z* U0, and U(t) = Z sum_k w_k e^{z_k t} y_k.  Returns
-    the states, one row per time, and the smallest |z_k - T_jj| over all
-    nodes: the contour's distance to the spectrum of A.
+    One Schur factor A = Z T Z* (T upper triangular, Z unitary) serves
+    every node of every time; a real A is factored in real arithmetic and
+    turned complex by rsf2csf.  The resolvents (z_k - T) y_k = Z* U0 of
+    all nodes of all times are one back-substitution sweep over the rows
+    of T, one column per node, and U(t) = Z sum_k w_k e^{z_k t} y_k.
+    Returns the states, one row per time, and the smallest |z_k - T_jj|
+    over all nodes: the contour's distance to the spectrum of A.
     """
     # scipy only here and in the oracle: every command imports this module
-    from scipy.linalg import schur, solve_triangular
+    from scipy.linalg import rsf2csf, schur
 
-    T, Z = schur(A, output="complex")
-    b = Z.conj().T @ np.asarray(U0, dtype=complex)
-    eye = np.eye(A.shape[0])
-    spectrum = np.diag(T)
-    states, margin = [], math.inf
+    if np.iscomplexobj(A):
+        T, Z = schur(A, output="complex")
+    else:
+        T, Z = rsf2csf(*schur(A, output="real"))
+    z, w = [], []
     for t in times:
-        z, w = contour.nodes_weights(t)
+        zt, wt = contour.nodes_weights(t)
         if region is not None:
-            ok = in_lambda_region(z, region)
+            ok = in_lambda_region(zt, region)
             if not np.all(ok):
-                raise ContourError(f"contour node(s) outside Lambda region: {z[~ok][:3]}")
-        margin = min(margin, float(np.abs(z[:, None] - spectrum).min()))
-        out = np.zeros_like(b)
-        for zk, wk in zip(z, w):
-            try:
-                resolvent = solve_triangular(zk * eye - T, b)
-            except np.linalg.LinAlgError as exc:
-                raise ContourError(f"resolvent solve failed at node {zk}") from exc
-            out = out + wk * cmath.exp(zk * t) * resolvent
-        states.append(Z @ out)
-    return np.array(states), margin
+                raise ContourError(f"contour node(s) outside Lambda region: {zt[~ok][:3]}")
+        z.append(zt)
+        w.append(wt * np.exp(zt * t))
+    # (times, n, nodes): row j of every time is one batched product, whose
+    # per-time arithmetic does not depend on the other times
+    z = np.array(z)
+    gap = z[:, None, :] - np.diag(T)[:, None]
+    if not np.all(gap):
+        raise ContourError(f"contour node(s) on the spectrum: {z[np.any(gap == 0, 1)][:3]}")
+    b = Z.conj().T @ np.asarray(U0, dtype=complex)
+    Y = np.empty(gap.shape, dtype=complex)
+    for j in range(T.shape[0] - 1, -1, -1):
+        Y[:, j] = (b[j] + T[j, j + 1:] @ Y[:, j + 1:]) / gap[:, j]
+    states = [Z @ (Yt @ wt) for Yt, wt in zip(Y, w)]
+    return np.array(states), float(np.abs(gap).min())
 
 
 def matrix_exponential_oracle(A, U0, t: float):
-    """e^{t A} U0 by scaling-and-squaring Pade (backward-error bounded)."""
+    """e^{t A} U0 by scaling-and-squaring Pade (backward-error bounded), in A's arithmetic."""
     if A.shape[0] > EXPM_DIM_CAP:
         raise DimensionCapError(f"dimension {A.shape[0]} exceeds {EXPM_DIM_CAP}")
     from scipy.linalg import expm

@@ -17,7 +17,8 @@ Three runtime layers, each per tangential Fourier mode:
     the 1-D system at xi = r, and in 2-D v_perp solves the n block of
     azimuthal_operator: 9n^3 of LU work per shell instead of 27n^3.  The
     blocks of LAME_BATCH_MODES shells are held at a time.  The evolution
-    generator takes its velocity block and stress rows from the same pair.
+    generator takes its velocity block and stress rows from the same pair
+    and makes them real by the exact similarity u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition and density recovery.
 

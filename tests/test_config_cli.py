@@ -298,15 +298,20 @@ def test_cli_evolve(tmp_path):
 def test_cli_evolve_factors_the_generator_once(tmp_path, monkeypatch, times):
     import scipy.linalg
 
-    calls = []
-    schur = scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    # a silent fall-back to complex arithmetic passes every verdict: the
+    # one Schur factor and every expm must see the real generator
+    schurs, expms = [], []
+    schur, expm = scipy.linalg.schur, scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda a, **k: schurs.append((a.dtype, k.get("output"))) or schur(a, **k))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(a.dtype) or expm(a))
     rc = main(["evolve", "--config", small_cfg(tmp_path, normal_points="24", times=times),
                "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
-    assert len(calls) == 1
+    assert schurs == [(np.float64, "real")]
     rep = json.load(open(tmp_path / "report.json"))
     assert len(rep["verdicts"]) == len(rep["result"]["rows"]) == times.count(",") + 1
+    assert expms == [np.float64] * len(rep["result"]["rows"])
     assert rep["result"]["spectralDistance"] > 0
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvlab.evolution import (
     ContourError,
@@ -17,6 +19,7 @@ from resolvlab.evolution import (
     unpack_state,
 )
 from resolvlab.grids import NormalGrid
+from resolvlab.halfspace import lame_operator, lame_stress_rows
 from resolvlab.regions import FluidParams, SectorSpec
 
 BASE = FluidParams()
@@ -40,6 +43,47 @@ def reference_propagate_contour(A, U0, t, contour):
     for zk, wk in zip(z, w):
         out = out + wk * cmath.exp(zk * t) * np.linalg.solve(zk * eye - A, U0)
     return out
+
+
+def reference_build_generator(xi, params, ngrid):
+    """The complex reduced generator in the physical variables (eta, u_r, u_N, h)."""
+    n = ngrid.points
+    D = ngrid.diff
+    Ident = np.eye(n)
+    mu, nu = params.mu, params.nu
+    g1, g2 = params.gamma1, params.gamma2
+    sg, m = params.sigma, params.m
+
+    dim_full = 3 * n + 1
+    i_eta, i_r, i_N = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    i_vel = slice(n, 3 * n)
+    i_h = dim_full - 1
+
+    A = np.zeros((dim_full, dim_full), dtype=complex)
+    A[i_eta, i_r] += -g1 * 1j * xi * Ident
+    A[i_eta, i_N] += -g1 * D
+    r = np.array([xi])
+    A[i_vel, i_vel] -= lame_operator(0.0, mu / g1, nu / g1, r, D, ngrid.diff2)[0]
+    A[i_r, i_eta] += -(g2 / g1) * 1j * xi * Ident
+    A[i_N, i_eta] += -(g2 / g1) * D
+    A[i_h, i_N.start] = -1.0
+
+    C = np.zeros((4, dim_full), dtype=complex)
+    C[:2, i_vel] = lame_stress_rows(mu, nu - mu, r, D)[0]
+    C[1, 0] = -g2
+    C[1, i_h] = sg * (m + xi * xi)
+    C[2, 2 * n - 1] = C[3, 3 * n - 1] = 1.0
+
+    b_idx = [n, 2 * n, 2 * n - 1, 3 * n - 1]
+    r_idx = [i for i in range(dim_full) if i not in set(b_idx)]
+    Xel = -np.linalg.solve(C[:, b_idx], C[:, r_idx])
+    dim_red = len(r_idx)
+    R = np.zeros((dim_full, dim_red), dtype=complex)
+    R[r_idx, np.arange(dim_red)] = 1.0
+    R[b_idx, :] = Xel
+    P = np.zeros((dim_red, dim_full))
+    P[np.arange(dim_red), r_idx] = 1.0
+    return P @ A @ R
 
 
 def _rel(a, b):
@@ -113,6 +157,21 @@ def test_contour_schur_matches_dense_reference(case):
         assert np.array_equal(approx, propagate_one(A, U0, t, spec))
         assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
         assert _rel(approx, matrix_exponential_oracle(A, U0, t)) <= 1e-10, t
+
+
+def test_contour_real_schur_matches_dense_reference():
+    # a real matrix takes the real Schur factor and rsf2csf; its
+    # eigenvalues come in conjugate pairs, so T has 2 x 2 blocks to split
+    A, U0 = shifted_stable_matrix(40, seed=8)
+    A = A.real - (np.max(np.linalg.eigvals(A.real).real) + 1.0) * np.eye(40)
+    assert np.any(np.linalg.eigvals(A).imag != 0)
+    spec = ContourSpec(nodes=48)
+    times = (0.1, 0.5, 1.0, 2.0)
+    states, margin = propagate_contour(A, U0, times, spec)
+    nodes = np.concatenate([spec.nodes_weights(t)[0] for t in times])
+    assert margin == pytest.approx(np.abs(nodes[:, None] - np.linalg.eigvals(A)).min(), rel=1e-8)
+    for t, approx in zip(times, states):
+        assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
 
 
 def test_contour_strong_continuity_at_zero():
@@ -234,6 +293,26 @@ def test_generator_matches_analytic_operator():
         exact_red = gen.project @ exact_full
         scale = np.abs(exact_red).max()
         assert np.max(np.abs(out - exact_red)) <= 1e-6 * scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), sigma=st.floats(0.0, 3.0),
+       m=st.floats(0.1, 3.0), gamma1=st.floats(0.5, 2.0), gamma3=st.floats(0.5, 2.0),
+       zeta=st.complex_numbers(max_magnitude=1.0),
+       xi=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), n=st.sampled_from([16, 24, 48]))
+def test_generator_is_the_real_form_of_the_complex_assembly(
+        mu, nu, sigma, m, gamma1, gamma3, zeta, xi, n):
+    # S^-1 A_c S with S = diag(1 on eta, i on u_r, 1 on u_N and h) is real
+    params = FluidParams(mu=mu, nu=nu, sigma=sigma, m=m, gamma1=gamma1, gamma3=gamma3,
+                         zeta=zeta, rho1=gamma1, rho2=gamma1, rho3=gamma3)
+    ng = NormalGrid(points=n, truncation=20.0)
+    gen = build_generator(xi, params, ng)
+    assert gen.matrix.dtype == np.float64
+    phase = np.concatenate([np.ones(n), np.full(n - 2, 1j), np.ones(n - 1)])
+    real_form = phase.conj()[:, None] * reference_build_generator(xi, params, ng) * phase
+    assert np.all(real_form.imag == 0)
+    assert np.array_equal(gen.matrix, real_form.real)
+    assert np.array_equal(gen.phase, phase)
 
 
 def test_generator_roundtrip_pack_unpack():
