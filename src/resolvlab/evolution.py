@@ -222,20 +222,19 @@ def propagate_contour(A, U0, times, contour: ContourSpec,
     """U(t) for every t in times, as the quadrature of e^{z t}(z - A)^{-1} U0.
 
     One Schur factor A = Z T Z* (T upper triangular, Z unitary) serves
-    every node of every time; a real A is factored in real arithmetic and
-    turned complex by rsf2csf.  The resolvents (z_k - T) y_k = Z* U0 of
-    all nodes of all times are one back-substitution sweep over the rows
-    of T, one column per node, and U(t) = Z sum_k w_k e^{z_k t} y_k.
+    every node of every time; it is computed in A's arithmetic (real for
+    the generator) and turned complex by rsf2csf.  The resolvents
+    (z_k - T) y_k = Z* U0 of all nodes of all times are one
+    back-substitution sweep over the rows of T, one column per node, and
+    U(t) = Z sum_k w_k e^{z_k t} y_k.
     Returns the states, one row per time, and the smallest |z_k - T_jj|
     over all nodes: the contour's distance to the spectrum of A.
     """
     # scipy only here and in the oracle: every command imports this module
     from scipy.linalg import rsf2csf, schur
 
-    if np.iscomplexobj(A):
-        T, Z = schur(A, output="complex")
-    else:
-        T, Z = rsf2csf(*schur(A, output="real"))
+    # a complex A runs complex gees here, and rsf2csf leaves its T as it is
+    T, Z = rsf2csf(*schur(A, output="real"))
     z, w = [], []
     for t in times:
         zt, wt = contour.nodes_weights(t)

@@ -293,6 +293,25 @@ def test_cli_evolve(tmp_path):
     assert header[0] == "t"
 
 
+def test_cli_evolve_propagates_the_physical_initial_state(tmp_path):
+    from scipy.linalg import expm
+
+    from tests.test_evolution import reference_build_generator
+
+    # the drawn U0 is (eta, u_r, u_N, h): the complex generator in those
+    # variables must carry it to the reported norms
+    cfgp = small_cfg(tmp_path, normal_points="24")
+    rc = main(["evolve", "--config", cfgp, "--out", str(tmp_path), "--seed", "0"])
+    assert rc == 0
+    cfg = RunConfig.load(open(cfgp).read(), "evolve", seed=0)
+    A = reference_build_generator(cfg.raw["evolve"]["mode_xi"], cfg.fluid, cfg.grids()[1])
+    rng = np.random.default_rng(0)
+    U0 = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    for row in json.load(open(tmp_path / "report.json"))["result"]["rows"]:
+        norm = np.linalg.norm(expm(row["t"] * A) @ U0)
+        assert abs(row["norm"] - norm) <= 1e-9 * norm, (row, norm)
+
+
 @pytest.mark.parametrize("times", ["[0.5]", "[0.1, 0.5, 1.0, 2.0]"],
                          ids=["one_time", "four_times"])
 def test_cli_evolve_factors_the_generator_once(tmp_path, monkeypatch, times):
