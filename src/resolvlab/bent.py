@@ -108,7 +108,7 @@ def build_geometry(spec: DiffeoSpec, tgrid: TangentialGrid) -> SurfaceGeometry:
 
 
 # ---------------------------------------------------------------------------
-# pullback / pushforward
+# pullback
 # ---------------------------------------------------------------------------
 
 def pullback_data(f, g, k, spec: DiffeoSpec, geom: SurfaceGeometry,
@@ -145,21 +145,6 @@ def _sample(f, g, k, spec: DiffeoSpec, tgrid: TangentialGrid, ngrid: NormalGrid)
     gb = vector(g, x1, spec.bump(x1))
     kb = np.asarray(k(x1, spec.bump(x1)), dtype=complex)[..., None]
     return fv, gb, kb
-
-
-def pushforward_velocity(w: HalfSpaceField) -> HalfSpaceField:
-    """T2: A_- conjugated composition with Phi^-1.
-
-    Terrain-following storage makes the composition re-indexing, and
-    A_- = I for the shear map, so the arrays carry over unchanged; the
-    result is tagged as a curved-domain field by convention.
-    """
-    phys = w if w.space == "physical" else _to_physical(w)
-    return HalfSpaceField(phys.values.copy(), w.tgrid, w.ngrid, "physical")
-
-
-def _to_physical(fld):
-    return transform_tangential(fld, "inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +217,7 @@ def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams,
 
 def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
                        geom: SurfaceGeometry, params: FluidParams, lam):
-    """Perturbation data triple (R1, R2, R3) for the current iterate.
+    """Perturbation data triple (R1, R2, R3) of the physical iterate (w, H).
 
     R1 collects the interior terms -Div F(w)/gamma1 (+ F0(w) Div A_Phi,
     which vanishes identically for the shear map since A_Phi's rows are
@@ -241,9 +226,8 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
     the gamma-deviation terms of the printed operators drop.
     """
     tg, ng = w.tgrid, w.ngrid
-    wp = w.values if w.space == "physical" else _to_physical(w).values
-    Hp = H.values[..., 0] if H.space == "physical" else \
-        tg.inverse(H.values[..., 0])
+    wp = w.values
+    Hp = H.values[..., 0]
     g1 = params.gamma1
     _, _, _, _, F = _tensor_split(wp, geom, params, tg, ng)
 
@@ -281,11 +265,11 @@ def consistency_gap(w: HalfSpaceField, spec: DiffeoSpec, params: FluidParams):
     """Max deviation of F0(w) A_Phi - S(w) - zeta g3 div w I - F(w) from zero.
 
     Transcription check of the printed tensor split, on the F(w) that
-    apply_perturbation uses; exact algebra, so the gap only carries the
-    differentiation roundoff.
+    apply_perturbation uses, at a physical w; exact algebra, so the gap
+    only carries the differentiation roundoff.
     """
     tg, ng = w.tgrid, w.ngrid
-    wp = w.values if w.space == "physical" else _to_physical(w).values
+    wp = w.values
     mu, nu = params.mu, params.nu
     zg3 = complex(params.zeta) * params.gamma3
     geom = build_geometry(spec, tg)
@@ -339,8 +323,8 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
 
 def _perturb_of_data(F, G, K, spec, geom, params, lam):
     sol = solve_reduced_resolvent(F, G, K, params, lam)
-    w_phys = _to_physical(sol.u)
-    h_phys = _to_physical(sol.h)
+    w_phys = transform_tangential(sol.u, "inverse")
+    h_phys = transform_tangential(sol.h, "inverse")
     return apply_perturbation(w_phys, h_phys, spec, geom, params, lam), sol
 
 
@@ -349,7 +333,9 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
                   max_iter: int = 40, tol: float = 1e-10):
     """Fixed-point solve of the curved-domain problem via the flat solver.
 
-    Returns (v, h, state) with v, h terrain-following on the flat grid.
+    Returns (v, h, state) with v, h physical and terrain-following on the
+    flat grid: the composition with Phi^-1 is re-indexing, and A_- = I for
+    the shear map, so the flat solution's arrays carry over unchanged.
     Raises DivergenceError when the update ratio stays >= 1 for three
     consecutive iterations.
     """
@@ -358,14 +344,9 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
     Z = (F0, G0, K0)
     z0_norm = data_norm(F0, G0, K0, lam)
     state = PerturbationState()
-    if z0_norm == 0:
-        sol = solve_reduced_resolvent(F0, G0, K0, params, lam)
-        state.converged = True
-        return pushforward_velocity(sol.u), _to_physical(sol.h), state
 
     prev_update = None
     bad_streak = 0
-    sol = None
     for it in range(1, max_iter + 1):
         (R1, R2, R3), sol = _perturb_of_data(*Z, spec, geom, params, lam)
         Fn = HalfSpaceField(F0.values - R1.values, tgrid, ngrid, "physical")
@@ -394,8 +375,8 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
             break
 
     sol = solve_reduced_resolvent(*Z, params, lam)
-    v = pushforward_velocity(sol.u)
-    h = _to_physical(sol.h)
+    v = transform_tangential(sol.u, "inverse")
+    h = transform_tangential(sol.h, "inverse")
     state.residuals = bent_residual(v, h, f, g, k, spec, params, lam, tgrid, ngrid)
     return v, h, state
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import bent as bent_mod
 from . import evolution, fieldio, scans, verification
-from .config import ConfigError, RunConfig, canonical_json, config_hash, config_section
+from .config import (ConfigError, RunConfig, canonical_json, config_hash, config_int,
+                     config_section)
 from .grids import BoundaryField, HalfSpaceField
 from .halfspace import ResolventData, SolverError, solve_full_resolvent, surface_mode_profiles
 from .regions import DegenerateCaseError, RegionError
@@ -148,7 +149,7 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
     with config_section("scan"):
         if not symbols:
             raise ValueError("symbols is empty")
-        n = _at_least_one("samples", int(block.get("samples", 10_000)))
+        n = _at_least_one("samples", config_int(block.get("samples", 10_000)))
     growth_cap = cfg.tolerances.get("refinement_growth", 0.05)
 
     plan = scans.SamplingPlan(n_samples=n, seed=cfg.seed, dims=cfg.grids()[0].dims)
@@ -170,9 +171,8 @@ def cmd_verify_symbols(cfg: RunConfig, out_dir, threads):
 def cmd_scan_nab(cfg: RunConfig, out_dir, threads):
     block = cfg.raw.get("nab", {})
     with config_section("nab"):
-        n = _at_least_one("samples", int(block.get("samples", 100_000)))
-    rep = scans.nab_lower_bound_scan(cfg.fluid, cfg.sector.epsilon, n, seed=cfg.seed,
-                                     zeta_case=cfg.sector.zeta_case)
+        n = _at_least_one("samples", config_int(block.get("samples", 100_000)))
+    rep = scans.nab_lower_bound_scan(cfg.fluid, cfg.sector, n, seed=cfg.seed)
     lam0_max = cfg.tolerances.get("lambda0_max", 100.0)
     c_min = cfg.tolerances.get("c_min", 1e-6)
     verdicts = [
@@ -204,7 +204,7 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
             "lambda_factors", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0])]
         if not factors:
             raise ValueError("lambda_factors must not be empty")
-        j_weight = int(block.get("j_weight", 1))
+        j_weight = config_int(block.get("j_weight", 1))
     p = SymbolParams.from_fluid(cfg.fluid)
     lams = cfg.sector.lambda0 * np.array(factors)
     rms = []
@@ -234,7 +234,7 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
         spec = evolution.ContourSpec(
             angle=float(cblock.get("angle", 0.7)),
             offset=float(cblock.get("offset", 1.0)),
-            nodes=int(cblock.get("nodes", 48)))
+            nodes=config_int(cblock.get("nodes", 48)))
     with config_section("evolve"):
         xi = float(eblock.get("mode_xi", 0.5))
         times = [float(t) for t in eblock.get("times", [0.1, 0.5, 1.0, 2.0])]
@@ -272,20 +272,19 @@ def cmd_bent(cfg: RunConfig, out_dir, threads):
                                    width=float(block.get("width", 2.0)))
         lam = complex(float(block.get("lambda_re", 16.0)),
                       float(block.get("lambda_im", 0.0)))
-        amp = float(block.get("data_amplitude", 1.0))
-        max_iter = int(block.get("max_iter", 40))
+        max_iter = config_int(block.get("max_iter", 40))
         tol = float(block.get("tol", 1e-9))
 
     def f(x1, x2):
-        env = amp * np.exp(-(x1**2) / 2 - (x2**2) / 4)
+        env = np.exp(-(x1**2) / 2 - (x2**2) / 4)
         return np.stack([env, 0.5 * env], axis=-1)
 
     def g(x1, x2):
-        env = amp * np.exp(-(x1**2) / 2)
+        env = np.exp(-(x1**2) / 2)
         return np.stack([0.3 * env, -0.8 * env], axis=-1)
 
     def k(x1, x2):
-        return 0.9 * amp * np.exp(-((x1 - 0.2) ** 2) / 2)
+        return 0.9 * np.exp(-((x1 - 0.2) ** 2) / 2)
 
     v, h, state = bent_mod.neumann_solve(
         f, g, k, spec, cfg.fluid, lam, tg, ng, max_iter=max_iter, tol=tol)

@@ -37,6 +37,14 @@ def config_section(name: str):
         raise ConfigError(f"invalid [{name}]: {exc}") from exc
 
 
+def config_int(value) -> int:
+    """An integer config value; a bool, a string or a non-integral number is a ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_scalar(tok: str):
     tok = tok.strip()
     if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
@@ -196,19 +204,20 @@ class RunConfig:
         # the command's own block is the last of its required blocks
         run_seed = seed if seed is not None else \
             cfg[blocks[-1]].get("seed", DEFAULT_SEEDS.get(command))
+        with config_section(blocks[-1]):
+            run_seed = None if run_seed is None else config_int(run_seed)
 
         with config_section("tolerances"):
             tol = {k: float(v) for k, v in
                    {**cfg.get("tolerances", {}), **(tol_overrides or {})}.items()}
-        return cls(raw=cfg, fluid=fluid, sector=sector,
-                   seed=None if run_seed is None else int(run_seed), tolerances=tol)
+        return cls(raw=cfg, fluid=fluid, sector=sector, seed=run_seed, tolerances=tol)
 
     def grids(self):
         g = self.raw.get("grid", {})
         with config_section("grid"):
-            tg = TangentialGrid(dims=int(g.get("dims", 1)),
-                                points=int(g.get("tangential_points", 64)),
+            tg = TangentialGrid(dims=config_int(g.get("dims", 1)),
+                                points=config_int(g.get("tangential_points", 64)),
                                 half_length=float(g.get("half_length", 8.0)))
-            ng = NormalGrid(points=int(g.get("normal_points", 96)),
+            ng = NormalGrid(points=config_int(g.get("normal_points", 96)),
                             truncation=float(g.get("truncation", 20.0)))
         return tg, ng

@@ -92,8 +92,6 @@ class TangentialGrid:
 def chebyshev_matrix(n_nodes: int):
     """Nodes descending on [-1, 1] and the dense differentiation matrix."""
     n = n_nodes - 1
-    if n == 0:
-        return np.zeros((1, 1)), np.array([1.0])
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
     X = np.tile(x, (n + 1, 1)).T
@@ -106,8 +104,6 @@ def chebyshev_matrix(n_nodes: int):
 def clenshaw_curtis_weights(n_nodes: int) -> np.ndarray:
     """Quadrature weights on [-1, 1] for the Chebyshev extreme points."""
     n = n_nodes - 1
-    if n == 0:
-        return np.array([2.0])
     theta = np.pi * np.arange(n + 1) / n
     w = np.zeros(n + 1)
     v = np.ones(n - 1)
@@ -222,11 +218,13 @@ def transform_tangential(fld, direction: str):
 
 
 def edge_support_ratio(fld) -> float:
-    """Largest edge amplitude relative to the field maximum.
+    """Largest edge amplitude of a physical field relative to its maximum.
 
     Solvers require < 1e-10: the periodization is only faithful for data
     numerically supported inside the box.
     """
+    if fld.space != "physical":
+        raise ValueError("edge support is measured on physical samples")
     v = np.abs(np.asarray(fld.values))
     peak = float(v.max())
     if peak == 0:

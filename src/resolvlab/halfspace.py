@@ -1,6 +1,8 @@
 """Half-space resolvent solvers.
 
-Three runtime layers, each per tangential Fourier mode:
+Three runtime layers, each per tangential Fourier mode.  Each takes its
+input fields in either tangential space (_require_spectral transforms
+physical ones on entry) and returns spectral fields:
 
   * solve_surface_homogeneous - the explicit boundary-symbol formulas for
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
@@ -80,13 +82,6 @@ def _require_spectral(fld):
     return fld if fld.space == "spectral" else transform_tangential(fld, "forward")
 
 
-def _match_space(fld, like_space):
-    if fld.space == like_space:
-        return fld
-    direction = "forward" if like_space == "spectral" else "inverse"
-    return transform_tangential(fld, direction)
-
-
 # ---------------------------------------------------------------------------
 # surface-coupled homogeneous system
 # ---------------------------------------------------------------------------
@@ -128,14 +123,13 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
                               ngrid: NormalGrid, *, zeta=None):
-    """Surface-driven solve: returns (u, h-trace) in k's tangential space."""
+    """Surface-driven solve: returns the spectral (u, h-trace)."""
     p = SymbolParams.from_fluid(params, zeta=zeta)
     ks = _require_spectral(k)
     khat = ks.values[..., 0]
     u, _, _, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
-    uf = HalfSpaceField(u, k.tgrid, ngrid, "spectral")
-    hf = BoundaryField(hhat, k.tgrid, "spectral")
-    return _match_space(uf, k.space), _match_space(hf, k.space)
+    return (HalfSpaceField(u, k.tgrid, ngrid, "spectral"),
+            BoundaryField(hhat, k.tgrid, "spectral"))
 
 
 def extend_height(hhat_boundary, tgrid: TangentialGrid, ngrid: NormalGrid):
@@ -210,7 +204,8 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
     The operators consume (m - Lap')k, d_N k and grad' d_N k; h keeps
     the cutoff-damped multiplier form on the boundary trace of k.  A
     refined quadrature pass estimates the achieved error and raises
-    QuadratureError above quad_rtol.
+    QuadratureError above quad_rtol.  Returns the spectral (u, h
+    extension) and the achieved error.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = k_field.tgrid, k_field.ngrid
@@ -229,9 +224,7 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
 
     L = lopatinski_values(lam, tg.xi_sq, p)
     h_ext = extend_height((L.detL / L.N) * khat[..., 0], tg, ng)
-    uf = HalfSpaceField(uq2, tg, ng, "spectral")
-    return (_match_space(uf, k_field.space), _match_space(h_ext, k_field.space),
-            achieved)
+    return HalfSpaceField(uq2, tg, ng, "spectral"), h_ext, achieved
 
 
 def _volevich_velocity(khat, dkhat, tg, ng, p, lam, quad, ppp):
@@ -432,8 +425,7 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
                                    f[..., 2:], at, width)
             w = np.concatenate([w, w_perp], axis=-1)
         v[modes] = w @ R
-    out = HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
-    return _match_space(out, F.space)
+    return HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +436,14 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 class ResolventData:
     """(d, F, G, K): density, force, boundary stress and surface data."""
 
-    d: HalfSpaceField | None
+    d: HalfSpaceField
     F: HalfSpaceField
     G: BoundaryField
     K: BoundaryField
 
     def spectral(self) -> "ResolventData":
         return ResolventData(
-            d=None if self.d is None else _require_spectral(self.d),
+            d=_require_spectral(self.d),
             F=_require_spectral(self.F),
             G=_require_spectral(self.G),
             K=_require_spectral(self.K),
@@ -492,31 +484,25 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
 
 
 def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
-                         sector: SectorSpec | None = None,
-                         check_support: bool = True) -> ResolventSolution:
+                         sector: SectorSpec | None = None) -> ResolventSolution:
     """The density-coupled free-surface resolvent on the flat half space.
 
-    Eliminates the density (effective zeta = gamma2/lambda, case C1),
-    solves the stress system and the corrected surface system, then
+    data are physical fields, which must be numerically supported inside
+    the box.  Eliminates the density (effective zeta = gamma2/lambda, case
+    C1), solves the stress system and the corrected surface system, then
     recovers eta = (d - gamma1 div u)/lambda with collocation divergence
     so the density row holds exactly by construction.
     """
-    if check_support:
-        for fld in (data.d, data.F, data.G, data.K):
-            if fld is not None and edge_support_ratio(_match_space(fld, "physical")
-                                                      if fld.space == "spectral" else fld) > EDGE_SUPPORT_TOL:
-                raise SolverError("data not numerically supported inside the box")
+    for fld in (data.d, data.F, data.G, data.K):
+        if edge_support_ratio(fld) > EDGE_SUPPORT_TOL:
+            raise SolverError("data not numerically supported inside the box")
     if sector is not None and not in_gamma_region(lam, sector, params):
         raise RegionError(f"lambda = {lam} outside Gamma region {sector}")
     ds = data.spectral()
     tg, ng = ds.F.tgrid, ds.F.ngrid
     g1, g2 = params.gamma1, params.gamma2
     zeta_eff = g2 / lam  # gamma3 * (1/lam) / gamma1, the C1 coupling
-
-    if ds.d is None:
-        dhat = np.zeros(tg.mode_shape + (ng.points,), dtype=complex)
-    else:
-        dhat = ds.d.values[..., 0]
+    dhat = ds.d.values[..., 0]
 
     # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N)
     grad_d = np.concatenate([1j * tg.xi[..., None, :] * dhat[..., None],

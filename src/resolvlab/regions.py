@@ -19,7 +19,6 @@ always rejected.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -94,27 +93,6 @@ class SectorSpec:
             raise ValueError("lambda0 must be nonnegative")
         if self.zeta_case not in ZETA_CASES:
             raise ValueError(f"zeta_case must be one of {ZETA_CASES}")
-
-    @classmethod
-    def for_params(cls, params: FluidParams, epsilon: float = math.pi / 4,
-                   lambda0: float = 1.0, zeta_case: str | None = None) -> "SectorSpec":
-        if zeta_case is None:
-            zeta_case = classify_zeta(params.zeta, epsilon)
-        return cls(epsilon=epsilon, lambda0=lambda0, zeta_case=zeta_case,
-                   rho3_over_nu=params.rho3 / params.nu)
-
-
-def classify_zeta(zeta: complex, epsilon: float) -> str:
-    """Map a fixed zeta to its case: C3 for Re zeta >= 0, else C2.
-
-    Case C1 (zeta proportional to 1/lambda) cannot be recognized from a
-    single value and must be requested explicitly.
-    """
-    if zeta.real >= 0:
-        return "C3"
-    if abs(cmath.phase(zeta)) <= math.pi - epsilon:
-        return "C2"
-    raise DegenerateCaseError("zeta with Re < 0 lies outside Sigma(eps)")
 
 
 def in_sigma(lam, epsilon, lambda0=0.0, tol=BOUNDARY_TOL):

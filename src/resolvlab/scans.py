@@ -5,9 +5,9 @@ one default_rng(seed) stream, so the first n rows of a 2n-sample plan are
 the n-sample plan: the draws are nested.  Each row maps into the
 admissible region Gamma(eps, lam0, zeta):
 
-    |lambda|    = lam0 * lam_factor**u0          log-uniform in [lam0, lam_factor*lam0]
+    |lambda|    = lam0 * LAM_FACTOR**u0          log-uniform in [lam0, 1e4 lam0]
     arg lambda  = (2 u1 - 1) * theta_max(|lambda|)   uniform in the admissible angles
-    |xi'|       = xi_lo * (xi_hi/xi_lo)**u2       log-uniform in [1e-3, 1e3]
+    |xi'|       = XI_LO * (XI_HI/XI_LO)**u2       log-uniform in [1e-3, 1e3]
     xi' sign    = - for u3 < 1/2 (1-D);  xi' angle = 2 pi u3 (2-D)
 
 theta_max is the largest admissible argument at that modulus: the sector
@@ -86,6 +86,9 @@ from .symbols import (SYMBOLS, SymbolParams, core_values, evaluate_symbols,
                       lopatinski_values)
 
 FD_REL_STEP = 1e-4
+MAX_DERIV_ORDER = 2           # the scans' (kappa, ell) reach |kappa| <= 2, ell <= 1
+LAM_FACTOR = 1e4              # sampled |lambda| ranges over [lam0, LAM_FACTOR * lam0]
+XI_LO, XI_HI = 1e-3, 1e3      # and |xi'| over [XI_LO, XI_HI]
 NAB_FLOOR = 1e-10
 NAB_LAMBDA0_CAP = 2.0**16
 
@@ -106,9 +109,6 @@ class SamplingPlan:
 
     n_samples: int = 10_000
     seed: int = 0
-    lam_factor: float = 1e4   # |lambda| ranges over [lam0, lam_factor*lam0]
-    xi_lo: float = 1e-3
-    xi_hi: float = 1e3
     dims: int = 1
 
 
@@ -120,7 +120,7 @@ def _unit_draw(plan: SamplingPlan):
 def _region_points(u, plan: SamplingPlan, spec: SectorSpec, params: FluidParams):
     """Map unit-cube rows u (m, 4) to (lam, xi) inside Gamma(eps, lam0, zeta)."""
     lam0 = max(spec.lambda0, 1e-12)
-    r = lam0 * plan.lam_factor ** u[:, 0]
+    r = lam0 * LAM_FACTOR ** u[:, 0]
     if spec.zeta_case == "C1":
         # outside the disk |lam + R| < R, R = rho3/nu + eps: cos(arg) >= -r/2R
         R = spec.rho3_over_nu + spec.epsilon
@@ -140,7 +140,7 @@ def _region_points(u, plan: SamplingPlan, spec: SectorSpec, params: FluidParams)
         # on the edge arg = tmax, cos(arccos(lam0/r)) may round below lam0
         lam = np.maximum(lam.real, lam0) + 1j * lam.imag
 
-    xi_mag = plan.xi_lo * (plan.xi_hi / plan.xi_lo) ** u[:, 2]
+    xi_mag = XI_LO * (XI_HI / XI_LO) ** u[:, 2]
     if plan.dims == 1:
         xi = np.where(u[:, 3] < 0.5, -xi_mag, xi_mag)[:, None]
     else:
@@ -242,13 +242,12 @@ class _RatioField:
     col uses.  decay_c is the fitted c' of the exp_decay symbols.
     """
 
-    def __init__(self, names, sp: SymbolParams, dims: int, max_deriv_order: int = 2,
-                 decay_c=None):
+    def __init__(self, names, sp: SymbolParams, dims: int, decay_c=None):
         self.names, self.sp, self.dims = list(names), sp, dims
         # (order, lam_xi_weight, c' or None) of each symbol's bound
         self.classes = [(c.order, c.lam_xi_weight, decay_c if c.exp_decay else None)
                         for c in map(SYMBOLS.get, self.names)]
-        self.pairs = [(kappa, ell) for kappa in _kappa_list(dims, max_deriv_order)
+        self.pairs = [(kappa, ell) for kappa in _kappa_list(dims, MAX_DERIV_ORDER)
                       for ell in (0, 1)]
         tables = [_stencil(kappa, ell) for kappa, ell in self.pairs]
         offsets = sorted(set().union(*tables))
@@ -365,8 +364,7 @@ def _ascend(field_, to_region, u, sym, pair, value, plan: SamplingPlan):
     """
     dims = plan.dims
     # d u2 / d u0 along the scaling: half the log-range ratio
-    scaling = [1.0, 0.0, 0.5 * math.log(plan.lam_factor) / math.log(plan.xi_hi / plan.xi_lo),
-               0.0]
+    scaling = [1.0, 0.0, 0.5 * math.log(LAM_FACTOR) / math.log(XI_HI / XI_LO), 0.0]
     dirs = np.concatenate([np.eye(4)[:3 if dims == 1 else 4], [scaling]])
     dirs = np.concatenate([dirs, -dirs])
     order = np.lexsort((sym, pair))  # as ratios_at takes the points
@@ -493,10 +491,8 @@ class _Scan:
     and with the same chunks, so their results are bitwise the same.
     """
 
-    def __init__(self, symbols, region: SectorSpec, plan: SamplingPlan,
-                 params: FluidParams, max_deriv_order: int):
+    def __init__(self, symbols, region: SectorSpec, plan: SamplingPlan, params: FluidParams):
         self.symbols, self.region, self.plan, self.params = symbols, region, plan, params
-        self.max_deriv_order = max_deriv_order
         self.sp = SymbolParams.from_fluid(params)
         self.refined = replace(plan, n_samples=2 * plan.n_samples)
         self.u = _unit_draw(self.refined)
@@ -506,7 +502,7 @@ class _Scan:
         self.chunk = max(1, STENCIL_CHUNK_POINTS // len(self.field(symbols).offsets))
 
     def field(self, names):
-        return _RatioField(names, self.sp, self.plan.dims, self.max_deriv_order, self.decay_c)
+        return _RatioField(names, self.sp, self.plan.dims, self.decay_c)
 
     def to_region(self, v):
         return _region_points(v, self.refined, self.region, self.params)
@@ -647,8 +643,7 @@ def _task_map(scan: _Scan, workers: int):
 
 
 def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
-                          params: FluidParams, max_deriv_order: int = 2,
-                          workers: int = 1) -> list:
+                          params: FluidParams, workers: int = 1) -> list:
     """Worst ratio against the class bound, per (kappa, ell), and its refinement.
 
     Returns one report per name in symbols, each an entry of
@@ -658,7 +653,7 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     stencil points, takes every symbol's ratios from that one evaluation
     and folds them into a _Summary of the n-set and one of the rest;
     sampledWorstRatio is the max over the n-set.  Then, per symbol and
-    per (kappa, ell) up to max_deriv_order, a local ascent (_ascend)
+    per (kappa, ell) up to MAX_DERIV_ORDER, a local ascent (_ascend)
     starts from each of the ASCENT_STARTS worst samples of the n-set;
     the ascents of a group of symbols poll in lock-step.  An ascent
     works in the sampler's unit-cube coordinates (log|lambda|,
@@ -684,9 +679,7 @@ def multiplier_class_scan(symbols, region: SectorSpec, plan: SamplingPlan,
     one, each runs a contiguous run of chunks of the sampled pass, and
     then the ascents and reports of one group of symbols.
     """
-    if max_deriv_order > 2:
-        raise ValueError("derivative order capped at 2")
-    scan = _Scan(symbols, region, plan, params, max_deriv_order)
+    scan = _Scan(symbols, region, plan, params)
     rows = 2 * plan.n_samples
     workers = worker_count(workers, max(-(-rows // scan.chunk), len(symbols)))
     with _task_map(scan, workers) as run:
@@ -706,9 +699,7 @@ def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:
 
 def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,
                    params: FluidParams, sp: SymbolParams):
-    region = SectorSpec(epsilon=spec.epsilon, lambda0=lambda0,
-                        zeta_case=spec.zeta_case, rho3_over_nu=spec.rho3_over_nu)
-    lam, xi = draw_samples(plan, region, params)
+    lam, xi = draw_samples(plan, replace(spec, lambda0=lambda0), params)
     xi_norm = np.linalg.norm(xi, axis=-1)
     L = lopatinski_values(lam, xi_norm**2, sp, check=False)
     denom = (np.abs(lam) + xi_norm) * (np.sqrt(np.abs(lam)) + xi_norm) ** 2
@@ -716,42 +707,48 @@ def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,
     return ratio, lam, xi
 
 
-def nab_lower_bound_scan(params: FluidParams, epsilon: float, sample_budget: int,
-                         seed: int = 0, zeta_case: str | None = None) -> dict:
+def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: int,
+                         seed: int = 0) -> dict:
     """Smallest lam0 in [1, 2^16] whose sampled min of |N|/bound clears the floor.
 
+    Each trial lam0 samples spec's region with its lambda0 replaced.
     Doubling finds a bracket, bisection shrinks it to 1% relative width;
     the certified constant is c = 0.99 x the sampled minimum at the
     returned lam0, against which violations are re-counted (zero by
-    construction unless the sampling is pathological).
+    construction unless the sampling is pathological).  Each lam0 tried
+    is sampled once.
     """
-    spec = SectorSpec.for_params(params, epsilon=epsilon, lambda0=1.0,
-                                 zeta_case=zeta_case)
     sp = SymbolParams.from_fluid(params)
     plan = SamplingPlan(n_samples=sample_budget, seed=seed)
+    found = None  # (ratio, lam, xi) at the last lam0 that cleared the floor
 
-    def min_ratio(lam0):
-        return float(np.min(_nab_min_ratio(lam0, plan, spec, params, sp)[0]))
+    def clears(lam0):
+        nonlocal found
+        sample = _nab_min_ratio(lam0, plan, spec, params, sp)
+        cleared = float(np.min(sample[0])) > NAB_FLOOR
+        if cleared:
+            found = sample
+        return cleared
 
-    lo, hi = None, 1.0
-    if min_ratio(hi) <= NAB_FLOOR:
+    hi = 1.0
+    if not clears(hi):
         lo = hi
         while True:
             hi *= 2
             if hi > NAB_LAMBDA0_CAP:
                 raise ScanError(f"no lambda0 <= {NAB_LAMBDA0_CAP} clears the floor")
-            if min_ratio(hi) > NAB_FLOOR:
+            if clears(hi):
                 break
             lo = hi
         while hi - lo > 0.01 * hi:
             mid = 0.5 * (lo + hi)
-            if min_ratio(mid) > NAB_FLOOR:
+            if clears(mid):
                 hi = mid
             else:
                 lo = mid
 
     lambda0_found = hi
-    ratio, lam, xi = _nab_min_ratio(lambda0_found, plan, spec, params, sp)
+    ratio, lam, xi = found
     c_found = 0.99 * float(np.min(ratio))
     bad = ratio < c_found
     violations = [{"lam_re": float(lam[i].real), "lam_im": float(lam[i].imag),
@@ -764,6 +761,6 @@ def nab_lower_bound_scan(params: FluidParams, epsilon: float, sample_budget: int
         "violations": violations,
         "samples": sample_budget,
         "seed": seed,
-        "epsilon": epsilon,
+        "epsilon": spec.epsilon,
         "zetaCase": spec.zeta_case,
     }

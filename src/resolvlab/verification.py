@@ -122,27 +122,18 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
         report["worst"][name] = [int(v) for v in
                                  np.unravel_index(int(peak.argmax()), peak.shape)]
 
-    if sol.eta is not None and ds.d is not None:
-        eta = _require_spectral(sol.eta).values[..., 0]
-        dhat = ds.d.values[..., 0]
-        r_density = lam * eta + g1 * div - dhat
-        add("density", r_density, lam * eta, g1 * div, dhat, weights=wvol)
+    eta = _require_spectral(sol.eta).values[..., 0]
+    dhat = ds.d.values[..., 0]
+    r_density = lam * eta + g1 * div - dhat
+    add("density", r_density, lam * eta, g1 * div, dhat, weights=wvol)
 
-        grad_eta = np.empty_like(u)
-        for j in range(nd):
-            grad_eta[..., j] = 1j * xi[..., j][..., None] * eta
-        grad_eta[..., nd] = eta @ D.T
-        r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - ds.F.values
-        add("momentum", r_mom, g1 * lam * u, mu * lap, nu * grad_div,
-            g2 * grad_eta, ds.F.values, weights=wvol)
-        eta0 = eta[..., 0]
-    else:
-        # reduced system: lam u - Div(S(u) + zeta gamma3 div u I)/gamma1 = F
-        zg3 = params.gamma3 * params.zeta
-        r_mom = lam * u - (mu * lap + nu * grad_div + zg3 * grad_div) / g1 - ds.F.values
-        add("momentum", r_mom, lam * u, mu * lap / g1, nu * grad_div / g1,
-            ds.F.values, weights=wvol)
-        eta0 = None
+    grad_eta = np.empty_like(u)
+    for j in range(nd):
+        grad_eta[..., j] = 1j * xi[..., j][..., None] * eta
+    grad_eta[..., nd] = eta @ D.T
+    r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - ds.F.values
+    add("momentum", r_mom, g1 * lam * u, mu * lap, nu * grad_div,
+        g2 * grad_eta, ds.F.values, weights=wvol)
 
     # boundary rows at x_N = 0, outward normal n0 = -e_N
     du0 = du[..., 0, :]
@@ -155,11 +146,7 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     add("stress_tangential", r_tang, r_tang + ds.G.values[..., :nd],
         ds.G.values[..., :nd], weights=wbdy)
 
-    sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0
-    if eta0 is not None:
-        sNN = sNN - g2 * eta0
-    else:
-        sNN = sNN + params.gamma3 * params.zeta * div0
+    sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * eta[..., 0]
     surf = sg * (m + xi_sq) * hhat
     r_norm = -(sNN + surf) - ds.G.values[..., nd]
     add("stress_normal", r_norm, sNN, surf, ds.G.values[..., nd], weights=wbdy)

@@ -219,6 +219,15 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("evolve", "times", "[-1.0]", "evolve"),           # time not positive
     ("evolve", "times", "[]", "evolve"),               # no time
     ("solve", "residual", '"x"', "tolerances"),        # not a number
+    # integer keys take no fraction, bool or string
+    ("solve", "normal_points", "96.7", "grid"),
+    ("solve", "tangential_points", "16.5", "grid"),
+    ("solve", "dims", "true", "grid"),
+    ("rbound", "j_weight", "1.9", "rbound"),
+    ("verify-symbols", "samples", "2000.5", "scan"),
+    ("scan-nab", "samples", "20000.5", "nab"),
+    ("evolve", "nodes", "48.5", "contour"),
+    ("bent", "max_iter", '"40"', "bent"),
 ])
 def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section):
     cfgp = small_cfg(tmp_path, **{key: value})
@@ -228,6 +237,16 @@ def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section)
     assert rep["error"]["type"] == "config"
     assert rep["error"]["message"].startswith(f"invalid [{section}]")
     assert rep["verdicts"] == []
+
+
+@pytest.mark.parametrize("command, section", [
+    ("verify-symbols", "scan"), ("scan-nab", "nab"), ("evolve", "evolve")])
+@pytest.mark.parametrize("value", ["1.5", "true"])
+def test_cli_exit_2_on_non_integral_block_seed(tmp_path, command, section, value):
+    rc = main([command, "--config", small_cfg(tmp_path, seed=value), "--out", str(tmp_path)])
+    assert rc == 2
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["message"].startswith(f"invalid [{section}]")
 
 
 def test_cli_exit_2_on_non_numeric_tol_override(tmp_path):

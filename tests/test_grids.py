@@ -119,6 +119,8 @@ def test_edge_support_ratio():
     assert edge_support_ratio(f) < 1e-10
     vals2 = np.ones((64, 16, 1))
     assert edge_support_ratio(HalfSpaceField(vals2, g, ng)) == 1.0
+    with pytest.raises(ValueError):  # support is a property of the physical samples
+        edge_support_ratio(HalfSpaceField(vals, g, ng, "spectral"))
 
 
 def test_field_shape_validation():

@@ -51,6 +51,12 @@ def gaussian_boundary(tg, width=1.0, scale=1.0):
     return BoundaryField(vals.astype(complex), tg)
 
 
+def admissible_sector(params):
+    """Gamma(pi/4, 1) of a fixed zeta: case C3 for Re zeta >= 0, else C2."""
+    return SectorSpec(zeta_case="C3" if params.zeta.real >= 0 else "C2",
+                      rho3_over_nu=params.rho3 / params.nu)
+
+
 def test_smooth_cutoff_profile():
     s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     phi = smooth_cutoff(s)
@@ -88,13 +94,13 @@ def test_surface_zero_data_gives_zero():
 
 
 def test_surface_kinematic_identity_all_modes():
+    # a physical datum gives the spectral solution
     k = gaussian_boundary(TG)
     lam = 3.0 + 2.0j
     u, h = solve_surface_homogeneous(k, BASE, lam, NG)
+    assert u.space == h.space == "spectral"
     ks = transform_tangential(k, "forward")
-    us = transform_tangential(u, "forward")
-    hs = transform_tangential(h, "forward")
-    resid = lam * hs.values[..., 0] + us.values[..., 0, TG.dims] - ks.values[..., 0]
+    resid = lam * h.values[..., 0] + u.values[..., 0, TG.dims] - ks.values[..., 0]
     scale = np.abs(ks.values[..., 0]).max()
     assert np.max(np.abs(resid)) <= 1e-10 * scale
 
@@ -214,6 +220,30 @@ def test_volevich_trace_matches_homogeneous():
     assert gap <= 1e-6 * scale
     h_gap = np.abs(h_vol.values[..., 0, 0] - h_hom.values[..., 0]).max()
     assert h_gap <= 1e-6 * np.abs(h_hom.values).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), sigma=st.floats(0.0, 2.0),
+       m=st.floats(0.3, 3.0), gamma1=st.floats(0.5, 2.0), gamma3=st.floats(0.5, 2.0),
+       zeta_abs=st.floats(0.0, 1.0), zeta_arg=st.floats(-2.2, 2.2),
+       lam_re=st.floats(1.0, 20.0), lam_im=st.floats(-10.0, 10.0), seed=st.integers(0, 2**16))
+def test_volevich_matches_homogeneous_admissible(
+        mu, nu, sigma, m, gamma1, gamma3, zeta_abs, zeta_arg, lam_re, lam_im, seed):
+    # admissible fluids, complex zeta in case C2 or C3 and lambda in its Gamma
+    # region: the explicit surface solve is the kernel-integral form's
+    params = FluidParams(mu=mu, nu=nu, sigma=sigma, m=m, gamma1=gamma1, gamma3=gamma3,
+                         zeta=zeta_abs * complex(math.cos(zeta_arg), math.sin(zeta_arg)),
+                         rho1=gamma1, rho2=gamma1, rho3=gamma3)
+    lam = complex(lam_re, lam_im)
+    assume(in_gamma_region(lam, admissible_sector(params), params))
+    tg, ng = TangentialGrid(points=8, half_length=2.0), NormalGrid(points=24, truncation=20.0)
+    rng = np.random.default_rng(seed)
+    kb = BoundaryField(rng.standard_normal(8) + 1j * rng.standard_normal(8), tg, "spectral")
+    u_vol, h_vol, _ = solve_surface_volevich(extend_boundary_datum(kb, ng), params, lam)
+    u_hom, h_hom = solve_surface_homogeneous(kb, params, lam, ng)
+    assert np.max(np.abs(u_vol.values - u_hom.values)) <= 1e-10 * np.abs(u_hom.values).max()
+    assert np.max(np.abs(h_vol.values[..., 0, 0] - h_hom.values[..., 0])) \
+        <= 1e-10 * np.abs(h_hom.values).max()
 
 
 def test_volevich_zero_trace_gives_zero_h():
@@ -416,7 +446,7 @@ def test_lame_shell_solve_matches_per_mode_solve_admissible(
     params = FluidParams(mu=mu, nu=nu, gamma1=gamma1, gamma3=gamma3,
                          zeta=zeta_abs * complex(math.cos(zeta_arg), math.sin(zeta_arg)),
                          rho1=gamma1, rho2=gamma1, rho3=gamma3)
-    sector = SectorSpec.for_params(params)
+    sector = admissible_sector(params)
     lam = complex(lam_re, lam_im)
     assume(in_gamma_region(lam, sector, params))
     tg = TangentialGrid(dims=2, points=8, half_length=4.0)
@@ -483,12 +513,12 @@ def gaussian_data(tg, ng, seed=0):
 def test_full_resolvent_zero_data():
     z = np.zeros((64, 96, 1), dtype=complex)
     data = ResolventData(
-        d=HalfSpaceField(z, TG, NG, "spectral"),
-        F=HalfSpaceField(np.zeros((64, 96, 2), dtype=complex), TG, NG, "spectral"),
-        G=BoundaryField(np.zeros((64, 2), dtype=complex), TG, "spectral"),
-        K=BoundaryField(np.zeros(64, dtype=complex), TG, "spectral"),
+        d=HalfSpaceField(z, TG, NG),
+        F=HalfSpaceField(np.zeros((64, 96, 2), dtype=complex), TG, NG),
+        G=BoundaryField(np.zeros((64, 2), dtype=complex), TG),
+        K=BoundaryField(np.zeros(64, dtype=complex), TG),
     )
-    sol = solve_full_resolvent(data, BASE, 4.0, check_support=False)
+    sol = solve_full_resolvent(data, BASE, 4.0)
     assert np.max(np.abs(sol.u.values)) == 0.0
     assert np.max(np.abs(sol.h.values)) == 0.0
     assert np.max(np.abs(sol.eta.values)) == 0.0
@@ -529,7 +559,7 @@ def test_full_resolvent_linearity():
 
     s1 = solve_full_resolvent(d1, BASE, lam)
     s2 = solve_full_resolvent(d2, BASE, lam)
-    s12 = solve_full_resolvent(combine(d1, d2), BASE, lam, check_support=False)
+    s12 = solve_full_resolvent(combine(d1, d2), BASE, lam)
     for fld, f1, f2 in ((s12.u, s1.u, s2.u), (s12.h, s1.h, s2.h),
                         (s12.eta, s1.eta, s2.eta)):
         lin = a * f1.values + b * f2.values

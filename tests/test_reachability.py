@@ -16,6 +16,11 @@ Members are matched by name alone, so a member that shares its name with
 a reached one counts as reached too, whatever its class: a dead
 DiffeoSpec.inverse passed because TangentialGrid.inverse is called.
 Such a member is found only by reading, or by a grep for its callers.
+
+The walk sees names, not branches: a fork, a switch or an output path
+inside a reached function passes it however dead it is.  Those are found
+by a line trace (the stdlib trace module) of the command set that CI
+runs, which lists the function-body lines no command executes.
 """
 
 import ast

@@ -91,10 +91,30 @@ def test_exp_decay_constant_positive():
 
 
 def test_nab_scan_baseline():
-    rep = nab_lower_bound_scan(BASE, math.pi / 4, sample_budget=20_000, seed=8)
+    rep = nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=20_000, seed=8)
     assert rep["lambda0Found"] >= 1
     assert rep["cFound"] > 1e-6
     assert rep["violations"] == []
+
+
+@pytest.mark.parametrize("floor", [scans.NAB_FLOOR, 0.47])
+def test_nab_scan_samples_each_lambda0_once(monkeypatch, floor):
+    # the certified constant and the violations reuse the samples of the
+    # last lambda0 that cleared the floor.  The baseline clears it at 1; at
+    # 0.47 the sampled minima (0.39 at 1, 0.48 at 8) make the scan double
+    # and bisect
+    tried = []
+
+    def counted(lambda0, *args):
+        tried.append(lambda0)
+        return nab_min_ratio(lambda0, *args)
+
+    nab_min_ratio = scans._nab_min_ratio
+    monkeypatch.setattr(scans, "_nab_min_ratio", counted)
+    monkeypatch.setattr(scans, "NAB_FLOOR", floor)
+    rep = nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=2000, seed=0)
+    assert len(tried) == len(set(tried)) >= (1 if floor < 0.1 else 5)
+    assert rep["lambda0Found"] in tried
 
 
 def test_nab_scan_real_axis_value():
@@ -112,7 +132,7 @@ def test_nab_scan_real_axis_value():
 def test_nab_scan_sigma_zero_degenerate():
     # outside the sigma > 0 hypothesis: N = lam detL, still positive on samples
     fp = FluidParams(sigma=0.0)
-    rep = nab_lower_bound_scan(fp, math.pi / 4, sample_budget=5000, seed=10)
+    rep = nab_lower_bound_scan(fp, SectorSpec(), sample_budget=5000, seed=10)
     assert rep["minRatio"] > 0
 
 
@@ -175,7 +195,7 @@ def _sampled_table(field, lam, xi):
 def _reference_ascend(field, to_region, u, pair, value, plan):
     """The compass search of _ascend for one symbol, evaluating every poll point."""
     dims = plan.dims
-    scaling = [1.0, 0.0, 0.5 * math.log(plan.lam_factor) / math.log(plan.xi_hi / plan.xi_lo),
+    scaling = [1.0, 0.0, 0.5 * math.log(scans.LAM_FACTOR) / math.log(scans.XI_HI / scans.XI_LO),
                0.0]
     dirs = np.concatenate([np.eye(4)[:3 if dims == 1 else 4], [scaling]])
     dirs = np.concatenate([dirs, -dirs])
@@ -205,14 +225,14 @@ def _reference_ascend(field, to_region, u, pair, value, plan):
     return u, value
 
 
-def reference_reports(symbols, region, plan, params, max_deriv_order=2):
+def reference_reports(symbols, region, plan, params):
     """multiplier_class_scan's reports, by the per-symbol path.
 
     The sampled ratios come from one full point-major table, and each
     symbol's ascents run alone, one symbol evaluation per poll, with every
     poll point evaluated.
     """
-    scan = scans._Scan(symbols, region, plan, params, max_deriv_order)
+    scan = scans._Scan(symbols, region, plan, params)
     field = scan.field(symbols)
     table = _point_major_ratios(field, scan.lam, scan.xi, list(range(len(field.pairs))))
     head, whole = scans._combine([scans._reduce([(0, table)], plan.n_samples)])
@@ -289,11 +309,10 @@ def test_scan_sampled_ratio_is_max_over_the_n_set():
 @pytest.mark.parametrize("case,fp", CASES)
 @pytest.mark.parametrize("dims", [1, 2])
 def test_scan_ascent_stays_in_region_and_only_grows(case, fp, dims):
-    # first derivatives are enough to move the ascent through every coordinate
     region = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case=case)
     rep = multiplier_class_scan(["L12"], region, SamplingPlan(n_samples=150, seed=13, dims=dims),
-                                fp, max_deriv_order=1)[0]
-    assert len(rep["perDerivative"]) == (4 if dims == 1 else 6)
+                                fp)[0]
+    assert len(rep["perDerivative"]) == (6 if dims == 1 else 12)
     for entry in rep["perDerivative"]:
         assert entry["worstRatio"] >= entry["sampledWorstRatio"]
         pt = entry["argmaxPoint"]

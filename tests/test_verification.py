@@ -81,7 +81,7 @@ def test_residual_detects_perturbation():
 
 
 def test_residual_zero_solution_equals_data_norm():
-    data = make_data().spectral()
+    data = make_data()
     lam = 4.0
     zero_sol = solve_full_resolvent(data, BASE, lam)
     zero_sol.u.values[...] = 0.0
@@ -117,12 +117,13 @@ def test_worst_mode_reports_first_of_a_mirror_pair(dims, mode, bigger_first):
     big, small = np.nextafter(1.0, 2.0), 1.0
     K[mode], K[mirror] = (big, small) if bigger_first else (small, big)
     zeros = np.zeros(tg.mode_shape + (ng.points, dims + 1), dtype=complex)
+    density = HalfSpaceField(zeros[..., :1], tg, ng, "spectral")
     sol = ResolventSolution(
-        eta=None, u=HalfSpaceField(zeros, tg, ng, "spectral"),
+        eta=density, u=HalfSpaceField(zeros, tg, ng, "spectral"),
         h=BoundaryField(np.zeros(tg.mode_shape + (1,), dtype=complex), tg, "spectral"),
         h_ext=None, v=None, w=None)
     data = ResolventData(
-        d=None, F=HalfSpaceField(zeros, tg, ng, "spectral"),
+        d=density, F=HalfSpaceField(zeros, tg, ng, "spectral"),
         G=BoundaryField(zeros[..., 0, :], tg, "spectral"),
         K=BoundaryField(K, tg, "spectral"))
     rep = pde_residual(sol, data, BASE, 4.0)
