@@ -11,8 +11,9 @@ failures.  solve, rbound and bent are deterministic: they draw no
 random numbers, and their results depend on the config alone.
 Identical config + seed reproduce report.json byte for byte, except for
 the wallTime field, at a fixed BLAS thread count (say
-OPENBLAS_NUM_THREADS=1): BLAS and LAPACK sum in an order that depends on
-it, which moves the last digits of evolve's rel_err and bent's residuals.
+OPENBLAS_NUM_THREADS=1): BLAS sums in an order that depends on it, which
+moves the last digits of evolve's result (its eigendecomposition and the
+oracle's matrix products) and of bent's ratios and residuals.
 --threads sets the number of forked workers of verify-symbols' sampled
 pass and nothing else: every other command runs in one process, and no
 output depends on it.
@@ -246,8 +247,8 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
     U0 = U0 * gen.phase.conj()   # physical -> the real generator's variables, norm kept
     tol = cfg.tolerances.get("evolve_rel", 1e-6)
 
-    states, margin = evolution.propagate_contour(gen.matrix, U0, times, spec,
-                                                 region=cfg.sector)
+    states, margin, condition = evolution.propagate_contour(gen.matrix, U0, times, spec,
+                                                            region=cfg.sector)
     rows = []
     for t, approx in zip(times, states):
         exact = evolution.matrix_exponential_oracle(gen.matrix, U0, t)
@@ -258,7 +259,8 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
     fieldio.write_csv_table(os.path.join(out_dir, "evolution.csv"),
                             ["t", "rel_err", "norm"],
                             [(r["t"], r["rel_err"], r["norm"]) for r in rows])
-    payload = {"dim": gen.dim, "rows": rows, "spectralDistance": margin}
+    payload = {"dim": gen.dim, "rows": rows, "spectralDistance": margin,
+               "eigenvectorCondition": condition}
     return verdicts, payload, ["evolution.csv"]
 
 

@@ -205,7 +205,10 @@ class RunConfig:
         run_seed = seed if seed is not None else \
             cfg[blocks[-1]].get("seed", DEFAULT_SEEDS.get(command))
         with config_section(blocks[-1]):
-            run_seed = None if run_seed is None else config_int(run_seed)
+            if run_seed is not None:
+                run_seed = config_int(run_seed)
+                if run_seed < 0:
+                    raise ValueError(f"seed must be non-negative, got {run_seed}")
 
         with config_section("tolerances"):
             tol = {k: float(v) for k, v in

@@ -55,7 +55,7 @@ def _field_weights(fld):
 
 def discrete_norm(fld) -> float:
     """Volume-normalized quadrature L_2 norm of the field's physical values."""
-    phys = fld.tgrid.inverse(_require_spectral(fld).values)
+    phys = fld.values if fld.space == "physical" else fld.tgrid.inverse(fld.values)
     return _volume_l2(phys, _field_weights(fld))
 
 

@@ -228,10 +228,14 @@ def test_cli_exit_2_on_malformed_config(tmp_path):
     ("scan-nab", "samples", "20000.5", "nab"),
     ("evolve", "nodes", "48.5", "contour"),
     ("bent", "max_iter", '"40"', "bent"),
+    # a seed is a non-negative integer, from the block or from --seed
+    ("scan-nab", "seed", "-1", "nab"),
+    ("evolve", "--seed", "-1", "evolve"),
 ])
 def test_cli_exit_2_on_invalid_parameter(tmp_path, command, key, value, section):
-    cfgp = small_cfg(tmp_path, **{key: value})
-    rc = main([command, "--config", cfgp, "--out", str(tmp_path), "--seed", "0"])
+    flag = key.startswith("--")
+    cfgp = small_cfg(tmp_path, **({} if flag else {key: value}))
+    rc = main([command, "--config", cfgp, "--out", str(tmp_path)] + ([key, value] if flag else []))
     assert rc == 2
     rep = json.load(open(tmp_path / "report.json"))
     assert rep["error"]["type"] == "config"
@@ -334,23 +338,26 @@ def test_cli_evolve_propagates_the_physical_initial_state(tmp_path):
 @pytest.mark.parametrize("times", ["[0.5]", "[0.1, 0.5, 1.0, 2.0]"],
                          ids=["one_time", "four_times"])
 def test_cli_evolve_factors_the_generator_once(tmp_path, monkeypatch, times):
-    import scipy.linalg
+    from resolvlab import evolution
 
     # a silent fall-back to complex arithmetic passes every verdict: the
-    # one Schur factor and every expm must see the real generator
-    schurs, expms = [], []
-    schur, expm = scipy.linalg.schur, scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda a, **k: schurs.append((a.dtype, k.get("output"))) or schur(a, **k))
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(a.dtype) or expm(a))
+    # one eigendecomposition and every oracle call must see the real generator
+    eigs, oracles = [], []
+    eig, oracle = np.linalg.eig, evolution.matrix_exponential_oracle
+    monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append((a.dtype, eig(a))) or eigs[-1][1])
+    monkeypatch.setattr(evolution, "matrix_exponential_oracle",
+                        lambda a, *args: oracles.append(a.dtype) or oracle(a, *args))
     rc = main(["evolve", "--config", small_cfg(tmp_path, normal_points="24", times=times),
                "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
-    assert schurs == [(np.float64, "real")]
+    assert [dtype for dtype, _ in eigs] == [np.float64]
     rep = json.load(open(tmp_path / "report.json"))
     assert len(rep["verdicts"]) == len(rep["result"]["rows"]) == times.count(",") + 1
-    assert expms == [np.float64] * len(rep["result"]["rows"])
+    assert oracles == [np.float64] * len(rep["result"]["rows"])
     assert rep["result"]["spectralDistance"] > 0
+    # the health margin is the condition number of the eigenvectors used
+    vectors = eigs[0][1][1]
+    assert rep["result"]["eigenvectorCondition"] == np.linalg.cond(vectors)
 
 
 def test_cli_rbound(tmp_path):
@@ -492,10 +499,9 @@ def test_cli_verify_symbols_worker_failure_exits_3(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cli_import_does_not_load_scipy():
-    # only evolve's contour and expm oracle need scipy; every other command
-    # starts without it, only a verify-symbols run on workers loads
-    # multiprocessing, and no command loads concurrent
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # no command needs scipy, evolve included; only a verify-symbols run on
+    # workers loads multiprocessing, and no command loads concurrent
     import subprocess
     import sys
 
@@ -503,9 +509,15 @@ def test_cli_import_does_not_load_scipy():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(resolvlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfgp = small_cfg(tmp_path, normal_points="24")
     code = ("import sys, resolvlab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy', 'multiprocessing', 'concurrent'))))")
+            "loaded = lambda: sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'multiprocessing', 'concurrent'))); "
+            "print(loaded()); "
+            f"rc = resolvlab.cli.main(['evolve', '--config', {cfgp!r}, "
+            f"'--out', {str(tmp_path)!r}, '--seed', '0']); "
+            "print(rc, loaded(), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stderr.strip() == "0 []"

@@ -91,15 +91,24 @@ def _rel(a, b):
 
 
 def propagate_one(A, U0, t, contour):
-    states, _ = propagate_contour(A, U0, [t], contour)
-    return states[0]
+    return propagate_contour(A, U0, [t], contour)[0][0]
+
+
+fluids = st.builds(
+    lambda mu, nu, sigma, m, gamma1, gamma3, zeta: FluidParams(
+        mu=mu, nu=nu, sigma=sigma, m=m, gamma1=gamma1, gamma3=gamma3, zeta=zeta,
+        rho1=gamma1, rho2=gamma1, rho3=gamma3),
+    st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.0, 3.0), st.floats(0.1, 3.0),
+    st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.complex_numbers(max_magnitude=1.0))
 
 
 # -- oracle -----------------------------------------------------------------
 
 def test_oracle_identity_and_diagonal():
     U0 = np.array([1.0, 2.0], dtype=complex)
-    assert np.allclose(matrix_exponential_oracle(np.zeros((2, 2)), U0, 3.0), U0)
+    # t A = 0 takes no scaling and gives the identity to rounding
+    for A, t in ((np.zeros((2, 2)), 3.0), (np.eye(2), 0.0)):
+        assert np.allclose(matrix_exponential_oracle(A, U0, t), U0, rtol=1e-15, atol=0)
     gen = np.diag([-1.0, -2.0])
     out = matrix_exponential_oracle(gen, np.array([1.0, 1.0]), 1.0)
     assert out[0] == pytest.approx(math.exp(-1), rel=1e-14)
@@ -110,6 +119,44 @@ def test_oracle_nilpotent():
     gen = np.array([[0.0, 1.0], [0.0, 0.0]])
     out = matrix_exponential_oracle(gen, np.array([0.0, 1.0]), 1.0)
     assert np.allclose(out, [1.0, 1.0], atol=1e-15)
+    # e^{tN} = I + tN + t^2 N^2 / 2 for the 3 x 3 shift, also when tN is scaled
+    shift = np.diag([1.0, 1.0], k=1)
+    for t in (0.5, 40.0):
+        exact = np.eye(3) + t * shift + t * t / 2 * shift @ shift
+        assert np.allclose(matrix_exponential_oracle(shift, np.eye(3), t), exact,
+                           rtol=1e-14, atol=1e-14 * t * t)
+
+
+@pytest.mark.parametrize("omega, t", [(1.0, 0.3), (2.5, 1.0), (7.0, 20.0)])
+def test_oracle_rotation(omega, t):
+    # e^{t [[0, -w], [w, 0]]} is the rotation by w t, scaled or not
+    gen = np.array([[0.0, -omega], [omega, 0.0]])
+    c, s = math.cos(omega * t), math.sin(omega * t)
+    out = matrix_exponential_oracle(gen, np.eye(2), t)
+    assert np.allclose(out, [[c, -s], [s, c]], rtol=0, atol=1e-13)
+
+
+def test_oracle_matches_scipy_on_the_baseline_generator():
+    from scipy.linalg import expm
+
+    A = build_generator(0.5, BASE, NormalGrid(96, 20.0)).matrix
+    eye = np.eye(A.shape[0])
+    for t in (0.1, 0.5, 1.0, 2.0):
+        assert _rel(matrix_exponential_oracle(A, eye, t), expm(t * A)) <= 1e-10, t
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("norm", [1e-3, 0.8, 10.0])
+def test_oracle_matches_scipy_on_random_matrices(seed, norm):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(seed)
+    n = 2 + 7 * seed
+    A = rng.standard_normal((n, n))
+    if seed % 2:
+        A = A + 1j * rng.standard_normal((n, n))
+    A = A * (norm / np.linalg.norm(A, 1))
+    assert _rel(matrix_exponential_oracle(A, np.eye(n), 1.0), expm(A)) <= 1e-13
 
 
 def test_oracle_dimension_cap():
@@ -146,7 +193,7 @@ def test_contour_schur_matches_dense_reference(case):
         A, U0 = shifted_stable_matrix(40, 0)
     spec = ContourSpec(nodes=48)
     times = (0.1, 0.5, 1.0, 2.0)
-    states, margin = propagate_contour(A, U0, times, spec)
+    states, margin, _ = propagate_contour(A, U0, times, spec)
     # the margin is the nodes' distance to the eigenvalues
     nodes = np.concatenate([spec.nodes_weights(t)[0] for t in times])
     assert margin == pytest.approx(np.abs(nodes[:, None] - np.linalg.eigvals(A)).min(), rel=1e-8)
@@ -160,18 +207,54 @@ def test_contour_schur_matches_dense_reference(case):
 
 
 def test_contour_real_schur_matches_dense_reference():
-    # a real matrix takes the real Schur factor and rsf2csf; its
-    # eigenvalues come in conjugate pairs, so T has 2 x 2 blocks to split
+    # a real matrix has eigenvalues in conjugate pairs, and complex
+    # eigenvectors for them
     A, U0 = shifted_stable_matrix(40, seed=8)
     A = A.real - (np.max(np.linalg.eigvals(A.real).real) + 1.0) * np.eye(40)
     assert np.any(np.linalg.eigvals(A).imag != 0)
     spec = ContourSpec(nodes=48)
     times = (0.1, 0.5, 1.0, 2.0)
-    states, margin = propagate_contour(A, U0, times, spec)
+    states, margin, _ = propagate_contour(A, U0, times, spec)
     nodes = np.concatenate([spec.nodes_weights(t)[0] for t in times])
     assert margin == pytest.approx(np.abs(nodes[:, None] - np.linalg.eigvals(A)).min(), rel=1e-8)
     for t, approx in zip(times, states):
         assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(params=fluids, xi=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+       n=st.sampled_from([16, 24, 48]))
+def test_contour_eig_path_matches_dense_reference(params, xi, n):
+    # the eigenvector method is exact arithmetic's dense path; its rounding
+    # stays small while the generator's eigenvectors are well conditioned
+    A = build_generator(xi, params, NormalGrid(points=n, truncation=20.0)).matrix
+    rng = np.random.default_rng(n)
+    U0 = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    spec = ContourSpec(nodes=48)
+    times = (0.1, 0.5, 1.0, 2.0)
+    states, _, condition = propagate_contour(A, U0, times, spec)
+    assert condition == pytest.approx(np.linalg.cond(np.linalg.eig(A)[1]), rel=1e-12)
+    for t, approx in zip(times, states):
+        assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-10, (t, condition)
+
+
+def test_contour_falls_back_to_dense_solves_on_an_inaccurate_decomposition():
+    # a surface tension near 0 is a tiny coupling that LAPACK's balancing
+    # amplifies: the decomposition's residual is far above rounding, and
+    # its eigenvector sum misses the dense path, so every node is solved
+    A = build_generator(0.1, FluidParams(sigma=1e-20), NormalGrid(48, 20.0)).matrix
+    lam, V = np.linalg.eig(A)
+    assert np.linalg.norm(A @ V - V * lam) > 1e3 * np.finfo(float).eps * np.linalg.norm(A)
+    U0 = np.random.default_rng(3).standard_normal(A.shape[0]) + 0j
+    spec = ContourSpec(nodes=48)
+    times = (0.1, 2.0)
+    states, _, _ = propagate_contour(A, U0, times, spec)
+    for t, approx in zip(times, states):
+        reference = reference_propagate_contour(A, U0, t, spec)
+        assert _rel(approx, reference) <= 1e-12, t
+        z, w = spec.nodes_weights(t)
+        eig_sum = V @ (np.linalg.solve(V, U0) * ((1.0 / (z - lam[:, None])) @ (w * np.exp(z * t))))
+        assert _rel(eig_sum, reference) > 1e-9, t
 
 
 def test_contour_strong_continuity_at_zero():
@@ -296,15 +379,10 @@ def test_generator_matches_analytic_operator():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), sigma=st.floats(0.0, 3.0),
-       m=st.floats(0.1, 3.0), gamma1=st.floats(0.5, 2.0), gamma3=st.floats(0.5, 2.0),
-       zeta=st.complex_numbers(max_magnitude=1.0),
-       xi=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), n=st.sampled_from([16, 24, 48]))
-def test_generator_is_the_real_form_of_the_complex_assembly(
-        mu, nu, sigma, m, gamma1, gamma3, zeta, xi, n):
+@given(params=fluids, xi=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       n=st.sampled_from([16, 24, 48]))
+def test_generator_is_the_real_form_of_the_complex_assembly(params, xi, n):
     # S^-1 A_c S with S = diag(1 on eta, i on u_r, 1 on u_N and h) is real
-    params = FluidParams(mu=mu, nu=nu, sigma=sigma, m=m, gamma1=gamma1, gamma3=gamma3,
-                         zeta=zeta, rho1=gamma1, rho2=gamma1, rho3=gamma3)
     ng = NormalGrid(points=n, truncation=20.0)
     gen = build_generator(xi, params, ng)
     assert gen.matrix.dtype == np.float64
