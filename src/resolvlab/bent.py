@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .grids import (BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid,
                     transform_tangential)
 from .halfspace import _require_spectral, solve_reduced_resolvent
@@ -36,11 +37,11 @@ from .regions import FluidParams
 from .verification import discrete_norm
 
 
-class GeometryError(ValueError):
+class GeometryError(NumericalError, ValueError):
     pass
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(NumericalError, RuntimeError):
     """The Neumann iteration stopped contracting."""
 
     def __init__(self, msg, ratio):
@@ -307,9 +308,8 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
     """lambda-weighted data norm ||F|| + |lam|^1/2 ||G|| + ||G||_1 + ||K||_2.
 
     Boundary Sobolev norms act tangentially through (1 + |xi|^2)^(k/2)
-    multipliers at q = 2; the interior norm is the volume L^2.
+    multipliers at q = 2; ||F|| and ||G|| are L^2 norms of the values.
     """
-    nF = discrete_norm(F)
     tg = G.tgrid
     mult = np.sqrt(1.0 + tg.xi_sq)[..., None]
 
@@ -317,7 +317,7 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
         vals = mult**k * _require_spectral(fld).values
         return discrete_norm(BoundaryField(vals, tg, "spectral"))
 
-    return (nF + math.sqrt(abs(lam)) * sobolev(G, 0) + sobolev(G, 1)
+    return (discrete_norm(F) + math.sqrt(abs(lam)) * discrete_norm(G) + sobolev(G, 1)
             + sobolev(K, 2))
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .grids import NormalGrid
 from .halfspace import lame_operator, lame_stress_rows
 from .regions import FluidParams, SectorSpec, in_lambda_region
@@ -39,11 +40,11 @@ from .regions import FluidParams, SectorSpec, in_lambda_region
 EXPM_DIM_CAP = 2000
 
 
-class ContourError(RuntimeError):
+class ContourError(NumericalError, RuntimeError):
     """A contour node hit the spectrum or left the admissible region."""
 
 
-class DimensionCapError(ValueError):
+class DimensionCapError(NumericalError, ValueError):
     pass
 
 
@@ -102,24 +103,27 @@ def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerMod
     i_eta, i_r, i_N = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     i_vel = slice(n, 3 * n)
     i_h = dim_full - 1
+    # the real variables: u_r = i w_r, and the u_r rows multiplied by -i
+    phase = np.ones(dim_full, dtype=complex)
+    phase[i_r] = 1j
 
-    A = np.zeros((dim_full, dim_full), dtype=complex)
-    # density row: -gamma1 (i xi u_r + u_N')
-    A[i_eta, i_r] += -g1 * 1j * xi * Ident
+    A = np.zeros((dim_full, dim_full))
+    # density row: -gamma1 div u = -gamma1 (u_N' - xi w_r)
+    A[i_eta, i_r] += g1 * xi * Ident
     A[i_eta, i_N] += -g1 * D
 
     # velocity rows: (mu lap u + nu grad div u)/gamma1, the Lame operator at
     # lam = 0 with its sign flipped, and -gamma2 grad eta/gamma1
     r = np.array([xi])
     A[i_vel, i_vel] -= lame_operator(0.0, mu / g1, nu / g1, r, D, ngrid.diff2)[0]
-    A[i_r, i_eta] += -(g2 / g1) * 1j * xi * Ident
+    A[i_r, i_eta] += -(g2 / g1) * xi * Ident
     A[i_N, i_eta] += -(g2 / g1) * D
 
     # height row: d_t h = -u_N(0)
     A[i_h, i_N.start] = -1.0
 
     # constraint rows C x = 0: the two stress rows, then u_r(X) = u_N(X) = 0
-    C = np.zeros((4, dim_full), dtype=complex)
+    C = np.zeros((4, dim_full))
     C[:2, i_vel] = lame_stress_rows(mu, nu - mu, r, D)[0]
     C[1, 0] = -g2              # -gamma2 eta(0)
     C[1, i_h] = sg * (m + xi * xi)
@@ -134,20 +138,15 @@ def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerMod
         raise ContourError(f"singular boundary bordering: {exc}") from exc
 
     dim_red = len(r_idx)
-    R = np.zeros((dim_full, dim_red), dtype=complex)
+    R = np.zeros((dim_full, dim_red))
     R[r_idx, np.arange(dim_red)] = 1.0
     R[b_idx, :] = Xel
     P = np.zeros((dim_red, dim_full))
     P[np.arange(dim_red), r_idx] = 1.0
-
-    # S^-1 (P A R) S with S = diag(phase): multiplying by 1 and +-i is exact
-    phase = np.array([1j if n <= i < 2 * n else 1 for i in r_idx], dtype=complex)
-    gen = phase.conj()[:, None] * (P @ A @ R) * phase
-    if np.any(gen.imag):
-        raise ContourError("generator not real in the variables u_r = i w_r")
-    return PerModeGenerator(matrix=gen.real, reconstruct=R * phase,
-                            project=P * phase.conj()[:, None], full_action=A,
-                            phase=phase, ngrid=ngrid)
+    return PerModeGenerator(matrix=P @ A @ R, reconstruct=phase[:, None] * R,
+                            project=P * phase.conj(),
+                            full_action=phase[:, None] * A * phase.conj(),
+                            phase=phase[r_idx], ngrid=ngrid)
 
 
 def apply_full(gen: PerModeGenerator, eta, u, h):
@@ -240,9 +239,10 @@ def propagate_contour(A, U0, times, contour: ContourSpec,
     balancing amplifies: the eigenvector sum then misses the dense path
     by up to 6e-7.
     Returns the states, one row per time, the smallest |z_k - lambda_j|
-    over all nodes (the contour's distance to the spectrum of A) and the
+    over all nodes (the contour's distance to the spectrum of A), the
     2-norm condition number of V, the factor by which the eigenvector
-    sum can amplify rounding.
+    sum can amplify rounding, and the path that ran: "eigenvectors" or
+    "dense".
     """
     lam, V = np.linalg.eig(A)
     z, w = [], []
@@ -263,11 +263,13 @@ def propagate_contour(A, U0, times, contour: ContourSpec,
     if np.linalg.norm(A @ V - V * lam) <= n * np.finfo(float).eps * np.linalg.norm(A):
         c = np.linalg.solve(V, U0)
         states = [V @ (c * ((1.0 / gt) @ wt)) for gt, wt in zip(gap, w)]
+        path = "eigenvectors"
     else:
         eye = np.eye(n)
         states = [sum(wk * np.linalg.solve(zk * eye - A, U0) for zk, wk in zip(zt, wt))
                   for zt, wt in zip(z, w)]
-    return np.array(states), float(np.abs(gap).min()), float(np.linalg.cond(V))
+        path = "dense"
+    return np.array(states), float(np.abs(gap).min()), float(np.linalg.cond(V)), path
 
 
 # Higham (2005): the [13/13] Pade coefficients b_0..b_13, and theta_13, the

@@ -15,12 +15,15 @@ physical ones on entry) and returns spectral fields:
     tests).  The system is rotation invariant in xi', so every mode is
     turned into the frame where xi' = (r, 0) and all modes of a shell share
     one factorisation: 135 instead of 1024 on a 32^2 grid.  In that frame
-    (v_r, v_N) solve the 2n block of lame_operator and lame_stress_rows,
-    the 1-D system at xi = r, and in 2-D v_perp solves the n block of
-    azimuthal_operator: 9n^3 of LU work per shell instead of 27n^3.  The
-    blocks of LAME_BATCH_MODES shells are held at a time.  The evolution
-    generator takes its velocity block and stress rows from the same pair
-    and makes them real by the exact similarity u_r = i w_r.
+    (w_r, v_N), with v_r = i w_r, solve the 2n block of lame_operator and
+    lame_stress_rows, the 1-D system at xi = r, and in 2-D v_perp solves
+    the n block of azimuthal_operator: 9n^3 of LU work per shell instead
+    of 27n^3.  The similarity v_r = i w_r makes every block real for real
+    lam and zeta, and then the LU runs in float64, with the real and
+    imaginary parts of the data as separate columns: a quarter of the
+    complex LU's flops.  The blocks of LAME_BATCH_MODES shells are held
+    at a time.  The evolution generator takes its velocity block and
+    stress rows from the same pair, in its real variables u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition and density recovery.
 
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .grids import (
     BoundaryField,
     HalfSpaceField,
@@ -55,10 +59,10 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
-LAME_BATCH_MODES = 16   # shells per batch: 9.4 MB of 2n blocks at 96 nodes, 2-D adds 2.4 MB
+LAME_BATCH_MODES = 16   # shells per batch: 4.7 MB of real 2n blocks at 96 nodes, 2-D adds 1.2 MB
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericalError, RuntimeError):
     pass
 
 
@@ -293,35 +297,39 @@ def azimuthal_operator(lam, a, r, D2):
 
 
 def lame_operator(lam, a, c, r, D, D2):
-    """(lam + a r^2 - a d_N^2) v - c grad(div v) on (v_r, v_N) per shell radius r.
+    """(lam + a r^2 - a d_N^2) v - c grad(div v) on (w_r, v_N) per shell radius r.
 
     In the frame where xi' = (r, 0), grad = (i r, d_N) and div v =
-    i r v_r + v_N' couple v_r with v_N only.  Returns the (shells, 2n, 2n)
-    collocation blocks with the unknowns ordered v_r, then v_N.
+    i r v_r + v_N' couple v_r with v_N only.  In the variable w_r = -i v_r,
+    with the v_r rows multiplied by -i, div v = v_N' - r w_r and every
+    coefficient is real: the blocks have the dtype of lam, a and c.
+    Returns the (shells, 2n, 2n) collocation blocks with the unknowns
+    ordered w_r, then v_N.
     """
     n = D.shape[0]
-    ir = 1j * r
-    cir = -c * ir
-    out = np.empty((r.size, 2, n, 2, n), dtype=complex)
+    crD = (c * r)[:, None, None] * D
+    out = np.empty((r.size, 2, n, 2, n), dtype=np.result_type(lam, a, c, r))
     out[:, 0, :, 0] = azimuthal_operator(lam, a, r, D2)
     out[:, 1, :, 1] = out[:, 0, :, 0] - c * D2
-    out[:, 0, :, 1] = out[:, 1, :, 0] = cir[:, None, None] * D
+    out[:, 0, :, 1] = -crD
+    out[:, 1, :, 0] = crD
     diag = np.arange(n)
-    out[:, 0, diag, 0, diag] += (cir * ir)[:, None]
+    out[:, 0, diag, 0, diag] += (c * r * r)[:, None]
     return out.reshape(r.size, 2 * n, 2 * n)
 
 
 def lame_stress_rows(a, b, r, D):
     """Stress rows at x_N = 0 per shell radius r, over the unknowns of lame_operator.
 
-    Row 0 is a(v_r' + i r v_N), row 1 is 2a v_N' + b(i r v_r + v_N');
+    Row 0 is -i a(v_r' + i r v_N) = a(w_r' + r v_N), row 1 is
+    2a v_N' + b(i r v_r + v_N') = 2a v_N' + b(v_N' - r w_r);
     returns (shells, 2, 2n).
     """
     n = D.shape[0]
-    rows = np.zeros((r.size, 2, 2, n), dtype=complex)
+    rows = np.zeros((r.size, 2, 2, n), dtype=np.result_type(a, b, r))
     rows[:, 0, 0] = a * D[0]
-    rows[:, 0, 1, 0] += a * 1j * r
-    rows[:, 1, 0, 0] += b * 1j * r
+    rows[:, 0, 1, 0] += a * r
+    rows[:, 1, 0, 0] -= b * r
     rows[:, 1, 1] = 2 * a * D[0] + b * D[0]
     return rows.reshape(r.size, 2, 2 * n)
 
@@ -331,9 +339,10 @@ def _shell_frames(tg: TangentialGrid):
 
     The shell key is the integer k.k of the FFT wavenumbers, so modes on
     one circle share it exactly.  Returns the sorted keys, each mode's
-    shell index and per-mode (N, N) rotations onto the frame (v_r, v_N,
-    v_perp): the rows are e = xi'/r, the normal and, in 2-D, e_perp =
-    (-e_2, e_1), with e = (1, 0) at xi' = 0 (in 1-D, the sign of xi).
+    shell index and per-mode (N, N) unitary maps onto the frame (w_r,
+    v_N, v_perp) of lame_operator: the rows are -i e with e = xi'/r, the
+    normal and, in 2-D, e_perp = (-e_2, e_1), with e = (1, 0) at xi' = 0
+    (in 1-D, the sign of xi).
     """
     k = tg.wavenumbers.reshape(-1, tg.dims)
     key = np.sum(k * k, axis=-1)
@@ -342,8 +351,8 @@ def _shell_frames(tg: TangentialGrid):
     e[:, 0] = 1.0
     moving = key > 0
     e[moving] = k[moving] / np.sqrt(key[moving])[:, None]
-    rot = np.zeros((key.size, tg.dims + 1, tg.dims + 1))
-    rot[:, 0, :tg.dims] = e
+    rot = np.zeros((key.size, tg.dims + 1, tg.dims + 1), dtype=complex)
+    rot[:, 0, :tg.dims] = -1j * e
     rot[:, 1, tg.dims] = 1.0
     if tg.dims == 2:
         rot[:, 2, 0], rot[:, 2, 1] = -e[:, 1], e[:, 0]
@@ -354,7 +363,9 @@ def _solve_shells(mats, stress, f, at, width):
     """Solve each shell's block of mats on the frame data f (modes, n, k) of its modes.
 
     The stress rows replace node 0 and v = 0 closes node n-1; at puts each
-    mode in a column of its shell's rhs.  Returns the (modes, n, k) solution.
+    mode in a column of its shell's rhs.  Real blocks solve the real and
+    imaginary parts of the rhs as real columns.  Returns the (modes, n, k)
+    solution.
     """
     nm, n, k = f.shape
     mats[:, ::n] = stress
@@ -363,10 +374,13 @@ def _solve_shells(mats, stress, f, at, width):
     rhs = np.zeros((mats.shape[0], k * n, width), dtype=complex)
     rhs[at] = f.transpose(0, 2, 1).reshape(nm, k * n)
     try:
-        sol = np.linalg.solve(mats, rhs)[at]
+        if np.isrealobj(mats):
+            sol = np.linalg.solve(mats, rhs.view(float)).view(complex)
+        else:
+            sol = np.linalg.solve(mats, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular collocation matrix: {exc}") from exc
-    return sol.reshape(nm, k, n).transpose(0, 2, 1)
+    return sol[at].reshape(nm, k, n).transpose(0, 2, 1)
 
 
 def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams,
@@ -380,11 +394,12 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 
     The system is rotation invariant in xi', so each mode's tangential
     components of F and G' are turned into the frame where xi' = (r, 0)
-    (_shell_frames).  There (v_r, v_N) solve lame_operator's 2n block and,
+    (_shell_frames).  There (w_r, v_N) solve lame_operator's 2n block and,
     in 2-D, v_perp solves azimuthal_operator's n block with the stress row
     a v_perp' = -G'_perp.  Each shell's blocks are factored once,
     LAME_BATCH_MODES shells at a time, with the shell's modes as the
-    columns of one right-hand side.  The solution is turned back.
+    columns of one right-hand side; for real lam and zeta the blocks are
+    real.  The solution is turned back.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
@@ -393,7 +408,11 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
 
     n, nc = ng.points, tg.dims + 1
     D, D2 = ng.diff, ng.diff2
-    a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
+    a = p.alpha
+    coef = np.array([lam, p.beta + p.zeta, p.alpha + p.beta + p.zeta])
+    if not coef.imag.any():
+        coef = coef.real   # real lam and zeta: real blocks
+    lam, b, c = coef
     keys, shell, rot = _shell_frames(tg)
     nm = shell.size
     Fhat = Fs.values.reshape(nm, n, nc)
@@ -424,7 +443,7 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
             w_perp = _solve_shells(azimuthal_operator(lam, a, r[lo:hi], D2), a * D[0],
                                    f[..., 2:], at, width)
             w = np.concatenate([w, w_perp], axis=-1)
-        v[modes] = w @ R
+        v[modes] = w @ R.conj()
     return HalfSpaceField(v.reshape(tg.mode_shape + (n, nc)), tg, ng, "spectral")
 
 

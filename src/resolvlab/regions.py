@@ -24,16 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 BOUNDARY_TOL = 1e-12
 
 ZETA_CASES = ("C1", "C2", "C3")
 
 
-class RegionError(ValueError):
+class RegionError(NumericalError, ValueError):
     """A spectral parameter lies outside the admissible region."""
 
 
-class DegenerateCaseError(ValueError):
+class DegenerateCaseError(NumericalError, ValueError):
     """A zeta-case condition is undefined (e.g. C2 with Im zeta = 0)."""
 
 

@@ -81,6 +81,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import NumericalError
 from .regions import FluidParams, SectorSpec
 from .symbols import (SYMBOLS, SymbolParams, core_values, evaluate_symbols,
                       lopatinski_values)
@@ -99,7 +100,7 @@ ASCENT_MIN_STEP = 2.0**-20    # an ascent stops once its step halves below this
 ASCENT_MAX_POLLS = 100        # or after this many polls
 
 
-class ScanError(RuntimeError):
+class ScanError(NumericalError, RuntimeError):
     """A sampling plan or search could not be completed."""
 
 
@@ -703,8 +704,7 @@ def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,
     xi_norm = np.linalg.norm(xi, axis=-1)
     L = lopatinski_values(lam, xi_norm**2, sp, check=False)
     denom = (np.abs(lam) + xi_norm) * (np.sqrt(np.abs(lam)) + xi_norm) ** 2
-    ratio = np.abs(L.N) / denom
-    return ratio, lam, xi
+    return float(np.min(np.abs(L.N) / denom))
 
 
 def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: int,
@@ -714,21 +714,18 @@ def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: i
     Each trial lam0 samples spec's region with its lambda0 replaced.
     Doubling finds a bracket, bisection shrinks it to 1% relative width;
     the certified constant is c = 0.99 x the sampled minimum at the
-    returned lam0, against which violations are re-counted (zero by
-    construction unless the sampling is pathological).  Each lam0 tried
-    is sampled once.
+    returned lam0.  Each lam0 tried is sampled once.
     """
     sp = SymbolParams.from_fluid(params)
     plan = SamplingPlan(n_samples=sample_budget, seed=seed)
-    found = None  # (ratio, lam, xi) at the last lam0 that cleared the floor
+    found = None  # the sampled minimum at the last lam0 that cleared the floor
 
     def clears(lam0):
         nonlocal found
-        sample = _nab_min_ratio(lam0, plan, spec, params, sp)
-        cleared = float(np.min(sample[0])) > NAB_FLOOR
-        if cleared:
-            found = sample
-        return cleared
+        min_ratio = _nab_min_ratio(lam0, plan, spec, params, sp)
+        if min_ratio > NAB_FLOOR:
+            found = min_ratio
+        return min_ratio > NAB_FLOOR
 
     hi = 1.0
     if not clears(hi):
@@ -747,18 +744,10 @@ def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: i
             else:
                 lo = mid
 
-    lambda0_found = hi
-    ratio, lam, xi = found
-    c_found = 0.99 * float(np.min(ratio))
-    bad = ratio < c_found
-    violations = [{"lam_re": float(lam[i].real), "lam_im": float(lam[i].imag),
-                   "xi": [float(v) for v in xi[i]], "ratio": float(ratio[i])}
-                  for i in np.nonzero(bad)[0][:32]]
     return {
-        "lambda0Found": float(lambda0_found),
-        "cFound": c_found,
-        "minRatio": float(np.min(ratio)),
-        "violations": violations,
+        "lambda0Found": float(hi),
+        "cFound": 0.99 * found,
+        "minRatio": found,
         "samples": sample_budget,
         "seed": seed,
         "epsilon": spec.epsilon,

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalError
 from .regions import FluidParams
 
 NEAR_SINGULAR_REL = 1e-14
@@ -43,11 +44,11 @@ M_TAYLOR_SWITCH = 1e-6
 N_FLOOR = 1e-10
 
 
-class NearSingularError(ArithmeticError):
+class NearSingularError(NumericalError, ArithmeticError):
     """Denominator AB - |xi|^2 vanishes to working precision."""
 
 
-class SingularSymbolError(ArithmeticError):
+class SingularSymbolError(NumericalError, ArithmeticError):
     """N(A, B) fell below its certified lower bound."""
 
 

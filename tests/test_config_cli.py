@@ -163,7 +163,7 @@ def test_cli_scan_nab(tmp_path, capsys):
     rep = json.load(open(tmp_path / "report.json"))
     assert rep["command"] == "scan-nab"
     assert rep["result"]["lambda0Found"] >= 1.0
-    assert rep["result"]["violations"] == []
+    assert [v["name"] for v in rep["verdicts"]] == ["nab.lambda0", "nab.constant"]
     assert all(v["passed"] for v in rep["verdicts"])
     out = capsys.readouterr().out
     assert "PASS nab.lambda0" in out
@@ -499,9 +499,8 @@ def test_cli_verify_symbols_worker_failure_exits_3(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cli_import_does_not_load_scipy(tmp_path):
-    # no command needs scipy, evolve included; only a verify-symbols run on
-    # workers loads multiprocessing, and no command loads concurrent
+def run_python(code):
+    """Run code in a cold interpreter that imports this checkout's resolvlab."""
     import subprocess
     import sys
 
@@ -509,6 +508,13 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(resolvlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # no command needs scipy, evolve included; only a verify-symbols run on
+    # workers loads multiprocessing, and no command loads concurrent
     cfgp = small_cfg(tmp_path, normal_points="24")
     code = ("import sys, resolvlab.cli; "
             "loaded = lambda: sorted(m for m in sys.modules "
@@ -517,7 +523,71 @@ def test_cli_import_does_not_load_scipy(tmp_path):
             f"rc = resolvlab.cli.main(['evolve', '--config', {cfgp!r}, "
             f"'--out', {str(tmp_path)!r}, '--seed', '0']); "
             "print(rc, loaded(), file=sys.stderr)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = run_python(code)
     assert out.stdout.splitlines()[0] == "[]"
     assert out.stderr.strip() == "0 []"
+
+
+# the layers each command runs: importing resolvlab.cli loads none of them,
+# and a command loads its own alone
+LAYERS = ("bent", "evolution", "fieldio", "halfspace", "scans", "verification")
+COMMAND_LAYERS = {
+    "solve": ["fieldio", "halfspace", "verification"],
+    "verify-symbols": ["scans"],
+    "scan-nab": ["scans"],
+    "rbound": ["halfspace"],
+    "evolve": ["evolution", "fieldio", "halfspace"],
+    "bent": ["bent", "fieldio", "halfspace", "verification"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+def test_cli_command_loads_only_its_own_layers(tmp_path, command):
+    cfgp = small_cfg(tmp_path, samples="40", tangential_points="16", normal_points="16")
+    code = ("import sys, resolvlab.cli\n"
+            f"layers = lambda: [m for m in {LAYERS!r} if 'resolvlab.' + m in sys.modules]\n"
+            "print(layers())\n"
+            f"rc = resolvlab.cli.main([{command!r}, '--config', {cfgp!r}, "
+            f"'--out', {str(tmp_path)!r}, '--threads', '1'])\n"
+            "print(rc, layers())\n")
+    out = run_python(code).stdout.splitlines()
+    assert out[0] == "[]"
+    rc, loaded = out[-1].split(" ", 1)
+    assert rc in ("0", "4")
+    assert loaded == str(COMMAND_LAYERS[command])
+
+
+def test_cli_exit_3_names_each_layers_error_class(tmp_path):
+    # the CLI imports no layer's error classes: their common base
+    # NumericalError still maps each to exit 3 with its name, in a cold
+    # process.  The floors are raised last, after the cases they would break.
+    cases = [
+        ("solve", {"width": "4.0"}, "", "SolverError"),         # data reach the box edge
+        ("solve", {"lambda_re": "0.5"}, "", "RegionError"),     # below lambda0
+        ("evolve", {"angle": "1.2", "offset": "0.2"}, "", "ContourError"),
+        ("bent", {"amplitude": "5.0", "width": "1.0"}, "", "GeometryError"),
+        ("scan-nab", {"samples": "200"}, "resolvlab.scans.NAB_FLOOR = 1e300", "ScanError"),
+        ("rbound", {}, "resolvlab.symbols.N_FLOOR = 1e300", "SingularSymbolError"),
+    ]
+    code = ["import json, resolvlab.cli, resolvlab.scans, resolvlab.symbols"]
+    for i, (command, over, patch, _) in enumerate(cases):
+        out = tmp_path / str(i)
+        out.mkdir()
+        cfgp = small_cfg(out, normal_points="16", **over)
+        code += [patch,
+                 f"rc = resolvlab.cli.main([{command!r}, '--config', {cfgp!r}, "
+                 f"'--out', {str(out)!r}, '--seed', '0'])",
+                 f"print(rc, json.load(open({str(out / 'report.json')!r}))['error']['class'])"]
+    out = run_python("\n".join(code)).stdout.splitlines()
+    assert out == [f"3 {cls}" for *_, cls in cases]
+
+
+def test_cli_evolve_reports_the_contour_path(tmp_path):
+    # at 16 nodes sigma = 1e-8 is a coupling tiny enough that the
+    # eigendecomposition's residual is 23x above rounding: every node takes
+    # a dense solve, and the report says so
+    for sigma, path in (("1.0", "eigenvectors"), ("1e-8", "dense")):
+        cfgp = small_cfg(tmp_path, normal_points="16", sigma=sigma)
+        rc = main(["evolve", "--config", cfgp, "--out", str(tmp_path), "--seed", "0"])
+        assert rc == 0
+        assert json.load(open(tmp_path / "report.json"))["result"]["contourPath"] == path

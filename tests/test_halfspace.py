@@ -315,6 +315,33 @@ def test_lame_manufactured_solution():
         assert np.max(err) <= 1e-8 * np.abs(vstar).max(), (tg.dims, params)
 
 
+def physical_lame_operator(lam, a, c, r, D, D2):
+    """The (v_r, v_N) collocation blocks in complex arithmetic: the oracle
+    for lame_operator's real frame (w_r, v_N), v_r = i w_r."""
+    n = D.shape[0]
+    ir = 1j * r
+    cir = -c * ir
+    out = np.empty((r.size, 2, n, 2, n), dtype=complex)
+    out[:, 0, :, 0] = azimuthal_operator(lam, a, r, D2)
+    out[:, 1, :, 1] = out[:, 0, :, 0] - c * D2
+    out[:, 0, :, 1] = out[:, 1, :, 0] = cir[:, None, None] * D
+    diag = np.arange(n)
+    out[:, 0, diag, 0, diag] += (cir * ir)[:, None]
+    return out.reshape(r.size, 2 * n, 2 * n)
+
+
+def physical_lame_stress_rows(a, b, r, D):
+    """The stress rows over (v_r, v_N): row 0 is a(v_r' + i r v_N), row 1 is
+    2a v_N' + b(i r v_r + v_N'); the oracle for lame_stress_rows."""
+    n = D.shape[0]
+    rows = np.zeros((r.size, 2, 2, n), dtype=complex)
+    rows[:, 0, 0] = a * D[0]
+    rows[:, 0, 1, 0] += a * 1j * r
+    rows[:, 1, 0, 0] += b * 1j * r
+    rows[:, 1, 1] = 2 * a * D[0] + b * D[0]
+    return rows.reshape(r.size, 2, 2 * n)
+
+
 def per_mode_lame_matrix(lam, a, c, b, xi, D, D2):
     """One mode's collocation matrix, block by block: the reference for
     lame_operator and lame_stress_rows (interior rows, then the stress rows
@@ -347,17 +374,19 @@ def test_lame_operator_matches_per_mode_assembly():
     # In 1-D the per-mode matrix is the (v_r, v_N) block for signed xi.  In
     # 2-D at xi' = (r, 0) the per-mode matrix does not couple v_perp with
     # (v_r, v_N), stress rows included, and its two blocks are the ones the
-    # shell solve factors.
+    # shell solve factors.  lame_operator's blocks on (w_r, v_N), w_r = -i v_r,
+    # are S^-1 M S with S = diag(i on v_r, 1 on v_N): exact as well.
     ng = NormalGrid(points=12, truncation=20.0)
     D, D2 = ng.diff, ng.diff2
     n = ng.points
     p = SymbolParams.from_fluid(NON_UNIT, zeta=0.3 - 0.2j)
     a, b, c = p.alpha, p.beta + p.zeta, p.alpha + p.beta + p.zeta
     lam = 2.0 - 1.5j
+    phase = np.r_[np.full(n, 1j), np.ones(n)]
 
-    def coupled(r):
-        mats = lame_operator(lam, a, c, r, D, D2)
-        mats[:, ::n] = lame_stress_rows(a, b, r, D)
+    def coupled(r, operator=physical_lame_operator, stress_rows=physical_lame_stress_rows):
+        mats = operator(lam, a, c, r, D, D2)
+        mats[:, ::n] = stress_rows(a, b, r, D)
         return mats
 
     xi = TG.xi[:, 0]
@@ -373,6 +402,10 @@ def test_lame_operator_matches_per_mode_assembly():
         assert not ref[np.ix_(rN, perp)].any() and not ref[np.ix_(perp, rN)].any()
         assert np.array_equal(ref[np.ix_(rN, rN)], mat)
         assert np.array_equal(ref[np.ix_(perp, perp)], az)
+
+    for shells in (xi, r):
+        assert np.array_equal(coupled(shells, lame_operator, lame_stress_rows),
+                              phase.conj()[:, None] * coupled(shells) * phase)
 
 
 def test_lame_batches_give_the_same_solution(monkeypatch):
@@ -454,6 +487,42 @@ def test_lame_shell_solve_matches_per_mode_solve_admissible(
     v = solve_lame_bvp(F, Gp, params, lam).values
     ref = per_mode_lame_solve(F, Gp, params, lam)
     assert np.max(np.abs(v - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mu=st.floats(0.3, 3.0), nu=st.floats(0.3, 3.0), gamma1=st.floats(0.5, 2.0),
+       gamma3=st.floats(0.5, 2.0), zeta_abs=st.floats(0.0, 1.0),
+       zeta_arg=st.one_of(st.just(0.0), st.floats(-2.2, 2.2)), lam_re=st.floats(1.0, 20.0),
+       lam_im=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), dims=st.sampled_from([1, 2]),
+       n=st.sampled_from([12, 16, 24]), seed=st.integers(0, 2**16))
+def test_lame_blocks_are_real_exactly_for_real_lambda_and_zeta(
+        mu, nu, gamma1, gamma3, zeta_abs, zeta_arg, lam_re, lam_im, dims, n, seed):
+    # the CLI's lambda is a complex with a zero imaginary part, and zeta is
+    # always complex: real values must still reach the float64 solve, and
+    # both arithmetics must solve the physical-frame complex assembly
+    from unittest import mock
+
+    from resolvlab import halfspace
+
+    params = FluidParams(mu=mu, nu=nu, gamma1=gamma1, gamma3=gamma3,
+                         zeta=zeta_abs * complex(math.cos(zeta_arg), math.sin(zeta_arg)),
+                         rho1=gamma1, rho2=gamma1, rho3=gamma3)
+    lam = complex(lam_re, lam_im)
+    assume(in_gamma_region(lam, admissible_sector(params), params))
+    dtypes = set()
+
+    def recorded(*args):
+        dtypes.add(lame_operator(*args).dtype)
+        return lame_operator(*args)
+
+    tg = TangentialGrid(dims=dims, points=8, half_length=4.0)
+    F, Gp = random_lame_data(tg, NormalGrid(points=n, truncation=20.0), seed)
+    with mock.patch.object(halfspace, "lame_operator", recorded):
+        v = solve_lame_bvp(F, Gp, params, lam).values
+    real = lam.imag == 0 and params.zeta.imag == 0
+    assert dtypes == {np.dtype(float if real else complex)}
+    ref = per_mode_lame_solve(F, Gp, params, lam)
+    assert np.max(np.abs(v - ref)) <= 1e-11 * np.abs(ref).max()
 
 
 def test_lame_assembles_one_matrix_per_shell(monkeypatch):
