@@ -7,7 +7,8 @@ physical ones on entry) and returns spectral fields:
   * solve_surface_homogeneous - the explicit boundary-symbol formulas for
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
     the velocity profiles are combinations of exp(-B x) and the mollified
-    exponential M weighted by the n_Jk symbols.
+    exponential M weighted by the n_Jk symbols.  The solves read only the
+    profile u, so they build none of its x-derivatives.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per shell |xi'| = r (the literature
     formula the construction delegates to is replaced by this solver;
@@ -25,7 +26,9 @@ physical ones on entry) and returns spectral fields:
     at a time.  The evolution generator takes its velocity block and
     stress rows from the same pair, in its real variables u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
-    surface correction K - v_N, superposition and density recovery.
+    surface correction K - v_N, superposition u = v + w (in place in the
+    Lame solution v) and density recovery.  The solution keeps u, eta, h
+    and h's extension only.
 
 solve_surface_volevich is the oracle for the first layer: the same
 operator in its trace-free form, as normal-direction integrals of
@@ -91,11 +94,12 @@ def _require_spectral(fld):
 # ---------------------------------------------------------------------------
 
 def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
-                          p: SymbolParams, khat):
-    """Spectral solution profiles u(x), h and their analytic x-derivatives.
+                          p: SymbolParams, khat, order: int = 0):
+    """Spectral solution profile u(x), or its analytic x-derivative, and h.
 
     khat holds the per-mode boundary values of the surface datum.
-    Returns (u, du, d2u, hhat) with u of shape mode_shape + (nx, N).
+    Returns (u, hhat) with u of shape mode_shape + (nx, N); order 1 or 2
+    gives d^order u / dx^order in place of u.
     """
     xi_sq = tgrid.xi_sq
     L = lopatinski_values(lam, xi_sq, p)
@@ -104,9 +108,12 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
     x = ngrid.nodes
     Ax, Bx = A[..., None], B[..., None]
-    M, M1, M2 = mollified_exp_derivatives(Ax, Bx, x)
     E = np.exp(-Bx * x)
-    E1, E2 = -Bx * E, Bx**2 * E
+    if order:
+        M = mollified_exp_derivatives(Ax, Bx, x)[order]
+        E = (-Bx) ** order * E
+    else:
+        M = mollified_exp(Ax, Bx, x)
 
     mxi2 = (p.m + xi_sq)[..., None]
     kb = khat[..., None]
@@ -115,14 +122,12 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     cN1 = nN1[..., None] * mxi2 * kb
     cN2 = nN2[..., None] * mxi2 * kb
     u = np.empty(tgrid.mode_shape + (ngrid.points, tgrid.dims + 1), dtype=complex)
-    du = np.empty_like(u)
-    d2u = np.empty_like(u)
-    for out, Mk, Ek in ((u, M, E), (du, M1, E1), (d2u, M2, E2)):
-        out[..., :-1] = c1 * (Bx * Mk - Ek)[..., None] + c2 * Ek[..., None]
-        out[..., -1] = cN1 * Bx * Mk + cN2 * Ek
+    u[..., :-1] = c1 * (Bx * M - E)[..., None]
+    u[..., :-1] += c2 * E[..., None]
+    u[..., -1] = cN1 * Bx * M + cN2 * E
 
     hhat = (L.detL / L.N) * khat
-    return u, du, d2u, hhat
+    return u, hhat
 
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
@@ -131,7 +136,7 @@ def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
     p = SymbolParams.from_fluid(params, zeta=zeta)
     ks = _require_spectral(k)
     khat = ks.values[..., 0]
-    u, _, _, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
+    u, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
     return (HalfSpaceField(u, k.tgrid, ngrid, "spectral"),
             BoundaryField(hhat, k.tgrid, "spectral"))
 
@@ -475,8 +480,6 @@ class ResolventSolution:
     u: HalfSpaceField
     h: BoundaryField
     h_ext: HalfSpaceField
-    v: HalfSpaceField
-    w: HalfSpaceField
 
 
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
@@ -484,7 +487,8 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
     """Velocity-height solve without the density row.
 
     zeta is the effective (reduced) compressibility parameter; defaults
-    to gamma3 zeta / gamma1 from params.
+    to gamma3 zeta / gamma1 from params.  u = v + w, the Lame solution v
+    plus the surface solution w, is summed in place in v.
     """
     tg, ng = F.tgrid, F.ngrid
     Fs = _require_spectral(F)
@@ -492,14 +496,14 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
     Ks = _require_spectral(K)
 
     Gp = BoundaryField(Gs.values / params.gamma1, tg, "spectral")
-    v = solve_lame_bvp(Fs, Gp, params, lam, zeta=zeta)
+    u = solve_lame_bvp(Fs, Gp, params, lam, zeta=zeta)
 
-    k_surf = BoundaryField(Ks.values[..., 0] - v.values[..., 0, tg.dims], tg,
+    k_surf = BoundaryField(Ks.values[..., 0] - u.values[..., 0, tg.dims], tg,
                            "spectral")
     w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta)
-    u = HalfSpaceField(v.values + w.values, tg, ng, "spectral")
+    u.values += w.values
     h_ext = extend_height(h.values[..., 0], tg, ng)
-    return ResolventSolution(eta=None, u=u, h=h, h_ext=h_ext, v=v, w=w)
+    return ResolventSolution(eta=None, u=u, h=h, h_ext=h_ext)
 
 
 def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
@@ -517,27 +521,26 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
             raise SolverError("data not numerically supported inside the box")
     if sector is not None and not in_gamma_region(lam, sector, params):
         raise RegionError(f"lambda = {lam} outside Gamma region {sector}")
-    ds = data.spectral()
-    tg, ng = ds.F.tgrid, ds.F.ngrid
+    tg, ng = data.F.tgrid, data.F.ngrid
     g1, g2 = params.gamma1, params.gamma2
     zeta_eff = g2 / lam  # gamma3 * (1/lam) / gamma1, the C1 coupling
-    dhat = ds.d.values[..., 0]
+    dhat = _require_spectral(data.d).values[..., 0]
 
-    # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N)
-    grad_d = np.concatenate([1j * tg.xi[..., None, :] * dhat[..., None],
-                             (dhat @ ng.diff.T)[..., None]], axis=-1)
-    fvals = (ds.F.values - (g2 / lam) * grad_d) / g1
+    # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N); the
+    # spectral F and grad d are dropped before the solves
+    fvals = _require_spectral(data.F).values - (g2 / lam) * np.concatenate(
+        [1j * tg.xi[..., None, :] * dhat[..., None], (dhat @ ng.diff.T)[..., None]],
+        axis=-1)
+    fvals /= g1
     # g = G + (gamma2/lam) d n0 at the boundary, n0 = (0, ..., 0, -1)
-    gvals = ds.G.values.copy()
+    gvals = _require_spectral(data.G).values.copy()
     gvals[..., tg.dims] -= (g2 / lam) * dhat[..., 0]
 
     sol = solve_reduced_resolvent(HalfSpaceField(fvals, tg, ng, "spectral"),
-                                  BoundaryField(gvals, tg, "spectral"), ds.K,
+                                  BoundaryField(gvals, tg, "spectral"), data.K,
                                   params, lam, zeta=zeta_eff)
 
     u = sol.u.values
     div_u = u[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * u[..., :-1], axis=-1)
-    eta_vals = (dhat - g1 * div_u) / lam
-    eta = HalfSpaceField(eta_vals[..., None], tg, ng, "spectral")
-    return ResolventSolution(eta=eta, u=sol.u, h=sol.h, h_ext=sol.h_ext,
-                             v=sol.v, w=sol.w)
+    sol.eta = HalfSpaceField(((dhat - g1 * div_u) / lam)[..., None], tg, ng, "spectral")
+    return sol

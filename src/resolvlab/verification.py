@@ -4,7 +4,9 @@ The residual evaluator re-applies the free-surface system to a computed
 solution with its own discretization (spectral in xi', dense collocation
 in x_N) and reports volume-normalized relative residuals per equation.
 It is the oracle for the solver pipeline and never reuses solver
-internals beyond the grids.
+internals beyond the grids.  It runs over blocks of RESIDUAL_BLOCK_MODES
+tangential modes, so that it holds the solution and data fields plus one
+block's derivatives and terms.
 
 The R-bound estimator samples the discrete square-function quotient
 
@@ -28,22 +30,35 @@ from .grids import HalfSpaceField
 from .halfspace import ResolventData, ResolventSolution, _require_spectral
 from .regions import FluidParams
 
+RESIDUAL_BLOCK_MODES = 128   # modes per block: 0.6 MB per 3-component block field at 96 nodes
+
 
 # ---------------------------------------------------------------------------
 # discrete norms
 # ---------------------------------------------------------------------------
 
-def _volume_l2(values, weights):
-    """Volume-normalized L_2: (integral |v|^2 / volume)^(1/2).
+def _sum_sq(values, w):
+    """sum of w |v|^2 over the quadrature axes, the leading w.ndim axes of values.
 
-    values has the quadrature axes first; remaining axes are components,
-    summed in quadrature (l2 over components inside the modulus).
+    Remaining axes are components, summed in quadrature (l2 over
+    components inside the modulus).
     """
-    w = weights / weights.sum()
     mag = np.abs(values)
     if mag.ndim > w.ndim:
         mag = np.sqrt(np.sum(mag**2, axis=tuple(range(w.ndim, mag.ndim))))
-    return float(np.sum(w * mag**2) ** 0.5)
+    return np.sum(w * mag**2)
+
+
+def _tree_sum(parts):
+    """Sum by halves: on 2^k aligned blocks of one array, numpy's pairwise order."""
+    while len(parts) > 1:
+        parts = [sum(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def _volume_l2(values, weights):
+    """Volume-normalized L_2: (integral |v|^2 / volume)^(1/2)."""
+    return float(_sum_sq(values, weights / weights.sum()) ** 0.5)
 
 
 def _field_weights(fld):
@@ -69,12 +84,6 @@ class ResidualReport:
     worst_mode: dict
 
 
-def _rel(residual, *terms, weights):
-    scale = max(_volume_l2(t, weights) for t in terms)
-    r = _volume_l2(residual, weights)
-    return r / scale if scale > 0 else 0.0
-
-
 def pde_residual(sol: ResolventSolution, data: ResolventData,
                  params: FluidParams, lam) -> ResidualReport:
     """Relative residuals of the flat free-surface system.
@@ -83,79 +92,106 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     boundary-stress rows, kinematic row.  Derivatives are spectral in
     xi' and collocation in x_N, independent of the solver's internal
     closed forms.
+
+    The rows act on each tangential mode alone, so they are evaluated
+    RESIDUAL_BLOCK_MODES modes at a time: the working set is the input
+    fields plus one block.  Per equation, each block adds the weighted
+    sums of squares of the residual and of every term, and records each
+    mode's residual peak.  The norms, their ratios and the worst modes
+    are formed after the last block, since a mode and its mirror may sit
+    in different blocks.
     """
     ds = data.spectral()
     tg = ds.F.tgrid
     ng = ds.F.ngrid
     D = ng.diff
     nd = tg.dims
+    nm = ds.K.values.size
     mu, nu = params.mu, params.nu
     g1, g2, sg, m = params.gamma1, params.gamma2, params.sigma, params.m
 
-    u = _require_spectral(sol.u).values
-    hhat = _require_spectral(sol.h).values[..., 0]
-    xi = tg.xi
-    xi_sq = tg.xi_sq
+    def modes(values):
+        return values.reshape((nm,) + values.shape[nd:])
 
-    du = D @ u
-    d2u = D @ du
-    div = du[..., nd].copy()
-    for j in range(nd):
-        div += 1j * xi[..., j][..., None] * u[..., j]
-    grad_div = np.empty_like(u)
-    for j in range(nd):
-        grad_div[..., j] = 1j * xi[..., j][..., None] * div
-    grad_div[..., nd] = div @ D.T
-    lap = d2u - xi_sq[..., None, None] * u
+    u = modes(_require_spectral(sol.u).values)
+    eta = modes(_require_spectral(sol.eta).values)[..., 0]
+    hhat = modes(_require_spectral(sol.h).values)[..., 0]
+    dhat = modes(ds.d.values)[..., 0]
+    F, G, K = modes(ds.F.values), modes(ds.G.values), modes(ds.K.values)[..., 0]
+    xi = modes(tg.xi)
+    xi_sq = modes(tg.xi_sq)
+    # one mode's row of each field's normalised quadrature weights: every
+    # mode has the weight dx^dims
+    cell = tg.dx ** nd
+    wvol = (cell * ng.weights / _field_weights(ds.F).sum())[None]
+    wbdy = np.array([cell / _field_weights(ds.G).sum()])
 
-    wvol = _field_weights(ds.F)
-    wbdy = _field_weights(ds.G)
-    report = {"relative": {}, "worst": {}}
+    sums, peak = {}, {}
 
-    def add(name, residual, *terms, weights):
-        report["relative"][name] = _rel(residual, *terms, weights=weights)
-        peak = np.abs(residual).reshape(tg.mode_shape + (-1,)).max(axis=-1)
+    def add(name, blk, weights, residual, *terms):
+        if blk.start == 0:
+            sums[name], peak[name] = [], np.empty(nm)
+        sums[name].append([_sum_sq(t, weights) for t in (residual,) + terms])
+        peak[name][blk] = np.abs(residual).reshape(residual.shape[0], -1).max(axis=-1)
+
+    for lo in range(0, nm, RESIDUAL_BLOCK_MODES):
+        b = slice(lo, lo + RESIDUAL_BLOCK_MODES)
+        ub, xib = u[b], xi[b]
+        du = D @ ub
+        d2u = D @ du
+        div = du[..., nd].copy()
+        for j in range(nd):
+            div += 1j * xib[..., j][..., None] * ub[..., j]
+        grad_div = np.empty_like(ub)
+        for j in range(nd):
+            grad_div[..., j] = 1j * xib[..., j][..., None] * div
+        grad_div[..., nd] = div @ D.T
+        lap = d2u - xi_sq[b][..., None, None] * ub
+
+        etab = eta[b]
+        r_density = lam * etab + g1 * div - dhat[b]
+        add("density", b, wvol, r_density, lam * etab, g1 * div, dhat[b])
+
+        grad_eta = np.empty_like(ub)
+        for j in range(nd):
+            grad_eta[..., j] = 1j * xib[..., j][..., None] * etab
+        grad_eta[..., nd] = etab @ D.T
+        r_mom = g1 * lam * ub - mu * lap - nu * grad_div + g2 * grad_eta - F[b]
+        add("momentum", b, wvol, r_mom, g1 * lam * ub, mu * lap, nu * grad_div,
+            g2 * grad_eta, F[b])
+
+        # boundary rows at x_N = 0, outward normal n0 = -e_N
+        du0 = du[..., 0, :]
+        u0 = ub[..., 0, :]
+        div0 = div[..., 0]
+        Gb = G[b]
+        r_tang = np.empty((u0.shape[0], nd), dtype=complex)
+        for j in range(nd):
+            sjN = mu * (du0[..., j] + 1j * xib[..., j] * u0[..., nd])
+            r_tang[..., j] = -sjN - Gb[..., j]
+        add("stress_tangential", b, wbdy, r_tang, r_tang + Gb[..., :nd], Gb[..., :nd])
+
+        sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * etab[..., 0]
+        surf = sg * (m + xi_sq[b]) * hhat[b]
+        r_norm = -(sNN + surf) - Gb[..., nd]
+        add("stress_normal", b, wbdy, r_norm, sNN, surf, Gb[..., nd])
+
+        r_kin = lam * hhat[b] + u0[..., nd] - K[b]
+        add("kinematic", b, wbdy, r_kin, lam * hhat[b], u0[..., nd], K[b])
+
+    relative, worst = {}, {}
+    mirror = np.ix_(*[-np.arange(n) % n for n in tg.mode_shape])
+    for name, blocks in sums.items():
+        r, *scales = [float(_tree_sum(col) ** 0.5) for col in zip(*blocks)]
+        scale = max(scales)
+        relative[name] = r / scale if scale > 0 else 0.0
         # the modes +-xi' carry equal residuals on real data, up to the last
         # bit: fold each with its mirror so that a pair reports its first
         # index in C order
-        peak = np.maximum(peak, peak[np.ix_(*[-np.arange(n) % n for n in peak.shape])])
-        report["worst"][name] = [int(v) for v in
-                                 np.unravel_index(int(peak.argmax()), peak.shape)]
-
-    eta = _require_spectral(sol.eta).values[..., 0]
-    dhat = ds.d.values[..., 0]
-    r_density = lam * eta + g1 * div - dhat
-    add("density", r_density, lam * eta, g1 * div, dhat, weights=wvol)
-
-    grad_eta = np.empty_like(u)
-    for j in range(nd):
-        grad_eta[..., j] = 1j * xi[..., j][..., None] * eta
-    grad_eta[..., nd] = eta @ D.T
-    r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - ds.F.values
-    add("momentum", r_mom, g1 * lam * u, mu * lap, nu * grad_div,
-        g2 * grad_eta, ds.F.values, weights=wvol)
-
-    # boundary rows at x_N = 0, outward normal n0 = -e_N
-    du0 = du[..., 0, :]
-    u0 = u[..., 0, :]
-    div0 = div[..., 0]
-    r_tang = np.empty(tg.mode_shape + (nd,), dtype=complex)
-    for j in range(nd):
-        sjN = mu * (du0[..., j] + 1j * xi[..., j] * u0[..., nd])
-        r_tang[..., j] = -sjN - ds.G.values[..., j]
-    add("stress_tangential", r_tang, r_tang + ds.G.values[..., :nd],
-        ds.G.values[..., :nd], weights=wbdy)
-
-    sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * eta[..., 0]
-    surf = sg * (m + xi_sq) * hhat
-    r_norm = -(sNN + surf) - ds.G.values[..., nd]
-    add("stress_normal", r_norm, sNN, surf, ds.G.values[..., nd], weights=wbdy)
-
-    r_kin = lam * hhat + u0[..., nd] - ds.K.values[..., 0]
-    add("kinematic", r_kin, lam * hhat, u0[..., nd], ds.K.values[..., 0],
-        weights=wbdy)
-
-    return ResidualReport(relative=report["relative"], worst_mode=report["worst"])
+        p = peak[name].reshape(tg.mode_shape)
+        p = np.maximum(p, p[mirror])
+        worst[name] = [int(v) for v in np.unravel_index(int(p.argmax()), p.shape)]
+    return ResidualReport(relative=relative, worst_mode=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resolvlab import verification
 from resolvlab.cli import cmd_rbound
 from resolvlab.config import RunConfig
 from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from resolvlab.halfspace import (ResolventData, ResolventSolution, solve_full_resolvent,
-                                 solve_surface_homogeneous)
+from resolvlab.halfspace import (ResolventData, ResolventSolution, _require_spectral,
+                                 solve_full_resolvent, solve_surface_homogeneous)
 from resolvlab.regions import FluidParams
-from resolvlab.verification import discrete_norm, pde_residual, rbound_estimate
+from resolvlab.verification import (ResidualReport, _field_weights, discrete_norm,
+                                    pde_residual, rbound_estimate)
 
 BASE = FluidParams()
 TG = TangentialGrid(points=64, half_length=8.0)
@@ -105,11 +108,11 @@ def test_residual_verdicts():
 
 
 
-@pytest.mark.parametrize("dims, mode", [(1, (5,)), (2, (1, 6))])
-@pytest.mark.parametrize("bigger_first", [True, False])
-def test_worst_mode_reports_first_of_a_mirror_pair(dims, mode, bigger_first):
-    # zero solution: the kinematic residual is -K, whose largest entries
-    # sit on the modes +-xi' and differ in the last bit only
+def mirror_pair_case(dims, mode, bigger_first):
+    """A zero solution whose kinematic residual -K peaks on the modes +-xi'.
+
+    The two peaks differ in the last bit only.  Returns (sol, data, mirror).
+    """
     tg = TangentialGrid(dims=dims, points=8, half_length=4.0)
     ng = NormalGrid(points=8, truncation=10.0)
     mirror = tuple(-i % tg.points for i in mode)
@@ -121,13 +124,199 @@ def test_worst_mode_reports_first_of_a_mirror_pair(dims, mode, bigger_first):
     sol = ResolventSolution(
         eta=density, u=HalfSpaceField(zeros, tg, ng, "spectral"),
         h=BoundaryField(np.zeros(tg.mode_shape + (1,), dtype=complex), tg, "spectral"),
-        h_ext=None, v=None, w=None)
+        h_ext=None)
     data = ResolventData(
         d=density, F=HalfSpaceField(zeros, tg, ng, "spectral"),
         G=BoundaryField(zeros[..., 0, :], tg, "spectral"),
         K=BoundaryField(K, tg, "spectral"))
+    return sol, data, mirror
+
+
+@pytest.mark.parametrize("dims, mode", [(1, (5,)), (2, (1, 6))])
+@pytest.mark.parametrize("bigger_first", [True, False])
+def test_worst_mode_reports_first_of_a_mirror_pair(dims, mode, bigger_first):
+    sol, data, mirror = mirror_pair_case(dims, mode, bigger_first)
     rep = pde_residual(sol, data, BASE, 4.0)
     assert rep.worst_mode["kinematic"] == list(min(mode, mirror))
+
+
+# -- the blocked residual against the whole-array oracle ---------------------
+
+def _reference_volume_l2(values, weights):
+    w = weights / weights.sum()
+    mag = np.abs(values)
+    if mag.ndim > w.ndim:
+        mag = np.sqrt(np.sum(mag**2, axis=tuple(range(w.ndim, mag.ndim))))
+    return float(np.sum(w * mag**2) ** 0.5)
+
+
+def _reference_rel(residual, *terms, weights):
+    scale = max(_reference_volume_l2(t, weights) for t in terms)
+    r = _reference_volume_l2(residual, weights)
+    return r / scale if scale > 0 else 0.0
+
+
+def reference_pde_residual(sol, data, params, lam):
+    """pde_residual over all modes at once: the oracle of its blocked evaluation.
+
+    Builds every derivative and every term of the whole field, and takes
+    each norm in one sum.
+    """
+    ds = data.spectral()
+    tg = ds.F.tgrid
+    ng = ds.F.ngrid
+    D = ng.diff
+    nd = tg.dims
+    mu, nu = params.mu, params.nu
+    g1, g2, sg, m = params.gamma1, params.gamma2, params.sigma, params.m
+
+    u = _require_spectral(sol.u).values
+    hhat = _require_spectral(sol.h).values[..., 0]
+    xi = tg.xi
+    xi_sq = tg.xi_sq
+
+    du = D @ u
+    d2u = D @ du
+    div = du[..., nd].copy()
+    for j in range(nd):
+        div += 1j * xi[..., j][..., None] * u[..., j]
+    grad_div = np.empty_like(u)
+    for j in range(nd):
+        grad_div[..., j] = 1j * xi[..., j][..., None] * div
+    grad_div[..., nd] = div @ D.T
+    lap = d2u - xi_sq[..., None, None] * u
+
+    wvol = _field_weights(ds.F)
+    wbdy = _field_weights(ds.G)
+    report = {"relative": {}, "worst": {}}
+
+    def add(name, residual, *terms, weights):
+        report["relative"][name] = _reference_rel(residual, *terms, weights=weights)
+        peak = np.abs(residual).reshape(tg.mode_shape + (-1,)).max(axis=-1)
+        peak = np.maximum(peak, peak[np.ix_(*[-np.arange(n) % n for n in peak.shape])])
+        report["worst"][name] = [int(v) for v in
+                                 np.unravel_index(int(peak.argmax()), peak.shape)]
+
+    eta = _require_spectral(sol.eta).values[..., 0]
+    dhat = ds.d.values[..., 0]
+    r_density = lam * eta + g1 * div - dhat
+    add("density", r_density, lam * eta, g1 * div, dhat, weights=wvol)
+
+    grad_eta = np.empty_like(u)
+    for j in range(nd):
+        grad_eta[..., j] = 1j * xi[..., j][..., None] * eta
+    grad_eta[..., nd] = eta @ D.T
+    r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - ds.F.values
+    add("momentum", r_mom, g1 * lam * u, mu * lap, nu * grad_div,
+        g2 * grad_eta, ds.F.values, weights=wvol)
+
+    du0 = du[..., 0, :]
+    u0 = u[..., 0, :]
+    div0 = div[..., 0]
+    r_tang = np.empty(tg.mode_shape + (nd,), dtype=complex)
+    for j in range(nd):
+        sjN = mu * (du0[..., j] + 1j * xi[..., j] * u0[..., nd])
+        r_tang[..., j] = -sjN - ds.G.values[..., j]
+    add("stress_tangential", r_tang, r_tang + ds.G.values[..., :nd],
+        ds.G.values[..., :nd], weights=wbdy)
+
+    sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * eta[..., 0]
+    surf = sg * (m + xi_sq) * hhat
+    r_norm = -(sNN + surf) - ds.G.values[..., nd]
+    add("stress_normal", r_norm, sNN, surf, ds.G.values[..., nd], weights=wbdy)
+
+    r_kin = lam * hhat + u0[..., nd] - ds.K.values[..., 0]
+    add("kinematic", r_kin, lam * hhat, u0[..., nd], ds.K.values[..., 0],
+        weights=wbdy)
+
+    return ResidualReport(relative=report["relative"], worst_mode=report["worst"])
+
+
+def gaussian_data_2d(tg, ng):
+    """Gaussian data on a 2-D grid, below 1e-10 of its peak at the box edge."""
+    X, Y = np.meshgrid(tg.x, tg.x, indexing="ij")
+    t = ng.nodes
+
+    def bump(x0, y0, width_t):
+        return (np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / 2)[..., None]
+                * np.exp(-(t**2) / (2 * width_t**2)))
+
+    d = HalfSpaceField((0.5 * bump(0.5, 0.0, 2.0))[..., None].astype(complex), tg, ng)
+    F = HalfSpaceField(np.stack([bump(-0.4, 0.2, 1.5), -0.5 * bump(0.0, -0.3, 2.0),
+                                 0.7 * bump(0.4, 0.1, 2.5)], axis=-1).astype(complex), tg, ng)
+    gb = bump(0.0, 0.0, 1.0)[..., 0]
+    G = BoundaryField(np.stack([0.3 * gb, 0.2 * gb, -0.6 * gb], axis=-1).astype(complex), tg)
+    K = BoundaryField((0.8 * bump(0.3, -0.2, 1.0)[..., 0]).astype(complex), tg)
+    return ResolventData(d=d, F=F, G=G, K=K)
+
+
+def _assert_same_report(rep, ref):
+    assert list(rep.relative) == list(ref.relative)
+    for name, value in ref.relative.items():
+        assert rep.relative[name] == pytest.approx(value, rel=1e-14, abs=0), name
+    assert rep.worst_mode == ref.worst_mode
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6])
+@pytest.mark.parametrize("dims, points, nodes, block", [(1, 64, 96, 5), (2, 16, 24, 7)])
+def test_blocked_residual_equals_the_whole_array_reference(monkeypatch, dims, points,
+                                                           nodes, block, noise):
+    # 64 and 256 modes: neither is a multiple of the block; the noise moves
+    # every row off its rounding level
+    tg = TangentialGrid(dims=dims, points=points, half_length=8.0)
+    ng = NormalGrid(points=nodes, truncation=20.0)
+    data = make_data() if dims == 1 else gaussian_data_2d(tg, ng)
+    lam = 4.0 + 0.5j
+    sol = solve_full_resolvent(data, BASE, lam)
+    rng = np.random.default_rng(dims)
+    for fld in (sol.u, sol.eta, sol.h):
+        scale = noise * np.abs(fld.values).max()
+        fld.values = fld.values + scale * (rng.standard_normal(fld.values.shape)
+                                           + 1j * rng.standard_normal(fld.values.shape))
+    ref = reference_pde_residual(sol, data, BASE, lam)
+    monkeypatch.setattr(verification, "RESIDUAL_BLOCK_MODES", block)
+    _assert_same_report(pde_residual(sol, data, BASE, lam), ref)
+
+
+@pytest.mark.parametrize("dims, mode, block", [(1, (3,), 4), (2, (1, 6), 15)])
+@pytest.mark.parametrize("bigger_first", [True, False])
+def test_blocked_residual_folds_a_mirror_pair_across_blocks(monkeypatch, dims, mode,
+                                                            block, bigger_first):
+    # 1-D: the modes 3 and 5 sit on either side of the boundary at 4;
+    # 2-D: the flat indices 14 and 58 sit in the first and fourth block
+    sol, data, mirror = mirror_pair_case(dims, mode, bigger_first)
+    flat = [np.ravel_multi_index(k, (8,) * dims) // block for k in (mode, mirror)]
+    assert flat[0] != flat[1]
+    ref = reference_pde_residual(sol, data, BASE, 4.0)
+    monkeypatch.setattr(verification, "RESIDUAL_BLOCK_MODES", block)
+    rep = pde_residual(sol, data, BASE, 4.0)
+    _assert_same_report(rep, ref)
+    assert rep.worst_mode["kinematic"] == list(min(mode, mirror))
+
+
+def test_2d_solve_and_residual_working_set(monkeypatch):
+    # The traced peak of the 2-D solve and its residual oracle, with the
+    # data allocated before tracing, in copies of one 3-component field
+    # (16^2 modes x 24 nodes, 0.29 MB).  The block is 32 modes, 1/8 of the
+    # modes, as 128 is of the 32^2 grid's.  The whole-array oracle, with a
+    # solution that kept v = u - w and w and a surface solve that built du
+    # and d2u, peaked at 17.8 fields; blocked, the peak is 6.8 fields, in
+    # the surface solve.
+    monkeypatch.setattr(verification, "RESIDUAL_BLOCK_MODES", 32)
+    tg = TangentialGrid(dims=2, points=16, half_length=8.0)
+    ng = NormalGrid(points=24, truncation=20.0)
+    data = gaussian_data_2d(tg, ng)
+    field = data.F.values.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sol = solve_full_resolvent(data, BASE, 4.0)
+        pde_residual(sol, data, BASE, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * field, peak / field
+
 
 # -- R-bound estimator ------------------------------------------------------
 
