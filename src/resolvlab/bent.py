@@ -325,7 +325,7 @@ def _perturb_of_data(F, G, K, spec, geom, params, lam):
     sol = solve_reduced_resolvent(F, G, K, params, lam)
     w_phys = transform_tangential(sol.u, "inverse")
     h_phys = transform_tangential(sol.h, "inverse")
-    return apply_perturbation(w_phys, h_phys, spec, geom, params, lam), sol
+    return apply_perturbation(w_phys, h_phys, spec, geom, params, lam)
 
 
 def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
@@ -348,7 +348,7 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
     prev_update = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        (R1, R2, R3), sol = _perturb_of_data(*Z, spec, geom, params, lam)
+        R1, R2, R3 = _perturb_of_data(*Z, spec, geom, params, lam)
         Fn = HalfSpaceField(F0.values - R1.values, tgrid, ngrid, "physical")
         Gn = BoundaryField(G0.values - R2.values, tgrid, "physical")
         Kn = BoundaryField(K0.values - R3.values, tgrid, "physical")
@@ -399,7 +399,7 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
         F = HalfSpaceField(Fv, tgrid, ngrid, "physical")
         G = BoundaryField(Gv, tgrid, "physical")
         K = BoundaryField(Kv, tgrid, "physical")
-        (R1, R2, R3), _ = _perturb_of_data(F, G, K, spec, geom, params, lam)
+        R1, R2, R3 = _perturb_of_data(F, G, K, spec, geom, params, lam)
         num = data_norm(HalfSpaceField(R1.values, tgrid, ngrid, "physical"),
                         BoundaryField(R2.values, tgrid, "physical"),
                         BoundaryField(R3.values, tgrid, "physical"), lam)

@@ -1,23 +1,23 @@
 """Batch front end: config in, JSON report and CSV/binary artifacts out.
 
     resolvlab <command> --config cfg [--out DIR] [--seed N] [--threads N]
-                        [--tol-override KEY=VAL ...]
 
 Commands: solve, verify-symbols, scan-nab, rbound, evolve, bent.
 Every run writes report.json with {command, configHash, gitDescribe,
 wallTime, verdicts, ...}; exit status is 0 when all verdicts pass,
 2 on configuration errors, 3 on numerical failures (an
 errors.NumericalError, which every layer's error classes subclass, or a
-LinAlgError; the report names the class), 4 on verdict failures.
-Each command imports the layers it runs when it runs, so a process
-loads and compiles only its own command's modules.  solve, rbound and
-bent are deterministic: they draw no random numbers, and their results
-depend on the config alone.
-Identical config + seed reproduce report.json byte for byte, except for
-the wallTime field, at a fixed BLAS thread count (say
-OPENBLAS_NUM_THREADS=1): BLAS sums in an order that depends on it, which
-moves the last digits of evolve's result (its eigendecomposition and the
-oracle's matrix products) and of bent's ratios and residuals.
+LinAlgError; the report names the class, RegionError for a lambda of
+solve, bent or rbound outside Gamma(eps, lam0, zeta)), 4 on verdict
+failures.  Each command imports the layers it runs when it runs, so a
+process loads and compiles only its own command's modules.  solve,
+rbound and bent draw no random numbers.  Identical config + seed
+reproduce report.json byte for byte, except for the wallTime field, at
+a fixed BLAS thread count (say OPENBLAS_NUM_THREADS=1): BLAS sums in an
+order that depends on it, which moves the last digits of solve's
+residuals, worstMode and fields, of evolve's result and of bent's
+ratios and residuals.  rbound, scan-nab and verify-symbols wrote the
+same bytes on 1 and 2 threads (configs/baseline.cfg).
 --threads sets the number of forked workers of verify-symbols' sampled
 pass and nothing else: every other command runs in one process, and no
 output depends on it.
@@ -38,6 +38,7 @@ from .config import (ConfigError, RunConfig, canonical_json, config_hash, config
                      config_section)
 from .errors import NumericalError
 from .grids import BoundaryField, HalfSpaceField
+from .regions import RegionError, in_gamma_region
 
 
 def __getattr__(name):
@@ -68,6 +69,13 @@ def _at_least_one(key, value):
     if value < 1:
         raise ValueError(f"{key} must be at least 1, got {value}")
     return value
+
+
+def _check_in_gamma(cfg: RunConfig, *lams):
+    """Raise RegionError unless each lambda lies in the config's Gamma(eps, lam0, zeta)."""
+    for lam in lams:
+        if not in_gamma_region(lam, cfg.sector, cfg.fluid):
+            raise RegionError(f"lambda = {complex(lam)} outside Gamma region {cfg.sector}")
 
 
 def _builtin_gaussian_data(tg, ng, block):
@@ -109,8 +117,9 @@ def cmd_solve(cfg: RunConfig, out_dir, threads):
     with config_section("solve"):
         lam = complex(float(block.get("lambda_re", 4.0)),
                       float(block.get("lambda_im", 0.0)))
+    _check_in_gamma(cfg, lam)
     data = _builtin_gaussian_data(tg, ng, block)
-    sol = solve_full_resolvent(data, cfg.fluid, lam, sector=cfg.sector)
+    sol = solve_full_resolvent(data, cfg.fluid, lam)
     tol = cfg.tolerances.get("residual", 1e-6)
     rep = verification.pde_residual(sol, data, cfg.fluid, lam)
     verdicts = [_verdict(f"residual.{k}", v <= tol, v, tol)
@@ -223,6 +232,7 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
         j_weight = config_int(block.get("j_weight", 1))
     p = SymbolParams.from_fluid(cfg.fluid)
     lams = cfg.sector.lambda0 * np.array(factors)
+    _check_in_gamma(cfg, *lams)
     rms = []
     for lam in lams:
         u = surface_mode_profiles(lam, tg, ng, p, np.ones(tg.mode_shape))[0]
@@ -295,6 +305,7 @@ def cmd_bent(cfg: RunConfig, out_dir, threads):
                       float(block.get("lambda_im", 0.0)))
         max_iter = config_int(block.get("max_iter", 40))
         tol = float(block.get("tol", 1e-9))
+    _check_in_gamma(cfg, lam)
 
     def f(x1, x2):
         env = np.exp(-(x1**2) / 2 - (x2**2) / 4)
@@ -353,8 +364,6 @@ def main(argv=None) -> int:
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker processes for verify-symbols' sampled pass; "
                          "no other command reads it")
-    ap.add_argument("--tol-override", action="append", default=[],
-                    metavar="KEY=VAL")
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
@@ -370,16 +379,9 @@ def main(argv=None) -> int:
         return status
 
     try:
-        overrides = {}
-        for item in args.tol_override:
-            if "=" not in item:
-                raise ConfigError(f"--tol-override expects KEY=VAL, got {item!r}")
-            key, val = item.split("=", 1)
-            overrides[key.strip()] = val
         with open(args.config) as fh:
             text = fh.read()
-        cfg = RunConfig.load(text, args.command, seed=args.seed,
-                             tol_overrides=overrides)
+        cfg = RunConfig.load(text, args.command, seed=args.seed)
         report["configHash"] = config_hash(cfg.raw)
         if cfg.seed is not None:
             report["seed"] = cfg.seed

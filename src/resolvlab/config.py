@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .grids import NormalGrid, TangentialGrid
-from .regions import FluidParams, SectorSpec
+from .regions import FluidParams, SectorSpec, check_zeta_case
 
 
 class ConfigError(ValueError):
@@ -171,7 +171,7 @@ class RunConfig:
     tolerances: dict
 
     @classmethod
-    def load(cls, text: str, command: str, seed=None, tol_overrides=None) -> "RunConfig":
+    def load(cls, text: str, command: str, seed=None) -> "RunConfig":
         cfg = parse_config(text)
         blocks = REQUIRED_BLOCKS[command]
         missing = [b for b in blocks if b not in cfg]
@@ -200,6 +200,7 @@ class RunConfig:
                     lambda0=float(s.get("lambda0", 1.0)),
                     zeta_case=s.get("zeta_case", "C3"),
                     rho3_over_nu=fluid.rho3 / fluid.nu)
+                check_zeta_case(sector, fluid)
 
         # the command's own block is the last of its required blocks
         run_seed = seed if seed is not None else \
@@ -211,8 +212,7 @@ class RunConfig:
                     raise ValueError(f"seed must be non-negative, got {run_seed}")
 
         with config_section("tolerances"):
-            tol = {k: float(v) for k, v in
-                   {**cfg.get("tolerances", {}), **(tol_overrides or {})}.items()}
+            tol = {k: float(v) for k, v in cfg.get("tolerances", {}).items()}
         return cls(raw=cfg, fluid=fluid, sector=sector, seed=run_seed, tolerances=tol)
 
     def grids(self):

@@ -51,7 +51,7 @@ from .grids import (
     edge_support_ratio,
     transform_tangential,
 )
-from .regions import FluidParams, RegionError, SectorSpec, in_gamma_region
+from .regions import FluidParams
 from .symbols import (
     SymbolParams,
     lopatinski_values,
@@ -479,7 +479,7 @@ class ResolventSolution:
     eta: HalfSpaceField | None
     u: HalfSpaceField
     h: BoundaryField
-    h_ext: HalfSpaceField
+    h_ext: HalfSpaceField | None = None
 
 
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
@@ -502,25 +502,21 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
                            "spectral")
     w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta)
     u.values += w.values
-    h_ext = extend_height(h.values[..., 0], tg, ng)
-    return ResolventSolution(eta=None, u=u, h=h, h_ext=h_ext)
+    return ResolventSolution(eta=None, u=u, h=h)
 
 
-def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
-                         sector: SectorSpec | None = None) -> ResolventSolution:
+def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> ResolventSolution:
     """The density-coupled free-surface resolvent on the flat half space.
 
     data are physical fields, which must be numerically supported inside
     the box.  Eliminates the density (effective zeta = gamma2/lambda, case
     C1), solves the stress system and the corrected surface system, then
     recovers eta = (d - gamma1 div u)/lambda with collocation divergence
-    so the density row holds exactly by construction.
+    so the density row holds exactly by construction; h_ext extends h.
     """
     for fld in (data.d, data.F, data.G, data.K):
         if edge_support_ratio(fld) > EDGE_SUPPORT_TOL:
             raise SolverError("data not numerically supported inside the box")
-    if sector is not None and not in_gamma_region(lam, sector, params):
-        raise RegionError(f"lambda = {lam} outside Gamma region {sector}")
     tg, ng = data.F.tgrid, data.F.ngrid
     g1, g2 = params.gamma1, params.gamma2
     zeta_eff = g2 / lam  # gamma3 * (1/lam) / gamma1, the C1 coupling
@@ -543,4 +539,5 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam, *,
     u = sol.u.values
     div_u = u[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * u[..., :-1], axis=-1)
     sol.eta = HalfSpaceField(((dhat - g1 * div_u) / lam)[..., None], tg, ng, "spectral")
+    sol.h_ext = extend_height(sol.h.values[..., 0], tg, ng)
     return sol

@@ -10,7 +10,7 @@ The resolvent parameter lambda lives in one of three nested regions:
         C1  (zeta ~ 1/lambda)          -> Lambda(eps, lam0)
         C2  (zeta in Sigma, Re zeta<0) -> Re lam >= |Re z / Im z| |Im lam|,
                                           Re lam >= lam0
-        C3  (Re zeta >= 0)             -> Re lam >= lam0
+        C3  (Re zeta >= 0)             -> Re lam >= lam0 (C2's with slope 0)
 
 All membership tests are closed-set tests with an absolute boundary
 tolerance of 1e-12; boundary points count as inside.  lambda = 0 is
@@ -119,19 +119,45 @@ def in_lambda_region(lam, spec: SectorSpec, tol=BOUNDARY_TOL):
     return bool(out) if out.ndim == 0 else out
 
 
+def check_zeta_case(spec: SectorSpec, params: FluidParams) -> float:
+    """Check zeta against spec's case; return the slope of Re lam >= slope |Im lam|.
+
+    C3 needs Re zeta >= 0, C2 a finite |Re zeta / Im zeta|, its slope; C1 and C3 have 0.
+    """
+    if spec.zeta_case == "C3" and params.zeta.real < 0:
+        raise RegionError("case C3 requires Re zeta >= 0")
+    slope = abs(params.zeta.real / params.zeta.imag) if params.zeta.imag else math.inf
+    if spec.zeta_case == "C2" and not slope < math.inf:
+        raise DegenerateCaseError("case C2 requires Im zeta != 0 and a finite Re zeta / Im zeta")
+    return slope if spec.zeta_case == "C2" else 0.0
+
+
 def in_gamma_region(lam, spec: SectorSpec, params: FluidParams, tol=BOUNDARY_TOL):
     """Membership in Gamma(eps, lam0, zeta), by zeta case."""
+    slope = check_zeta_case(spec, params)
     lam = np.asarray(lam, dtype=complex)
     if spec.zeta_case == "C1":
         return in_lambda_region(lam, spec, tol)
-    if spec.zeta_case == "C2":
-        z = complex(params.zeta)
-        if z.imag == 0.0:
-            raise DegenerateCaseError("case C2 requires Im zeta != 0")
-        slope = abs(z.real / z.imag)
-        out = (lam.real >= slope * np.abs(lam.imag) - tol) & (lam.real >= spec.lambda0 - tol)
-    else:  # C3
-        if params.zeta.real < 0:
-            raise RegionError("case C3 requires Re zeta >= 0")
-        out = lam.real >= spec.lambda0 - tol
+    out = (lam.real >= slope * np.abs(lam.imag) - tol) & (lam.real >= spec.lambda0 - tol)
     return bool(out) if out.ndim == 0 else out
+
+
+def gamma_points(u_mod, u_arg, spec: SectorSpec, params: FluidParams, span: float):
+    """lam0 span**u_mod exp(i (2 u_arg - 1) theta_max) in Gamma(eps, lam0, zeta), lam0 >= 1e-12.
+
+    theta_max(|lambda|) is the largest admissible argument at that modulus.
+    """
+    slope = check_zeta_case(spec, params)
+    lam0 = max(spec.lambda0, 1e-12)
+    r = lam0 * span ** u_mod
+    if spec.zeta_case == "C1":
+        # outside the disk |lam + R| < R, R = rho3/nu + eps: cos(arg) >= -r/2R
+        R = spec.rho3_over_nu + spec.epsilon
+        tmax = np.minimum(math.pi - spec.epsilon,
+                          np.arccos(np.maximum(-1.0, -r / (2 * R))) - 1e-12)
+    else:  # the slope's angle (0 for a slope over 1e12) and Re lam >= lam0 at fixed radius
+        tmax = np.minimum(np.arccos(np.minimum(1.0, lam0 / r)),
+                          max(math.atan2(1.0, slope) - 1e-12, 0.0))
+    lam = r * np.exp(1j * (2 * u_arg - 1) * tmax)
+    # on the edge arg = tmax, cos(arccos(lam0/r)) may round below lam0
+    return lam if spec.zeta_case == "C1" else np.maximum(lam.real, lam0) + 1j * lam.imag

@@ -5,14 +5,9 @@ one default_rng(seed) stream, so the first n rows of a 2n-sample plan are
 the n-sample plan: the draws are nested.  Each row maps into the
 admissible region Gamma(eps, lam0, zeta):
 
-    |lambda|    = lam0 * LAM_FACTOR**u0          log-uniform in [lam0, 1e4 lam0]
-    arg lambda  = (2 u1 - 1) * theta_max(|lambda|)   uniform in the admissible angles
+    lambda      = regions.gamma_points(u0, u1)   |lambda| log-uniform in [lam0, 1e4 lam0]
     |xi'|       = XI_LO * (XI_HI/XI_LO)**u2       log-uniform in [1e-3, 1e3]
     xi' sign    = - for u3 < 1/2 (1-D);  xi' angle = 2 pi u3 (2-D)
-
-theta_max is the largest admissible argument at that modulus: the sector
-edge or the edge of the excluded disk for C1, Re lambda >= lam0 (and the
-C2 slope) otherwise.  Every point of the cube lands in the region.
 
 A scan measures
 
@@ -82,7 +77,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .regions import FluidParams, SectorSpec
+from .regions import FluidParams, SectorSpec, gamma_points
 from .symbols import (SYMBOLS, SymbolParams, core_values, evaluate_symbols,
                       lopatinski_values)
 
@@ -120,27 +115,7 @@ def _unit_draw(plan: SamplingPlan):
 
 def _region_points(u, plan: SamplingPlan, spec: SectorSpec, params: FluidParams):
     """Map unit-cube rows u (m, 4) to (lam, xi) inside Gamma(eps, lam0, zeta)."""
-    lam0 = max(spec.lambda0, 1e-12)
-    r = lam0 * LAM_FACTOR ** u[:, 0]
-    if spec.zeta_case == "C1":
-        # outside the disk |lam + R| < R, R = rho3/nu + eps: cos(arg) >= -r/2R
-        R = spec.rho3_over_nu + spec.epsilon
-        tmax = np.minimum(math.pi - spec.epsilon,
-                          np.arccos(np.maximum(-1.0, -r / (2 * R))) - 1e-12)
-    else:
-        if spec.zeta_case == "C2":
-            z = complex(params.zeta)
-            slope = abs(z.real / z.imag)  # Re lam >= slope |Im lam|
-            theta_cap = math.atan2(1.0, slope)
-        else:
-            theta_cap = math.pi / 2
-        # Re lam >= lam0 additionally caps the angle at fixed radius
-        tmax = np.minimum(np.arccos(np.minimum(1.0, lam0 / r)), theta_cap - 1e-12)
-    lam = r * np.exp(1j * (2 * u[:, 1] - 1) * tmax)
-    if spec.zeta_case != "C1":
-        # on the edge arg = tmax, cos(arccos(lam0/r)) may round below lam0
-        lam = np.maximum(lam.real, lam0) + 1j * lam.imag
-
+    lam = gamma_points(u[:, 0], u[:, 1], spec, params, LAM_FACTOR)
     xi_mag = XI_LO * (XI_HI / XI_LO) ** u[:, 2]
     if plan.dims == 1:
         xi = np.where(u[:, 3] < 0.5, -xi_mag, xi_mag)[:, None]
@@ -496,8 +471,8 @@ class _Scan:
         self.symbols, self.region, self.plan, self.params = symbols, region, plan, params
         self.sp = SymbolParams.from_fluid(params)
         self.refined = replace(plan, n_samples=2 * plan.n_samples)
-        self.u = _unit_draw(self.refined)
-        self.lam, self.xi = self.to_region(self.u)  # draw_samples of the refined plan
+        self.u = _unit_draw(self.refined)  # the cube rows that draw_samples maps
+        self.lam, self.xi = draw_samples(self.refined, region, params)
         exp_decay = any(SYMBOLS[name].exp_decay for name in symbols)
         self.decay_c = fit_exp_decay_constant(self.lam, self.xi, self.sp) if exp_decay else None
         self.chunk = max(1, STENCIL_CHUNK_POINTS // len(self.field(symbols).offsets))

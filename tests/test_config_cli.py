@@ -253,12 +253,23 @@ def test_cli_exit_2_on_non_integral_block_seed(tmp_path, command, section, value
     assert rep["error"]["message"].startswith(f"invalid [{section}]")
 
 
-def test_cli_exit_2_on_non_numeric_tol_override(tmp_path):
-    rc = main(["solve", "--config", small_cfg(tmp_path), "--out", str(tmp_path),
-               "--tol-override", "residual=tight"])
+# a zeta that does not suit its case: C2 needs Im zeta != 0, C3 Re zeta >= 0
+ZETA_OUTSIDE_ITS_CASE = {"C2": {"zeta_case": '"C2"', "zeta_re": "-0.3", "zeta_im": "0.0"},
+                         "C3": {"zeta_case": '"C3"', "zeta_re": "-0.3"}}
+
+
+@pytest.mark.parametrize("case", sorted(ZETA_OUTSIDE_ITS_CASE))
+@pytest.mark.parametrize("command", ["solve", "verify-symbols", "scan-nab", "rbound", "evolve",
+                                     "bent"])
+def test_cli_exit_2_on_zeta_outside_its_case(tmp_path, command, case):
+    # RunConfig.load checks the case of every [sector] block, evolve's too
+    cfgp = small_cfg(tmp_path, **ZETA_OUTSIDE_ITS_CASE[case])
+    rc = main([command, "--config", cfgp, "--out", str(tmp_path)])
     assert rc == 2
     rep = json.load(open(tmp_path / "report.json"))
-    assert rep["error"]["message"].startswith("invalid [tolerances]")
+    assert rep["error"]["type"] == "config"
+    assert rep["error"]["message"].startswith(f"invalid [sector]: case {case} requires")
+    assert rep["verdicts"] == []
 
 
 def test_cli_exit_3_on_expm_dimension_cap(tmp_path, monkeypatch):
@@ -291,6 +302,20 @@ def test_cli_exit_3_on_numerical_failure(tmp_path):
     assert rep["error"]["type"] == "numerical"
 
 
+@pytest.mark.parametrize("command, over", [
+    ("bent", {"lambda_re": "0.5"}),
+    ("rbound", {"lambda_factors": "[1.0, 0.5, 2.0]"}),
+])
+def test_cli_exit_3_on_lambda_outside_gamma(tmp_path, command, over):
+    # as solve's: every lambda a command solves at is checked first, 0.5 < lambda0
+    rc = main([command, "--config", small_cfg(tmp_path, **over), "--out", str(tmp_path)])
+    assert rc == 3
+    rep = json.load(open(tmp_path / "report.json"))
+    assert rep["error"]["class"] == "RegionError"
+    assert rep["error"]["message"].startswith("lambda = (0.5+0j) outside Gamma region")
+    assert rep["verdicts"] == [] and rep["artifacts"] == []
+
+
 def test_cli_exit_3_on_steep_bent_geometry(tmp_path):
     # GeometryError is a ValueError raised by the solve, not by reading [bent]
     cfgp = small_cfg(tmp_path, amplitude="5.0", width="1.0")
@@ -301,9 +326,8 @@ def test_cli_exit_3_on_steep_bent_geometry(tmp_path):
 
 
 def test_cli_exit_4_on_verdict_failure(tmp_path):
-    cfgp = small_cfg(tmp_path)
-    rc = main(["solve", "--config", cfgp, "--out", str(tmp_path),
-               "--tol-override", "residual=1e-18"])
+    cfgp = small_cfg(tmp_path, residual="1e-18")  # the [tolerances] residual
+    rc = main(["solve", "--config", cfgp, "--out", str(tmp_path)])
     assert rc == 4
 
 

@@ -8,6 +8,7 @@ from resolvlab.regions import (
     FluidParams,
     RegionError,
     SectorSpec,
+    check_zeta_case,
     in_gamma_region,
     in_lambda_region,
     in_sigma,
@@ -82,6 +83,17 @@ def test_gamma_c1_equals_lambda_region():
     lam = rng.normal(scale=3, size=500) + 1j * rng.normal(scale=3, size=500)
     assert np.array_equal(in_gamma_region(lam, spec, fp),
                           in_lambda_region(lam, spec))
+
+
+def test_check_zeta_case_returns_the_slope():
+    # Re lam >= slope |Im lam|: C3's half-plane is C2's with slope 0
+    c2 = SectorSpec(zeta_case="C2")
+    assert check_zeta_case(c2, FluidParams(zeta=-1 + 0.5j, zeta0=2.0)) == 2.0
+    for case in ("C1", "C3"):
+        assert check_zeta_case(SectorSpec(zeta_case=case), FluidParams(zeta=0.5j)) == 0.0
+    # a slope that overflows is as degenerate as Im zeta = 0
+    with pytest.raises(DegenerateCaseError):
+        check_zeta_case(c2, FluidParams(zeta=complex(-0.5, 1e-310)))
 
 
 def test_gamma_c3_rejects_negative_re_zeta():

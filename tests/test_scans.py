@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from resolvlab import scans
-from resolvlab.regions import FluidParams, SectorSpec, in_gamma_region
+from resolvlab.regions import (DegenerateCaseError, FluidParams, SectorSpec, check_zeta_case,
+                               in_gamma_region)
 from resolvlab.scans import (
     SamplingPlan,
     draw_samples,
@@ -26,18 +27,56 @@ from resolvlab.symbols import SYMBOLS, SingularSymbolError, SymbolParams, evalua
 BASE = FluidParams()
 
 
-def test_draw_samples_stay_in_region():
-    for case in ("C1", "C3"):
-        spec = SectorSpec(epsilon=math.pi / 4, lambda0=2.0, zeta_case=case)
-        lam, xi = draw_samples(SamplingPlan(n_samples=2000, seed=1), spec, BASE)
-        assert np.all(in_gamma_region(lam, spec, BASE))
-        assert xi.shape == (2000, 1)
-        assert np.all(np.abs(np.linalg.norm(xi, axis=-1) - 1) <= 1e3)
+@st.composite
+def admissible_regions(draw):
+    """(SectorSpec, FluidParams) of a drawn case, with a zeta that suits it."""
+    case = draw(st.sampled_from(["C1", "C2", "C3"]))
+    zeta = draw(st.complex_numbers(max_magnitude=1.0))
+    if case == "C3":
+        zeta = complex(abs(zeta.real), zeta.imag)
+    gamma1, gamma3 = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    fluid = FluidParams(mu=draw(st.floats(0.1, 5.0)), nu=draw(st.floats(0.1, 5.0)),
+                        gamma1=gamma1, gamma3=gamma3, zeta=zeta, rho1=gamma1, rho2=gamma1,
+                        rho3=gamma3 * draw(st.floats(1.0, 3.0)))
+    spec = SectorSpec(epsilon=draw(st.floats(0.01, math.pi / 2 - 0.01)),
+                      lambda0=draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3))),
+                      zeta_case=case, rho3_over_nu=fluid.rho3 / fluid.nu)
+    try:
+        check_zeta_case(spec, fluid)
+    except DegenerateCaseError:  # C2 with Im zeta = 0 or a slope that overflows
+        assume(False)
+    return spec, fluid
 
-    fp2 = FluidParams(zeta=-1 + 1j, zeta0=2.0)
-    spec = SectorSpec(epsilon=math.pi / 4, lambda0=1.0, zeta_case="C2")
-    lam, _ = draw_samples(SamplingPlan(n_samples=2000, seed=2), spec, fp2)
-    assert np.all(in_gamma_region(lam, spec, fp2))
+
+def _region(case, lambda0=2.0, fluid=BASE):
+    return SectorSpec(epsilon=math.pi / 4, lambda0=lambda0, zeta_case=case), fluid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(region=admissible_regions(), dims=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+@example(region=_region("C1"), dims=1, seed=1)
+@example(region=_region("C3"), dims=1, seed=1)
+@example(region=_region("C2", 1.0, FluidParams(zeta=-1 + 1j, zeta0=2.0)), dims=1, seed=2)
+# a slope of 1e14: the admissible angle is below the sampler's 1e-12 margin
+@example(region=_region("C2", 1.0, FluidParams(zeta=-0.5 + 5e-15j)), dims=2, seed=3)
+@example(region=_region("C3", 0.0), dims=2, seed=4)
+def test_draw_samples_stay_in_region(region, dims, seed):
+    spec, fluid = region
+    lam, xi = draw_samples(SamplingPlan(n_samples=500, seed=seed, dims=dims), spec, fluid)
+    assert np.all(in_gamma_region(lam, spec, fluid))
+    assert xi.shape == (500, dims)
+    norms = np.linalg.norm(xi, axis=-1)
+    assert np.all((norms >= 1e-3 * (1 - 1e-12)) & (norms <= 1e3 * (1 + 1e-12)))
+
+
+def test_scan_draws_through_draw_samples(monkeypatch):
+    # one draw of the refined plan, through the function the benchmark traces
+    calls, draw = [], scans.draw_samples
+    monkeypatch.setattr(scans, "draw_samples", lambda *args: calls.append(args) or draw(*args))
+    multiplier_class_scan(["A"], SectorSpec(zeta_case="C3"), SamplingPlan(n_samples=50, seed=3),
+                          BASE)
+    assert [plan.n_samples for plan, *_ in calls] == [100]
 
 
 def test_draw_samples_deterministic():

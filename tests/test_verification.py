@@ -455,7 +455,7 @@ def test_rbound_estimate_is_bounded_by_and_reaches_the_exact_bound(
             f"gamma1 = {gamma1!r}\ngamma3 = {gamma3!r}\nrho1 = {gamma1!r}\n"
             f"rho2 = {gamma1!r}\nrho3 = {gamma3!r}\n"
             f"zeta_re = {zeta.real!r}\nzeta_im = {zeta.imag!r}\n"
-            "[sector]\nlambda0 = 1.0\n"
+            f'[sector]\nlambda0 = 1.0\nzeta_case = "{"C2" if zeta.real < 0 else "C3"}"\n'
             "[grid]\ntangential_points = 16\nnormal_points = 24\n"
             f"[rbound]\nlambda_factors = [{', '.join(map(repr, factors))}]\n")
     cfg = RunConfig.load(text, "rbound")
