@@ -25,16 +25,15 @@ curved-domain residual evaluated in physical coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalError
 from .grids import (BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid,
-                    transform_tangential)
-from .halfspace import _require_spectral, solve_reduced_resolvent
+                    discrete_norm, physical_values, spectral_values)
+from .halfspace import solve_reduced_resolvent
 from .regions import FluidParams
-from .verification import discrete_norm
 
 
 class GeometryError(NumericalError, ValueError):
@@ -218,17 +217,18 @@ def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams,
 
 def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
                        geom: SurfaceGeometry, params: FluidParams, lam):
-    """Perturbation data triple (R1, R2, R3) of the physical iterate (w, H).
+    """Perturbation data triple (R1, R2, R3), physical, of the iterate (w, H).
 
-    R1 collects the interior terms -Div F(w)/gamma1 (+ F0(w) Div A_Phi,
-    which vanishes identically for the shear map since A_Phi's rows are
-    divergence-free); R2 the boundary stress tilt F(w) n0 + G_b(H) n0;
-    R3 the kinematic normal tilt.  gamma1, gamma3 are constant here, so
+    w and H may be in either tangential space; the operators act on their
+    physical values.  R1 collects the interior terms -Div F(w)/gamma1
+    (+ F0(w) Div A_Phi, which vanishes identically for the shear map since
+    A_Phi's rows are divergence-free); R2 the boundary stress tilt
+    F(w) n0 + G_b(H) n0; R3 the kinematic normal tilt.  gamma1, gamma3 are constant here, so
     the gamma-deviation terms of the printed operators drop.
     """
     tg, ng = w.tgrid, w.ngrid
-    wp = w.values
-    Hp = H.values[..., 0]
+    wp = physical_values(w)
+    Hp = physical_values(H)[..., 0]
     g1 = params.gamma1
     _, _, _, _, F = _tensor_split(wp, geom, params, tg, ng)
 
@@ -244,13 +244,11 @@ def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
     calG = geom.gtilde11 * d2H - geom.ginv11 * geom.christoffel * dH
     sg, m = params.sigma, params.m
     bp0 = geom.bp
-    R2 = np.empty((tg.points, 2), dtype=complex)
     # G_b = sg m H B_- - sg calG I - sg lb_full B_-; (M n0)_i = -M[i, 1]
     Gb_col2 = np.stack([(sg * m * Hp - sg * lb_full) * (-bp0),
                         -sg * calG], axis=-1)
     F_col2 = np.stack([F[0, 1][..., 0], F[1, 1][..., 0]], axis=-1)
-    R2[:, 0] = -(F_col2[:, 0] + Gb_col2[:, 0])
-    R2[:, 1] = -(F_col2[:, 1] + Gb_col2[:, 1])
+    R2 = -(F_col2 + Gb_col2)
 
     # R3 = F3(w) . n0 = -[(1 - 1/s) w_2 - (1/s)(B_-^T w)_2] at the boundary
     s = geom.jac_norm
@@ -314,18 +312,22 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
     mult = np.sqrt(1.0 + tg.xi_sq)[..., None]
 
     def sobolev(fld, k):
-        vals = mult**k * _require_spectral(fld).values
-        return discrete_norm(BoundaryField(vals, tg, "spectral"))
+        return discrete_norm(replace(fld, values=mult**k * spectral_values(fld),
+                                     space="spectral"))
 
     return (discrete_norm(F) + math.sqrt(abs(lam)) * discrete_norm(G) + sobolev(G, 1)
             + sobolev(K, 2))
 
 
-def _perturb_of_data(F, G, K, spec, geom, params, lam):
-    sol = solve_reduced_resolvent(F, G, K, params, lam)
-    w_phys = transform_tangential(sol.u, "inverse")
-    h_phys = transform_tangential(sol.h, "inverse")
-    return apply_perturbation(w_phys, h_phys, spec, geom, params, lam)
+def _perturb_of_data(Z, spec, geom, params, lam):
+    """F_lam R(lam) Z: the perturbation of the flat solution of the data triple Z."""
+    u, h = solve_reduced_resolvent(*Z, params, lam)
+    return apply_perturbation(u, h, spec, geom, params, lam)
+
+
+def _with_values(fields, values):
+    """The fields, each on its own grids, holding the given physical values."""
+    return tuple(replace(fld, values=v, space="physical") for fld, v in zip(fields, values))
 
 
 def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
@@ -340,22 +342,16 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
     consecutive iterations.
     """
     geom = build_geometry(spec, tgrid)
-    F0, G0, K0 = pullback_data(f, g, k, spec, geom, tgrid, ngrid)
-    Z = (F0, G0, K0)
-    z0_norm = data_norm(F0, G0, K0, lam)
+    Z = Z0 = pullback_data(f, g, k, spec, geom, tgrid, ngrid)
+    z0_norm = data_norm(*Z0, lam)
     state = PerturbationState()
 
     prev_update = None
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        R1, R2, R3 = _perturb_of_data(*Z, spec, geom, params, lam)
-        Fn = HalfSpaceField(F0.values - R1.values, tgrid, ngrid, "physical")
-        Gn = BoundaryField(G0.values - R2.values, tgrid, "physical")
-        Kn = BoundaryField(K0.values - R3.values, tgrid, "physical")
-        upd = data_norm(
-            HalfSpaceField(Fn.values - Z[0].values, tgrid, ngrid, "physical"),
-            BoundaryField(Gn.values - Z[1].values, tgrid, "physical"),
-            BoundaryField(Kn.values - Z[2].values, tgrid, "physical"), lam)
+        R = _perturb_of_data(Z, spec, geom, params, lam)
+        Zn = _with_values(Z0, [z0.values - r.values for z0, r in zip(Z0, R)])
+        upd = data_norm(*_with_values(Z, [n.values - z.values for n, z in zip(Zn, Z)]), lam)
         state.update_norms.append(upd)
         state.iterations = it
         if prev_update is not None and prev_update > 0:
@@ -368,15 +364,14 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
                         f"no contraction after {it} iterations", ratio)
             else:
                 bad_streak = 0
-        Z = (Fn, Gn, Kn)
+        Z = Zn
         prev_update = upd
         if upd < tol * z0_norm:
             state.converged = True
             break
 
     sol = solve_reduced_resolvent(*Z, params, lam)
-    v = transform_tangential(sol.u, "inverse")
-    h = transform_tangential(sol.h, "inverse")
+    v, h = _with_values(sol, [physical_values(fld) for fld in sol])
     state.residuals = bent_residual(v, h, f, g, k, spec, params, lam, tgrid, ngrid)
     return v, h, state
 
@@ -396,15 +391,10 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
         Fv = np.stack([c[0] * envelope, c[1] * envelope], axis=-1)
         Gv = np.stack([c[2] * envelope[:, 0], c[3] * envelope[:, 0]], axis=-1)
         Kv = c[4] * envelope[:, 0]
-        F = HalfSpaceField(Fv, tgrid, ngrid, "physical")
-        G = BoundaryField(Gv, tgrid, "physical")
-        K = BoundaryField(Kv, tgrid, "physical")
-        R1, R2, R3 = _perturb_of_data(F, G, K, spec, geom, params, lam)
-        num = data_norm(HalfSpaceField(R1.values, tgrid, ngrid, "physical"),
-                        BoundaryField(R2.values, tgrid, "physical"),
-                        BoundaryField(R3.values, tgrid, "physical"), lam)
-        den = data_norm(F, G, K, lam)
-        worst = max(worst, num / den)
+        Z = (HalfSpaceField(Fv, tgrid, ngrid), BoundaryField(Gv, tgrid),
+             BoundaryField(Kv, tgrid))
+        num = data_norm(*_perturb_of_data(Z, spec, geom, params, lam), lam)
+        worst = max(worst, num / data_norm(*Z, lam))
     return worst
 
 

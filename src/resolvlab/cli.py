@@ -18,9 +18,10 @@ order that depends on it, which moves the last digits of solve's
 residuals, worstMode and fields, of evolve's result and of bent's
 ratios and residuals.  rbound, scan-nab and verify-symbols wrote the
 same bytes on 1 and 2 threads (configs/baseline.cfg).
---threads sets the number of forked workers of verify-symbols' sampled
-pass and nothing else: every other command runs in one process, and no
-output depends on it.
+--threads sets the number of forked workers of verify-symbols, which run
+its sampled pass and its ascents (scans.multiplier_class_scan), and
+nothing else: every other command runs in one process, and no output
+depends on it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _builtin_gaussian_data(tg, ng, block):
 
 def cmd_solve(cfg: RunConfig, out_dir, threads):
     from . import fieldio, verification
-    from .halfspace import solve_full_resolvent
+    from .halfspace import extend_height, solve_full_resolvent
 
     tg, ng = cfg.grids()
     block = cfg.raw.get("solve", {})
@@ -125,7 +126,8 @@ def cmd_solve(cfg: RunConfig, out_dir, threads):
     verdicts = [_verdict(f"residual.{k}", v <= tol, v, tol)
                 for k, v in rep.relative.items()]
     artifacts = []
-    for name, fld in (("u", sol.u), ("eta", sol.eta), ("h_ext", sol.h_ext)):
+    h_ext = extend_height(sol.h.values[..., 0], tg, ng)
+    for name, fld in (("u", sol.u), ("eta", sol.eta), ("h_ext", h_ext)):
         base = os.path.join(out_dir, name)
         fieldio.field_to_csv(fld, base + ".csv")
         fieldio.field_to_binary(fld, base + ".bin")
@@ -362,8 +364,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=".")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for verify-symbols' sampled pass; "
-                         "no other command reads it")
+                    help="worker processes for verify-symbols' sampled pass and "
+                         "ascents; no other command reads it")
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)

@@ -8,11 +8,15 @@ the integral transform of box-supported data to spectral accuracy.
 The normal direction truncates [0, inf) to [0, X] on Chebyshev points
 clustered at both ends (first node exactly 0), with the usual dense
 differentiation matrix and Clenshaw-Curtis quadrature weights.
+
+A field records its tangential representation, physical or spectral.
+spectral_values and physical_values are the one conversion between the
+two, and discrete_norm is the quadrature norm of the physical values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,6 +167,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+SPACES = ("physical", "spectral")   # a field's tangential representation
+
+
+def _check_space(space):
+    if space not in SPACES:
+        raise ValueError(f"space must be one of {SPACES}, got {space!r}")
+
+
 @dataclass
 class HalfSpaceField:
     """Complex field indexed (mode axes..., normal node, component)."""
@@ -170,9 +182,10 @@ class HalfSpaceField:
     values: np.ndarray
     tgrid: TangentialGrid
     ngrid: NormalGrid
-    space: str = "physical"  # tangential representation: physical | spectral
+    space: str = "physical"
 
     def __post_init__(self):
+        _check_space(self.space)
         self.values = np.asarray(self.values, dtype=complex)
         expected = self.tgrid.mode_shape + (self.ngrid.points,)
         if self.values.shape[:-1] != expected:
@@ -190,6 +203,7 @@ class BoundaryField:
     space: str = "physical"
 
     def __post_init__(self):
+        _check_space(self.space)
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape[: self.tgrid.dims] != self.tgrid.mode_shape:
             raise ValueError(f"shape {self.values.shape} incompatible with grid")
@@ -199,22 +213,44 @@ class BoundaryField:
             raise ValueError("field contains non-finite values")
 
 
-def transform_tangential(fld, direction: str):
-    """FFT along the tangential axes only; forward o inverse = identity."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    g = fld.tgrid
-    if direction == "forward":
-        if fld.space != "physical":
-            raise ValueError("field already spectral")
-        vals, space = g.forward(fld.values), "spectral"
-    else:
-        if fld.space != "spectral":
-            raise ValueError("field already physical")
-        vals, space = g.inverse(fld.values), "physical"
+def spectral_values(fld) -> np.ndarray:
+    """The field's values in the spectral representation: its own, or their forward FFT."""
+    return fld.values if fld.space == "spectral" else fld.tgrid.forward(fld.values)
+
+
+def physical_values(fld) -> np.ndarray:
+    """The field's values in the physical representation: its own, or their inverse FFT."""
+    return fld.values if fld.space == "physical" else fld.tgrid.inverse(fld.values)
+
+
+# ---------------------------------------------------------------------------
+# quadrature norms
+# ---------------------------------------------------------------------------
+
+def sum_sq(values, w):
+    """sum of w |v|^2 over the quadrature axes, the leading w.ndim axes of values.
+
+    Remaining axes are components, summed in quadrature (l2 over
+    components inside the modulus).
+    """
+    mag = np.abs(values)
+    if mag.ndim > w.ndim:
+        mag = np.sqrt(np.sum(mag**2, axis=tuple(range(w.ndim, mag.ndim))))
+    return np.sum(w * mag**2)
+
+
+def field_weights(fld):
+    """Quadrature weights over the field's mode and node axes: dx^dims, times ngrid.weights."""
+    tw = np.full(fld.tgrid.mode_shape, fld.tgrid.dx ** fld.tgrid.dims)
     if isinstance(fld, HalfSpaceField):
-        return HalfSpaceField(vals, fld.tgrid, fld.ngrid, space)
-    return BoundaryField(vals, fld.tgrid, space)
+        return tw[..., None] * fld.ngrid.weights
+    return tw
+
+
+def discrete_norm(fld) -> float:
+    """Volume-normalized L_2 norm of the physical values: (integral |v|^2 / volume)^(1/2)."""
+    w = field_weights(fld)
+    return float(sum_sq(physical_values(fld), w / w.sum()) ** 0.5)
 
 
 def edge_support_ratio(fld) -> float:

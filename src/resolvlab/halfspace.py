@@ -1,8 +1,8 @@
 """Half-space resolvent solvers.
 
 Three runtime layers, each per tangential Fourier mode.  Each takes its
-input fields in either tangential space (_require_spectral transforms
-physical ones on entry) and returns spectral fields:
+input fields in either tangential space (grids.spectral_values reads
+them) and returns spectral fields:
 
   * solve_surface_homogeneous - the explicit boundary-symbol formulas for
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
@@ -27,8 +27,8 @@ physical ones on entry) and returns spectral fields:
     stress rows from the same pair, in its real variables u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition u = v + w (in place in the
-    Lame solution v) and density recovery.  The solution keeps u, eta, h
-    and h's extension only.
+    Lame solution v) and density recovery.  The solution keeps eta, u
+    and h only; extend_height extends h into the half space.
 
 solve_surface_volevich is the oracle for the first layer: the same
 operator in its trace-free form, as normal-direction integrals of
@@ -49,7 +49,7 @@ from .grids import (
     NormalGrid,
     TangentialGrid,
     edge_support_ratio,
-    transform_tangential,
+    spectral_values,
 )
 from .regions import FluidParams
 from .symbols import (
@@ -83,10 +83,6 @@ def smooth_cutoff(s):
         return out
     num = psi(2.0 - s)
     return num / (num + psi(s - 1.0))
-
-
-def _require_spectral(fld):
-    return fld if fld.space == "spectral" else transform_tangential(fld, "forward")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +130,7 @@ def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
                               ngrid: NormalGrid, *, zeta=None):
     """Surface-driven solve: returns the spectral (u, h-trace)."""
     p = SymbolParams.from_fluid(params, zeta=zeta)
-    ks = _require_spectral(k)
-    khat = ks.values[..., 0]
+    khat = spectral_values(k)[..., 0]
     u, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
     return (HalfSpaceField(u, k.tgrid, ngrid, "spectral"),
             BoundaryField(hhat, k.tgrid, "spectral"))
@@ -155,9 +150,8 @@ def extend_boundary_datum(K: BoundaryField, ngrid: NormalGrid) -> HalfSpaceField
     Keeps the datum in the H^2-type class the trace-free operators
     consume, with d_N available analytically.
     """
-    Ks = _require_spectral(K)
     damp = np.sqrt(1.0 + K.tgrid.xi_sq)[..., None]
-    out = np.exp(-damp * ngrid.nodes) * Ks.values[..., 0][..., None]
+    out = np.exp(-damp * ngrid.nodes) * spectral_values(K)[..., 0][..., None]
     return HalfSpaceField(out[..., None], K.tgrid, ngrid, "spectral")
 
 
@@ -218,8 +212,7 @@ def solve_surface_volevich(k_field: HalfSpaceField, params: FluidParams, lam, *,
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = k_field.tgrid, k_field.ngrid
-    ks = _require_spectral(k_field)
-    khat = ks.values[..., 0]                      # (modes..., nx)
+    khat = spectral_values(k_field)[..., 0]       # (modes..., nx)
     dkhat = khat @ ng.diff.T                      # d_N k per mode
 
     quad = quad or VolevichQuadrature(truncation=ng.truncation)
@@ -408,8 +401,6 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
-    Fs = _require_spectral(F)
-    Gs = _require_spectral(Gprime)
 
     n, nc = ng.points, tg.dims + 1
     D, D2 = ng.diff, ng.diff2
@@ -420,8 +411,8 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     lam, b, c = coef
     keys, shell, rot = _shell_frames(tg)
     nm = shell.size
-    Fhat = Fs.values.reshape(nm, n, nc)
-    Ghat = Gs.values.reshape(nm, nc, 1)
+    Fhat = spectral_values(F).reshape(nm, n, nc)
+    Ghat = spectral_values(Gprime).reshape(nm, nc, 1)
     r = (np.pi / tg.half_length) * np.sqrt(keys)
     # modes sorted by shell; col is each mode's column in its shell's rhs.
     # Every rhs has the same width, so a shell's solve does not see the batching.
@@ -465,44 +456,33 @@ class ResolventData:
     G: BoundaryField
     K: BoundaryField
 
-    def spectral(self) -> "ResolventData":
-        return ResolventData(
-            d=_require_spectral(self.d),
-            F=_require_spectral(self.F),
-            G=_require_spectral(self.G),
-            K=_require_spectral(self.K),
-        )
-
 
 @dataclass
 class ResolventSolution:
-    eta: HalfSpaceField | None
+    """(eta, u, h): density, velocity and height, spectral."""
+
+    eta: HalfSpaceField
     u: HalfSpaceField
     h: BoundaryField
-    h_ext: HalfSpaceField | None = None
 
 
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
-                            params: FluidParams, lam, *, zeta=None) -> ResolventSolution:
-    """Velocity-height solve without the density row.
+                            params: FluidParams, lam, *, zeta=None):
+    """Velocity-height solve without the density row: the spectral (u, h).
 
     zeta is the effective (reduced) compressibility parameter; defaults
     to gamma3 zeta / gamma1 from params.  u = v + w, the Lame solution v
     plus the surface solution w, is summed in place in v.
     """
     tg, ng = F.tgrid, F.ngrid
-    Fs = _require_spectral(F)
-    Gs = _require_spectral(G)
-    Ks = _require_spectral(K)
+    Gp = BoundaryField(spectral_values(G) / params.gamma1, tg, "spectral")
+    u = solve_lame_bvp(F, Gp, params, lam, zeta=zeta)
 
-    Gp = BoundaryField(Gs.values / params.gamma1, tg, "spectral")
-    u = solve_lame_bvp(Fs, Gp, params, lam, zeta=zeta)
-
-    k_surf = BoundaryField(Ks.values[..., 0] - u.values[..., 0, tg.dims], tg,
+    k_surf = BoundaryField(spectral_values(K)[..., 0] - u.values[..., 0, tg.dims], tg,
                            "spectral")
     w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta)
     u.values += w.values
-    return ResolventSolution(eta=None, u=u, h=h)
+    return u, h
 
 
 def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> ResolventSolution:
@@ -512,7 +492,7 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> Resol
     the box.  Eliminates the density (effective zeta = gamma2/lambda, case
     C1), solves the stress system and the corrected surface system, then
     recovers eta = (d - gamma1 div u)/lambda with collocation divergence
-    so the density row holds exactly by construction; h_ext extends h.
+    so the density row holds exactly by construction.
     """
     for fld in (data.d, data.F, data.G, data.K):
         if edge_support_ratio(fld) > EDGE_SUPPORT_TOL:
@@ -520,24 +500,23 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> Resol
     tg, ng = data.F.tgrid, data.F.ngrid
     g1, g2 = params.gamma1, params.gamma2
     zeta_eff = g2 / lam  # gamma3 * (1/lam) / gamma1, the C1 coupling
-    dhat = _require_spectral(data.d).values[..., 0]
+    dhat = spectral_values(data.d)[..., 0]
 
     # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N); the
     # spectral F and grad d are dropped before the solves
-    fvals = _require_spectral(data.F).values - (g2 / lam) * np.concatenate(
+    fvals = spectral_values(data.F) - (g2 / lam) * np.concatenate(
         [1j * tg.xi[..., None, :] * dhat[..., None], (dhat @ ng.diff.T)[..., None]],
         axis=-1)
     fvals /= g1
     # g = G + (gamma2/lam) d n0 at the boundary, n0 = (0, ..., 0, -1)
-    gvals = _require_spectral(data.G).values.copy()
+    gvals = spectral_values(data.G).copy()
     gvals[..., tg.dims] -= (g2 / lam) * dhat[..., 0]
 
-    sol = solve_reduced_resolvent(HalfSpaceField(fvals, tg, ng, "spectral"),
-                                  BoundaryField(gvals, tg, "spectral"), data.K,
-                                  params, lam, zeta=zeta_eff)
+    u, h = solve_reduced_resolvent(HalfSpaceField(fvals, tg, ng, "spectral"),
+                                   BoundaryField(gvals, tg, "spectral"), data.K,
+                                   params, lam, zeta=zeta_eff)
 
-    u = sol.u.values
-    div_u = u[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * u[..., :-1], axis=-1)
-    sol.eta = HalfSpaceField(((dhat - g1 * div_u) / lam)[..., None], tg, ng, "spectral")
-    sol.h_ext = extend_height(sol.h.values[..., 0], tg, ng)
-    return sol
+    uv = u.values
+    div_u = uv[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * uv[..., :-1], axis=-1)
+    eta = HalfSpaceField(((dhat - g1 * div_u) / lam)[..., None], tg, ng, "spectral")
+    return ResolventSolution(eta=eta, u=u, h=h)

@@ -138,7 +138,8 @@ def in_gamma_region(lam, spec: SectorSpec, params: FluidParams, tol=BOUNDARY_TOL
     lam = np.asarray(lam, dtype=complex)
     if spec.zeta_case == "C1":
         return in_lambda_region(lam, spec, tol)
-    out = (lam.real >= slope * np.abs(lam.imag) - tol) & (lam.real >= spec.lambda0 - tol)
+    out = ((lam != 0) & (lam.real >= slope * np.abs(lam.imag) - tol)
+           & (lam.real >= spec.lambda0 - tol))
     return bool(out) if out.ndim == 0 else out
 
 

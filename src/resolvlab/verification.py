@@ -1,12 +1,12 @@
-"""Independent residual evaluation, discrete norms and the R-bound sampler.
+"""Independent residual evaluation and the R-bound sampler.
 
 The residual evaluator re-applies the free-surface system to a computed
 solution with its own discretization (spectral in xi', dense collocation
 in x_N) and reports volume-normalized relative residuals per equation.
 It is the oracle for the solver pipeline and never reuses solver
-internals beyond the grids.  It runs over blocks of RESIDUAL_BLOCK_MODES
-tangential modes, so that it holds the solution and data fields plus one
-block's derivatives and terms.
+internals: it imports the grids alone.  It runs over blocks of
+RESIDUAL_BLOCK_MODES tangential modes, so that it holds the solution and
+data fields plus one block's derivatives and terms.
 
 The R-bound estimator samples the discrete square-function quotient
 
@@ -26,28 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import HalfSpaceField
-from .halfspace import ResolventData, ResolventSolution, _require_spectral
-from .regions import FluidParams
+from .grids import field_weights, spectral_values, sum_sq
 
 RESIDUAL_BLOCK_MODES = 128   # modes per block: 0.6 MB per 3-component block field at 96 nodes
 
 
 # ---------------------------------------------------------------------------
-# discrete norms
+# residual evaluation
 # ---------------------------------------------------------------------------
-
-def _sum_sq(values, w):
-    """sum of w |v|^2 over the quadrature axes, the leading w.ndim axes of values.
-
-    Remaining axes are components, summed in quadrature (l2 over
-    components inside the modulus).
-    """
-    mag = np.abs(values)
-    if mag.ndim > w.ndim:
-        mag = np.sqrt(np.sum(mag**2, axis=tuple(range(w.ndim, mag.ndim))))
-    return np.sum(w * mag**2)
-
 
 def _tree_sum(parts):
     """Sum by halves: on 2^k aligned blocks of one array, numpy's pairwise order."""
@@ -56,37 +42,18 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _volume_l2(values, weights):
-    """Volume-normalized L_2: (integral |v|^2 / volume)^(1/2)."""
-    return float(_sum_sq(values, weights / weights.sum()) ** 0.5)
-
-
-def _field_weights(fld):
-    tw = np.full(fld.tgrid.mode_shape, fld.tgrid.dx ** fld.tgrid.dims)
-    if isinstance(fld, HalfSpaceField):
-        return tw[..., None] * fld.ngrid.weights
-    return tw
-
-
-def discrete_norm(fld) -> float:
-    """Volume-normalized quadrature L_2 norm of the field's physical values."""
-    phys = fld.values if fld.space == "physical" else fld.tgrid.inverse(fld.values)
-    return _volume_l2(phys, _field_weights(fld))
-
-
-# ---------------------------------------------------------------------------
-# residual evaluation
-# ---------------------------------------------------------------------------
-
 @dataclass
 class ResidualReport:
     relative: dict
     worst_mode: dict
 
 
-def pde_residual(sol: ResolventSolution, data: ResolventData,
-                 params: FluidParams, lam) -> ResidualReport:
+def pde_residual(sol, data, params, lam) -> ResidualReport:
     """Relative residuals of the flat free-surface system.
+
+    sol is a halfspace.ResolventSolution (eta, u, h) and data its
+    ResolventData (d, F, G, K), each field in either tangential space;
+    params are the FluidParams.
 
     Equations: density row, momentum rows, tangential and normal
     boundary-stress rows, kinematic row.  Derivatives are spectral in
@@ -101,37 +68,37 @@ def pde_residual(sol: ResolventSolution, data: ResolventData,
     are formed after the last block, since a mode and its mirror may sit
     in different blocks.
     """
-    ds = data.spectral()
-    tg = ds.F.tgrid
-    ng = ds.F.ngrid
+    tg = data.F.tgrid
+    ng = data.F.ngrid
     D = ng.diff
     nd = tg.dims
-    nm = ds.K.values.size
+    nm = data.K.values.size
     mu, nu = params.mu, params.nu
     g1, g2, sg, m = params.gamma1, params.gamma2, params.sigma, params.m
 
     def modes(values):
         return values.reshape((nm,) + values.shape[nd:])
 
-    u = modes(_require_spectral(sol.u).values)
-    eta = modes(_require_spectral(sol.eta).values)[..., 0]
-    hhat = modes(_require_spectral(sol.h).values)[..., 0]
-    dhat = modes(ds.d.values)[..., 0]
-    F, G, K = modes(ds.F.values), modes(ds.G.values), modes(ds.K.values)[..., 0]
+    u = modes(spectral_values(sol.u))
+    eta = modes(spectral_values(sol.eta))[..., 0]
+    hhat = modes(spectral_values(sol.h))[..., 0]
+    dhat = modes(spectral_values(data.d))[..., 0]
+    F, G = modes(spectral_values(data.F)), modes(spectral_values(data.G))
+    K = modes(spectral_values(data.K))[..., 0]
     xi = modes(tg.xi)
     xi_sq = modes(tg.xi_sq)
     # one mode's row of each field's normalised quadrature weights: every
     # mode has the weight dx^dims
     cell = tg.dx ** nd
-    wvol = (cell * ng.weights / _field_weights(ds.F).sum())[None]
-    wbdy = np.array([cell / _field_weights(ds.G).sum()])
+    wvol = (cell * ng.weights / field_weights(data.F).sum())[None]
+    wbdy = np.array([cell / field_weights(data.G).sum()])
 
     sums, peak = {}, {}
 
     def add(name, blk, weights, residual, *terms):
         if blk.start == 0:
             sums[name], peak[name] = [], np.empty(nm)
-        sums[name].append([_sum_sq(t, weights) for t in (residual,) + terms])
+        sums[name].append([sum_sq(t, weights) for t in (residual,) + terms])
         peak[name][blk] = np.abs(residual).reshape(residual.shape[0], -1).max(axis=-1)
 
     for lo in range(0, nm, RESIDUAL_BLOCK_MODES):

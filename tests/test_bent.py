@@ -121,7 +121,7 @@ def test_pullback_constant_field():
 
 
 def test_pullback_norm_equivalence():
-    from resolvlab.verification import discrete_norm
+    from resolvlab.grids import discrete_norm
 
     spec = DiffeoSpec(amplitude=0.05, width=2.0)
     geom = build_geometry(spec, TG)
@@ -195,14 +195,13 @@ def test_neumann_identity_diffeo_matches_flat():
 
     geom = build_geometry(spec, TG)
     Fp, Gp, Kp = pullback_data(f, g, k, spec, geom, TG, NG)
-    flat = solve_reduced_resolvent(Fp, Gp, Kp, BASE, 16.0, zeta=0.0)
-    from resolvlab.grids import transform_tangential
-    flat_v = transform_tangential(flat.u, "inverse")
-    flat_h = transform_tangential(flat.h, "inverse")
-    scale = np.abs(flat_v.values).max()
-    assert np.max(np.abs(v.values - flat_v.values)) <= 1e-12 * scale
-    assert np.max(np.abs(h.values - flat_h.values)) <= 1e-12 * np.abs(
-        flat_h.values).max()
+    from resolvlab.grids import physical_values
+    flat_v, flat_h = map(physical_values,
+                         solve_reduced_resolvent(Fp, Gp, Kp, BASE, 16.0, zeta=0.0))
+    assert v.space == h.space == "physical"
+    scale = np.abs(flat_v).max()
+    assert np.max(np.abs(v.values - flat_v)) <= 1e-12 * scale
+    assert np.max(np.abs(h.values - flat_h)) <= 1e-12 * np.abs(flat_h).max()
 
 
 def test_neumann_bump_converges_and_residual():

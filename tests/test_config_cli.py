@@ -142,6 +142,19 @@ def test_field_binary_roundtrip(tmp_path):
     assert back.space == "spectral"
 
 
+def test_field_binary_rejects_an_unknown_space(tmp_path):
+    # a field is physical or spectral; a sidecar naming another space does not load
+    tg = TangentialGrid(points=16, half_length=4.0)
+    p = str(tmp_path / "k.bin")
+    field_to_binary(BoundaryField(np.ones(16), tg, "spectral"), p)
+    meta = json.load(open(p + ".json"))
+    meta["space"] = "fourier"
+    with open(p + ".json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ValueError, match="space must be one of"):
+        field_from_binary(p, tg)
+
+
 # -- CLI runs ---------------------------------------------------------------
 
 def small_cfg(tmp_path, **over):
@@ -302,9 +315,11 @@ def test_cli_exit_3_on_numerical_failure(tmp_path):
     assert rep["error"]["type"] == "numerical"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # rejected before numpy warns
 @pytest.mark.parametrize("command, over", [
     ("bent", {"lambda_re": "0.5"}),
     ("rbound", {"lambda_factors": "[1.0, 0.5, 2.0]"}),
+    ("rbound", {"lambda0": "0.0"}),   # lambda = 0 lies in no Gamma region
 ])
 def test_cli_exit_3_on_lambda_outside_gamma(tmp_path, command, over):
     # as solve's: every lambda a command solves at is checked first, 0.5 < lambda0
@@ -312,7 +327,8 @@ def test_cli_exit_3_on_lambda_outside_gamma(tmp_path, command, over):
     assert rc == 3
     rep = json.load(open(tmp_path / "report.json"))
     assert rep["error"]["class"] == "RegionError"
-    assert rep["error"]["message"].startswith("lambda = (0.5+0j) outside Gamma region")
+    lam = "0j" if "lambda0" in over else "(0.5+0j)"
+    assert rep["error"]["message"].startswith(f"lambda = {lam} outside Gamma region")
     assert rep["verdicts"] == [] and rep["artifacts"] == []
 
 
@@ -561,7 +577,7 @@ COMMAND_LAYERS = {
     "scan-nab": ["scans"],
     "rbound": ["halfspace"],
     "evolve": ["evolution", "fieldio", "halfspace"],
-    "bent": ["bent", "fieldio", "halfspace", "verification"],
+    "bent": ["bent", "fieldio", "halfspace"],
 }
 
 

@@ -11,7 +11,8 @@ from resolvlab.grids import (
     chebyshev_matrix,
     clenshaw_curtis_weights,
     edge_support_ratio,
-    transform_tangential,
+    physical_values,
+    spectral_values,
 )
 
 
@@ -27,10 +28,10 @@ def test_grid_validation():
 def test_fft_of_constant_is_delta():
     g = TangentialGrid(points=64, half_length=8.0)
     f = BoundaryField(np.ones(64), g)
-    fh = transform_tangential(f, "forward")
+    fh = spectral_values(f)
     # zero mode carries the box integral 2L; every other mode vanishes
-    assert fh.values[0, 0] == pytest.approx(2 * g.half_length, rel=1e-13)
-    assert np.max(np.abs(fh.values[1:])) < 1e-12
+    assert fh[0, 0] == pytest.approx(2 * g.half_length, rel=1e-13)
+    assert np.max(np.abs(fh[1:])) < 1e-12
 
 
 def test_roundtrip_identity():
@@ -38,8 +39,8 @@ def test_roundtrip_identity():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
     f = BoundaryField(vals, g)
-    back = transform_tangential(transform_tangential(f, "forward"), "inverse")
-    assert np.max(np.abs(back.values - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+    back = physical_values(BoundaryField(spectral_values(f), g, "spectral"))
+    assert np.max(np.abs(back - f.values)) <= 1e-13 * np.max(np.abs(f.values))
 
 
 def test_roundtrip_identity_2d():
@@ -47,8 +48,8 @@ def test_roundtrip_identity_2d():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     f = BoundaryField(vals, g)
-    back = transform_tangential(transform_tangential(f, "forward"), "inverse")
-    assert np.max(np.abs(back.values - f.values)) < 1e-13 * np.max(np.abs(vals))
+    back = physical_values(BoundaryField(spectral_values(f), g, "spectral"))
+    assert np.max(np.abs(back - f.values)) < 1e-13 * np.max(np.abs(vals))
 
 
 def test_gaussian_transforms_to_gaussian():
@@ -56,10 +57,10 @@ def test_gaussian_transforms_to_gaussian():
     g = TangentialGrid(points=128, half_length=10.0)
     w = 1.0
     f = BoundaryField(np.exp(-g.x**2 / (2 * w**2)), g)
-    fh = transform_tangential(f, "forward")
+    fh = spectral_values(f)
     xi = g.xi[:, 0]
     exact = w * math.sqrt(2 * math.pi) * np.exp(-(w**2) * xi**2 / 2)
-    assert np.max(np.abs(fh.values[:, 0] - exact)) <= 1e-8
+    assert np.max(np.abs(fh[:, 0] - exact)) <= 1e-8
 
 
 def test_chebyshev_matrix_differentiates_exp():
@@ -105,10 +106,12 @@ def test_normal_grid_arrays_built_once_and_read_only(monkeypatch):
 
 
 def test_clenshaw_curtis_exactness():
-    w = clenshaw_curtis_weights(16)
-    _, x = chebyshev_matrix(16)
-    for k in range(0, 14, 2):
-        assert w @ x**k == pytest.approx(2.0 / (k + 1), rel=1e-12)
+    # an odd node count takes the weights' even-n branch
+    for nodes in (16, 9, 17):
+        w = clenshaw_curtis_weights(nodes)
+        _, x = chebyshev_matrix(nodes)
+        for k in range(0, nodes - 2, 2):
+            assert w @ x**k == pytest.approx(2.0 / (k + 1), rel=1e-12)
 
 
 def test_edge_support_ratio():
@@ -121,6 +124,26 @@ def test_edge_support_ratio():
     assert edge_support_ratio(HalfSpaceField(vals2, g, ng)) == 1.0
     with pytest.raises(ValueError):  # support is a property of the physical samples
         edge_support_ratio(HalfSpaceField(vals, g, ng, "spectral"))
+
+
+def test_values_in_a_fields_own_space_are_its_own():
+    g = TangentialGrid(points=16)
+    ng = NormalGrid(points=8)
+    for space in ("physical", "spectral"):
+        f = HalfSpaceField(np.ones((16, 8, 2)), g, ng, space)
+        own, other = ((physical_values, spectral_values) if space == "physical"
+                      else (spectral_values, physical_values))
+        assert own(f) is f.values
+        assert not np.array_equal(other(f), f.values)
+
+
+def test_field_space_is_physical_or_spectral():
+    g = TangentialGrid(points=16)
+    for space in ("fourier", "Spectral", None):
+        with pytest.raises(ValueError, match="space must be one of"):
+            BoundaryField(np.ones(16), g, space)
+        with pytest.raises(ValueError, match="space must be one of"):
+            HalfSpaceField(np.ones((16, 8, 1)), g, NormalGrid(points=8), space)
 
 
 def test_field_shape_validation():

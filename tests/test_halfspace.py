@@ -10,7 +10,7 @@ from resolvlab.grids import (
     HalfSpaceField,
     NormalGrid,
     TangentialGrid,
-    transform_tangential,
+    spectral_values,
 )
 from resolvlab.halfspace import (
     QuadratureError,
@@ -99,9 +99,9 @@ def test_surface_kinematic_identity_all_modes():
     lam = 3.0 + 2.0j
     u, h = solve_surface_homogeneous(k, BASE, lam, NG)
     assert u.space == h.space == "spectral"
-    ks = transform_tangential(k, "forward")
-    resid = lam * h.values[..., 0] + u.values[..., 0, TG.dims] - ks.values[..., 0]
-    scale = np.abs(ks.values[..., 0]).max()
+    khat = spectral_values(k)[..., 0]
+    resid = lam * h.values[..., 0] + u.values[..., 0, TG.dims] - khat
+    scale = np.abs(khat).max()
     assert np.max(np.abs(resid)) <= 1e-10 * scale
 
 
@@ -118,10 +118,10 @@ def test_surface_boundary_stress_rows():
     lam = 2.0 + 1.5j
     p = SymbolParams.from_fluid(BASE)
     k = gaussian_boundary(TG)
-    ks = transform_tangential(k, "forward")
-    u, du, d2u, hhat = profiles_and_derivatives(lam, p, ks.values[..., 0])
+    khat = spectral_values(k)[..., 0]
+    u, du, d2u, hhat = profiles_and_derivatives(lam, p, khat)
     xi = TG.xi[..., 0]
-    amp = np.abs(ks.values[..., 0]).max()
+    amp = np.abs(khat).max()
 
     tang = p.alpha * (du[..., 0, 0] + 1j * xi * u[..., 0, TG.dims])
     assert np.max(np.abs(tang)) <= 1e-8 * amp
@@ -151,9 +151,8 @@ def test_surface_mode_profiles_evaluates_symbols_once(monkeypatch):
             if mod_name.startswith("resolvlab") and getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, counted)
 
-    k = transform_tangential(gaussian_boundary(TG), "forward")
     surface_mode_profiles(2.0 + 1.5j, TG, NG, SymbolParams.from_fluid(BASE),
-                          k.values[..., 0])
+                          spectral_values(gaussian_boundary(TG))[..., 0])
     assert calls["lopatinski_values"] == 1
     assert calls["core_values"] == 1
 
@@ -163,8 +162,7 @@ def test_surface_interior_ode_residual():
     lam = 4.0 + 1.0j
     p = SymbolParams.from_fluid(BASE)
     k = gaussian_boundary(TG)
-    ks = transform_tangential(k, "forward")
-    u, du, d2u, _ = profiles_and_derivatives(lam, p, ks.values[..., 0])
+    u, du, d2u, _ = profiles_and_derivatives(lam, p, spectral_values(k)[..., 0])
     xi = TG.xi[..., 0][..., None]
     xi2 = TG.xi_sq[..., None]
     div = 1j * xi * u[..., 0] + du[..., 1]
@@ -220,7 +218,7 @@ def test_volevich_trace_matches_homogeneous():
     u_vol, h_vol, err = solve_surface_volevich(k_ext, BASE, lam)
     assert err < 1e-6
     u_hom, h_hom = solve_surface_homogeneous(
-        BoundaryField(transform_tangential(kb, "forward").values, TG, "spectral"),
+        BoundaryField(spectral_values(kb), TG, "spectral"),
         BASE, lam, NG)
     scale = np.abs(u_hom.values).max()
     gap = np.abs(u_vol.values[..., 0, :] - u_hom.values[..., 0, :]).max()
@@ -611,8 +609,7 @@ def test_full_resolvent_k_only_reduces_to_surface_solver():
     )
     lam = 4.0
     sol = solve_full_resolvent(data_k, BASE, lam)  # solution in spectral space
-    K_spec = transform_tangential(data_k.K, "forward")
-    u_ref, h_ref = solve_surface_homogeneous(K_spec, BASE, lam, NG,
+    u_ref, h_ref = solve_surface_homogeneous(data_k.K, BASE, lam, NG,
                                              zeta=BASE.gamma2 / lam)
     # the Lame solution of zero data is exactly 0, so u = 0 + w is the surface solve
     assert np.array_equal(sol.u.values.view(np.uint64), u_ref.values.view(np.uint64))

@@ -64,6 +64,10 @@ def test_in_gamma_region_cases():
     c3 = SectorSpec(lambda0=1.0, zeta_case="C3")
     assert in_gamma_region(2 + 5j, c3, fp)
     assert not in_gamma_region(0.5 + 0j, c3, fp)
+    # lambda = 0 is rejected in every case, also where lambda0 = 0
+    for case, fluid in (("C1", fp), ("C2", FluidParams(zeta=-1 + 1j, zeta0=2.0)), ("C3", fp)):
+        assert not in_gamma_region(0.0, SectorSpec(lambda0=0.0, zeta_case=case), fluid)
+        assert in_gamma_region(1e-3, SectorSpec(lambda0=0.0, zeta_case=case), fluid)
 
     # C2 with zeta = -1 + i: slope |Re/Im| = 1, so need Re >= |Im| and Re >= 1
     fp2 = FluidParams(zeta=-1 + 1j, zeta0=2.0)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from resolvlab import verification
 from resolvlab.cli import cmd_rbound
 from resolvlab.config import RunConfig
-from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
-from resolvlab.halfspace import (ResolventData, ResolventSolution, _require_spectral,
-                                 solve_full_resolvent, solve_surface_homogeneous)
+from resolvlab.grids import (BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid,
+                            discrete_norm, field_weights, spectral_values)
+from resolvlab.halfspace import (ResolventData, ResolventSolution, solve_full_resolvent,
+                                 solve_surface_homogeneous)
 from resolvlab.regions import FluidParams
-from resolvlab.verification import (ResidualReport, _field_weights, discrete_norm,
-                                    pde_residual, rbound_estimate)
+from resolvlab.verification import ResidualReport, pde_residual, rbound_estimate
 
 BASE = FluidParams()
 TG = TangentialGrid(points=64, half_length=8.0)
@@ -123,8 +123,7 @@ def mirror_pair_case(dims, mode, bigger_first):
     density = HalfSpaceField(zeros[..., :1], tg, ng, "spectral")
     sol = ResolventSolution(
         eta=density, u=HalfSpaceField(zeros, tg, ng, "spectral"),
-        h=BoundaryField(np.zeros(tg.mode_shape + (1,), dtype=complex), tg, "spectral"),
-        h_ext=None)
+        h=BoundaryField(np.zeros(tg.mode_shape + (1,), dtype=complex), tg, "spectral"))
     data = ResolventData(
         d=density, F=HalfSpaceField(zeros, tg, ng, "spectral"),
         G=BoundaryField(zeros[..., 0, :], tg, "spectral"),
@@ -162,16 +161,16 @@ def reference_pde_residual(sol, data, params, lam):
     Builds every derivative and every term of the whole field, and takes
     each norm in one sum.
     """
-    ds = data.spectral()
-    tg = ds.F.tgrid
-    ng = ds.F.ngrid
+    tg = data.F.tgrid
+    ng = data.F.ngrid
     D = ng.diff
     nd = tg.dims
     mu, nu = params.mu, params.nu
     g1, g2, sg, m = params.gamma1, params.gamma2, params.sigma, params.m
 
-    u = _require_spectral(sol.u).values
-    hhat = _require_spectral(sol.h).values[..., 0]
+    u = spectral_values(sol.u)
+    hhat = spectral_values(sol.h)[..., 0]
+    Fhat, Ghat, Khat = (spectral_values(fld) for fld in (data.F, data.G, data.K))
     xi = tg.xi
     xi_sq = tg.xi_sq
 
@@ -186,8 +185,8 @@ def reference_pde_residual(sol, data, params, lam):
     grad_div[..., nd] = div @ D.T
     lap = d2u - xi_sq[..., None, None] * u
 
-    wvol = _field_weights(ds.F)
-    wbdy = _field_weights(ds.G)
+    wvol = field_weights(data.F)
+    wbdy = field_weights(data.G)
     report = {"relative": {}, "worst": {}}
 
     def add(name, residual, *terms, weights):
@@ -197,8 +196,8 @@ def reference_pde_residual(sol, data, params, lam):
         report["worst"][name] = [int(v) for v in
                                  np.unravel_index(int(peak.argmax()), peak.shape)]
 
-    eta = _require_spectral(sol.eta).values[..., 0]
-    dhat = ds.d.values[..., 0]
+    eta = spectral_values(sol.eta)[..., 0]
+    dhat = spectral_values(data.d)[..., 0]
     r_density = lam * eta + g1 * div - dhat
     add("density", r_density, lam * eta, g1 * div, dhat, weights=wvol)
 
@@ -206,9 +205,9 @@ def reference_pde_residual(sol, data, params, lam):
     for j in range(nd):
         grad_eta[..., j] = 1j * xi[..., j][..., None] * eta
     grad_eta[..., nd] = eta @ D.T
-    r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - ds.F.values
+    r_mom = g1 * lam * u - mu * lap - nu * grad_div + g2 * grad_eta - Fhat
     add("momentum", r_mom, g1 * lam * u, mu * lap, nu * grad_div,
-        g2 * grad_eta, ds.F.values, weights=wvol)
+        g2 * grad_eta, Fhat, weights=wvol)
 
     du0 = du[..., 0, :]
     u0 = u[..., 0, :]
@@ -216,17 +215,17 @@ def reference_pde_residual(sol, data, params, lam):
     r_tang = np.empty(tg.mode_shape + (nd,), dtype=complex)
     for j in range(nd):
         sjN = mu * (du0[..., j] + 1j * xi[..., j] * u0[..., nd])
-        r_tang[..., j] = -sjN - ds.G.values[..., j]
-    add("stress_tangential", r_tang, r_tang + ds.G.values[..., :nd],
-        ds.G.values[..., :nd], weights=wbdy)
+        r_tang[..., j] = -sjN - Ghat[..., j]
+    add("stress_tangential", r_tang, r_tang + Ghat[..., :nd],
+        Ghat[..., :nd], weights=wbdy)
 
     sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * eta[..., 0]
     surf = sg * (m + xi_sq) * hhat
-    r_norm = -(sNN + surf) - ds.G.values[..., nd]
-    add("stress_normal", r_norm, sNN, surf, ds.G.values[..., nd], weights=wbdy)
+    r_norm = -(sNN + surf) - Ghat[..., nd]
+    add("stress_normal", r_norm, sNN, surf, Ghat[..., nd], weights=wbdy)
 
-    r_kin = lam * hhat + u0[..., nd] - ds.K.values[..., 0]
-    add("kinematic", r_kin, lam * hhat, u0[..., nd], ds.K.values[..., 0],
+    r_kin = lam * hhat + u0[..., nd] - Khat[..., 0]
+    add("kinematic", r_kin, lam * hhat, u0[..., nd], Khat[..., 0],
         weights=wbdy)
 
     return ResidualReport(relative=report["relative"], worst_mode=report["worst"])
