@@ -65,18 +65,52 @@ class PerModeGenerator:
     the reduced state is [eta, w_r-interior, u_N-interior, h], and
     physical = phase * reduced.  pack_state, unpack_state and apply_full
     take and give physical (eta, u, h).
+
+    The run reads matrix alone, and no complex (3n+1)^2 map is kept.
+    The oracles form theirs on demand from the real pieces: the
+    reconstruction phase R and the projection P phase* from bordering
+    (_reduction), and the un-eliminated operator phase A phase* from
+    operator.
     """
 
     matrix: np.ndarray        # reduced square generator, float64
-    reconstruct: np.ndarray   # reduced state -> physical full state
-    project: np.ndarray       # physical full state -> reduced state
-    full_action: np.ndarray   # un-eliminated operator on the physical full state
+    operator: np.ndarray      # A: un-eliminated operator in the real variables, float64
+    bordering: np.ndarray     # boundary velocity values from the reduced state, (4, dim)
     phase: np.ndarray         # diagonal of S = diag(1, i on w_r, 1) on the reduced state
     ngrid: NormalGrid
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _full_phase(n: int) -> np.ndarray:
+    """Diagonal of S = diag(1 on eta, i on u_r, 1 on u_N and h) on the full state."""
+    phase = np.ones(3 * n + 1, dtype=complex)
+    phase[n:2 * n] = 1j
+    return phase
+
+
+def _unknowns(n: int):
+    """The boundary unknowns u_r, u_N at node 0, then at node n-1, and the rest."""
+    b_idx = [n, 2 * n, 2 * n - 1, 3 * n - 1]
+    return b_idx, [i for i in range(3 * n + 1) if i not in set(b_idx)]
+
+
+def _reduction(n: int, bordering: np.ndarray):
+    """The real reconstruction R (full x reduced) and projection P (reduced x full).
+
+    R carries the reduced state and, on the boundary unknowns, their
+    bordering rows; P selects the reduced state.
+    """
+    b_idx, r_idx = _unknowns(n)
+    dim_red = len(r_idx)
+    R = np.zeros((3 * n + 1, dim_red))
+    R[r_idx, np.arange(dim_red)] = 1.0
+    R[b_idx, :] = bordering
+    P = np.zeros((dim_red, 3 * n + 1))
+    P[np.arange(dim_red), r_idx] = 1.0
+    return R, P
 
 
 def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerModeGenerator:
@@ -103,10 +137,8 @@ def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerMod
     i_eta, i_r, i_N = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     i_vel = slice(n, 3 * n)
     i_h = dim_full - 1
-    # the real variables: u_r = i w_r, and the u_r rows multiplied by -i
-    phase = np.ones(dim_full, dtype=complex)
-    phase[i_r] = 1j
 
+    # the real variables: u_r = i w_r, and the u_r rows multiplied by -i
     A = np.zeros((dim_full, dim_full))
     # density row: -gamma1 div u = -gamma1 (u_N' - xi w_r)
     A[i_eta, i_r] += g1 * xi * Ident
@@ -129,47 +161,45 @@ def build_generator(xi: float, params: FluidParams, ngrid: NormalGrid) -> PerMod
     C[1, i_h] = sg * (m + xi * xi)
     C[2, 2 * n - 1] = C[3, 3 * n - 1] = 1.0
 
-    # boundary unknowns: u_r, u_N at node 0, then at node n-1
-    b_idx = [n, 2 * n, 2 * n - 1, 3 * n - 1]
-    r_idx = [i for i in range(dim_full) if i not in set(b_idx)]
+    b_idx, r_idx = _unknowns(n)
     try:
         Xel = -np.linalg.solve(C[:, b_idx], C[:, r_idx])     # u_b = Xel @ x_reduced
     except np.linalg.LinAlgError as exc:
         raise ContourError(f"singular boundary bordering: {exc}") from exc
 
-    dim_red = len(r_idx)
-    R = np.zeros((dim_full, dim_red))
-    R[r_idx, np.arange(dim_red)] = 1.0
-    R[b_idx, :] = Xel
-    P = np.zeros((dim_red, dim_full))
-    P[np.arange(dim_red), r_idx] = 1.0
-    return PerModeGenerator(matrix=P @ A @ R, reconstruct=phase[:, None] * R,
-                            project=P * phase.conj(),
-                            full_action=phase[:, None] * A * phase.conj(),
-                            phase=phase[r_idx], ngrid=ngrid)
+    R, P = _reduction(n, Xel)
+    return PerModeGenerator(matrix=P @ A @ R, operator=A, bordering=Xel,
+                            phase=_full_phase(n)[r_idx], ngrid=ngrid)
+
+
+def _full_state(eta, u, h):
+    return np.concatenate([np.asarray(eta, dtype=complex).ravel(),
+                           np.asarray(u, dtype=complex).T.ravel(),
+                           [complex(h)]])
+
+
+def _split_state(full, n):
+    return full[:n], full[n:3 * n].reshape(2, n).T, full[-1]
 
 
 def apply_full(gen: PerModeGenerator, eta, u, h):
     """Un-eliminated operator applied to a full state (eta, u, h)."""
     n = gen.ngrid.points
-    state = np.concatenate([np.asarray(eta, dtype=complex).ravel(),
-                            np.asarray(u, dtype=complex).T.ravel(),
-                            [complex(h)]])
-    out = gen.full_action @ state
-    return out[:n], out[n:3 * n].reshape(2, n).T, out[-1]
+    phase = _full_phase(n)
+    full_action = phase[:, None] * gen.operator * phase.conj()
+    return _split_state(full_action @ _full_state(eta, u, h), n)
 
 
 def pack_state(gen: PerModeGenerator, eta, u, h):
-    full = np.concatenate([np.asarray(eta, dtype=complex).ravel(),
-                           np.asarray(u, dtype=complex).T.ravel(),
-                           [complex(h)]])
-    return gen.project @ full
+    n = gen.ngrid.points
+    project = _reduction(n, gen.bordering)[1] * _full_phase(n).conj()
+    return project @ _full_state(eta, u, h)
 
 
 def unpack_state(gen: PerModeGenerator, reduced):
-    full = gen.reconstruct @ np.asarray(reduced, dtype=complex)
     n = gen.ngrid.points
-    return full[:n], full[n:3 * n].reshape(2, n).T, full[-1]
+    reconstruct = _full_phase(n)[:, None] * _reduction(n, gen.bordering)[0]
+    return _split_state(reconstruct @ np.asarray(reduced, dtype=complex), n)
 
 
 # ---------------------------------------------------------------------------

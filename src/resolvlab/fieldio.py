@@ -215,8 +215,12 @@ def field_to_csv(fld, path):
             fh.write(table.tobytes().translate(None, b"\0"))
 
 
-def field_from_csv(path, tgrid: TangentialGrid, ngrid: NormalGrid | None,
-                   space="physical"):
+def field_from_csv(path, tgrid: TangentialGrid, ngrid: NormalGrid | None, space: str):
+    """The field written to path by field_to_csv, labelled space.
+
+    The CSV does not record the tangential space, so the caller names it:
+    the solve artifacts are "spectral".
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)

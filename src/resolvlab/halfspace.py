@@ -8,7 +8,8 @@ them) and returns spectral fields:
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
     the velocity profiles are combinations of exp(-B x) and the mollified
     exponential M weighted by the n_Jk symbols.  The solves read only the
-    profile u, so they build none of its x-derivatives.
+    profile u, so they build none of its x-derivatives, and the profiles
+    are formed LAME_BATCH_MODES modes at a time into u.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per shell |xi'| = r (the literature
     formula the construction delegates to is replaced by this solver;
@@ -62,7 +63,9 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
-LAME_BATCH_MODES = 16   # shells per batch: 4.7 MB of real 2n blocks at 96 nodes, 2-D adds 1.2 MB
+# shells per Lame batch: 4.7 MB of real 2n blocks at 96 nodes, 2-D adds 1.2 MB;
+# and modes per block of the surface profiles
+LAME_BATCH_MODES = 16
 
 
 class SolverError(NumericalError, RuntimeError):
@@ -95,35 +98,44 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
     khat holds the per-mode boundary values of the surface datum.
     Returns (u, hhat) with u of shape mode_shape + (nx, N); order 1 or 2
-    gives d^order u / dx^order in place of u.
+    gives d^order u / dx^order in place of u.  E = exp(-B x), M and
+    their products with the coefficients are formed LAME_BATCH_MODES
+    modes at a time, into u; each product keeps its operand order, so
+    the values do not depend on the block size.
     """
     xi_sq = tgrid.xi_sq
     L = lopatinski_values(lam, xi_sq, p)
     A, B = L.A, L.B
     nt1, nt2, nN1, nN2 = njk_values(L, q_values(lam, xi_sq, p, core=(A, B))[0], tgrid.xi, p)
 
-    x = ngrid.nodes
-    Ax, Bx = A[..., None], B[..., None]
-    E = np.exp(-Bx * x)
-    if order:
-        M = mollified_exp_derivatives(Ax, Bx, x)[order]
-        E = (-Bx) ** order * E
-    else:
-        M = mollified_exp(Ax, Bx, x)
+    # the per-mode coefficients, with the mode axes flattened
+    nm, nd = khat.size, tgrid.dims
+    mxi2 = (p.m + xi_sq).reshape(nm, 1)
+    kb = khat.reshape(nm, 1)
+    c1 = nt1.reshape(nm, 1, nd) * mxi2[..., None] * kb[..., None]
+    c2 = nt2.reshape(nm, 1, nd) * mxi2[..., None] * kb[..., None]
+    cN1 = nN1.reshape(nm, 1) * mxi2 * kb
+    cN2 = nN2.reshape(nm, 1) * mxi2 * kb
+    A, B = A.reshape(nm, 1), B.reshape(nm, 1)
 
-    mxi2 = (p.m + xi_sq)[..., None]
-    kb = khat[..., None]
-    c1 = nt1[..., None, :] * mxi2[..., None] * kb[..., None]
-    c2 = nt2[..., None, :] * mxi2[..., None] * kb[..., None]
-    cN1 = nN1[..., None] * mxi2 * kb
-    cN2 = nN2[..., None] * mxi2 * kb
-    u = np.empty(tgrid.mode_shape + (ngrid.points, tgrid.dims + 1), dtype=complex)
-    u[..., :-1] = c1 * (Bx * M - E)[..., None]
-    u[..., :-1] += c2 * E[..., None]
-    u[..., -1] = cN1 * Bx * M + cN2 * E
+    x = ngrid.nodes
+    u = np.empty((nm, ngrid.points, nd + 1), dtype=complex)
+    for lo in range(0, nm, LAME_BATCH_MODES):
+        b = slice(lo, lo + LAME_BATCH_MODES)
+        Bx = B[b]
+        E = np.exp(-Bx * x)
+        if order:
+            M = mollified_exp_derivatives(A[b], Bx, x)[order]
+            E = (-Bx) ** order * E
+        else:
+            M = mollified_exp(A[b], Bx, x)
+        ub = u[b]
+        ub[..., :-1] = c1[b] * (Bx * M - E)[..., None]
+        ub[..., :-1] += c2[b] * E[..., None]
+        ub[..., -1] = cN1[b] * Bx * M + cN2[b] * E
 
     hhat = (L.detL / L.N) * khat
-    return u, hhat
+    return u.reshape(tgrid.mode_shape + u.shape[1:]), hhat
 
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,

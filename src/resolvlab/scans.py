@@ -40,6 +40,11 @@ amplify those last bits to ~1e-3 in the ratios of n11 and nN1.  Below
 that size a point's values do not depend on the points evaluated with
 it, so the reports do not depend on how points are batched.
 
+The N(A, B) search (nab_lower_bound_scan) also draws its unit rows once
+per scan: each trial lam0 maps them into its region, evaluates L and
+takes the minimum ratio STENCIL_CHUNK_POINTS rows at a time, so it holds
+the rows plus one chunk's values.
+
 The pass keeps no table of ratios.  Each chunk's ratios, for all symbols
 and pairs at once, are folded into a _Summary of the n-set and one of
 the rest: the running maximum (NaN-propagating, as np.max) and the
@@ -673,31 +678,43 @@ def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:
     return 0.99 * float(np.min(B.real / scale))
 
 
-def _nab_min_ratio(lambda0: float, plan: SamplingPlan, spec: SectorSpec,
+def _nab_min_ratio(lambda0: float, u, plan: SamplingPlan, spec: SectorSpec,
                    params: FluidParams, sp: SymbolParams):
-    lam, xi = draw_samples(plan, replace(spec, lambda0=lambda0), params)
-    xi_norm = np.linalg.norm(xi, axis=-1)
-    L = lopatinski_values(lam, xi_norm**2, sp, check=False)
-    denom = (np.abs(lam) + xi_norm) * (np.sqrt(np.abs(lam)) + xi_norm) ** 2
-    return float(np.min(np.abs(L.N) / denom))
+    """min of |N| / ((|lam|+|xi|)(|lam|^1/2+|xi|)^2) over the unit rows u mapped at lambda0.
+
+    The rows are mapped and evaluated STENCIL_CHUNK_POINTS at a time, and
+    the chunks' minima are reduced NaN-propagating, as np.min is.
+    """
+    region = replace(spec, lambda0=lambda0)
+    minima = []
+    for lo in range(0, len(u), STENCIL_CHUNK_POINTS):
+        lam, xi = _region_points(u[lo:lo + STENCIL_CHUNK_POINTS], plan, region, params)
+        xi_norm = np.linalg.norm(xi, axis=-1)
+        N = lopatinski_values(lam, xi_norm**2, sp, check=False).N
+        denom = (np.abs(lam) + xi_norm) * (np.sqrt(np.abs(lam)) + xi_norm) ** 2
+        minima.append(np.min(np.abs(N) / denom))
+    return float(np.min(minima))
 
 
 def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: int,
                          seed: int = 0) -> dict:
     """Smallest lam0 in [1, 2^16] whose sampled min of |N|/bound clears the floor.
 
-    Each trial lam0 samples spec's region with its lambda0 replaced.
+    The plan's unit-cube rows are drawn once; each trial lam0 maps them
+    into spec's region with its lambda0 replaced, chunk by chunk
+    (_nab_min_ratio), so the scan holds the rows plus one chunk.
     Doubling finds a bracket, bisection shrinks it to 1% relative width;
     the certified constant is c = 0.99 x the sampled minimum at the
     returned lam0.  Each lam0 tried is sampled once.
     """
     sp = SymbolParams.from_fluid(params)
     plan = SamplingPlan(n_samples=sample_budget, seed=seed)
+    u = _unit_draw(plan)
     found = None  # the sampled minimum at the last lam0 that cleared the floor
 
     def clears(lam0):
         nonlocal found
-        min_ratio = _nab_min_ratio(lam0, plan, spec, params, sp)
+        min_ratio = _nab_min_ratio(lam0, u, plan, spec, params, sp)
         if min_ratio > NAB_FLOOR:
             found = min_ratio
         return min_ratio > NAB_FLOOR

@@ -95,12 +95,12 @@ def test_field_csv_roundtrip(tmp_path):
     vals = rng.standard_normal((16, 12, 2)) + 1j * rng.standard_normal((16, 12, 2))
     f = HalfSpaceField(vals, tg, ng)
     field_to_csv(f, str(tmp_path / "f.csv"))
-    back = field_from_csv(str(tmp_path / "f.csv"), tg, ng)
+    back = field_from_csv(str(tmp_path / "f.csv"), tg, ng, f.space)
     assert np.max(np.abs(back.values - vals)) < 1e-15
 
     b = BoundaryField(vals[:, 0, :], tg)
     field_to_csv(b, str(tmp_path / "b.csv"))
-    back = field_from_csv(str(tmp_path / "b.csv"), tg, None)
+    back = field_from_csv(str(tmp_path / "b.csv"), tg, None, b.space)
     assert np.max(np.abs(back.values - b.values)) < 1e-15
 
     # the exact text: integer index columns, 17 significant digits, -0 kept

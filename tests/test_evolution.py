@@ -371,10 +371,8 @@ def test_generator_matches_analytic_operator():
         duN_exact = (mu * (d2uN - xi**2 * uN) + nu * ddiv - g2 * grad_eta[1]) / g1
         dh_exact = -uN[0]
 
-        exact_full = np.concatenate([deta_exact,
-                                     np.stack([dut_exact, duN_exact], axis=-1).T.ravel(),
-                                     [dh_exact]])
-        exact_red = gen.project @ exact_full
+        exact_red = pack_state(gen, deta_exact, np.stack([dut_exact, duN_exact], axis=-1),
+                               dh_exact)
         scale = np.abs(exact_red).max()
         assert np.max(np.abs(out - exact_red)) <= 1e-6 * scale
 
@@ -405,6 +403,27 @@ def test_generator_roundtrip_pack_unpack():
     eta, u, h = unpack_state(gen, red)
     red2 = pack_state(gen, eta, u, h)
     assert np.allclose(red, red2, atol=1e-12)
+
+
+def test_generator_forms_no_complex_full_matrix():
+    # build_generator keeps the real operator and the reduced matrix; the
+    # oracles form the complex maps on demand.  In units of one float64
+    # (3n+1)^2 array, the build peaks at 5.1 with the operator, R, P,
+    # P @ A and the matrix alive, and holds 2.0 after it.  A complex
+    # (3n+1)^2 array is 2 units more on either.
+    import tracemalloc
+
+    ng = NormalGrid(points=96, truncation=20.0)
+    ng.diff, ng.diff2   # the grid's cached matrices are not the generator's
+    unit = (3 * ng.points + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        gen = build_generator(0.5, NON_UNIT, ng)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5 * unit and peak < 5.5 * unit, (held / unit, peak / unit)
+    assert all(np.isrealobj(a) for a in (gen.matrix, gen.operator, gen.bordering))
 
 
 def test_generator_evolution_vs_oracle():

@@ -82,5 +82,5 @@ def test_field_csv_matches_the_per_row_writer(tmp_path):
         reference_field_csv(fld, str(tmp_path / f"{n}_ref.csv"))
         assert (tmp_path / f"{n}.csv").read_bytes() == (tmp_path / f"{n}_ref.csv").read_bytes()
         # 17 digits round-trip: the reimport is bitwise, -0.0 included
-        back = field_from_csv(path, fld.tgrid, getattr(fld, "ngrid", None)).values
+        back = field_from_csv(path, fld.tgrid, getattr(fld, "ngrid", None), fld.space).values
         assert np.array_equal(back.view(np.uint64), fld.values.view(np.uint64))

@@ -435,6 +435,27 @@ def test_lame_batches_give_the_same_solution(monkeypatch):
         assert all(np.array_equal(runs[0], v) for v in runs[1:])
 
 
+def test_surface_profile_blocks_give_the_same_profiles(monkeypatch):
+    # every product keeps its operand order, and at these sizes no array
+    # reaches the 256 KiB from which numpy reuses temporaries, so the block
+    # size cannot change a bit of u or of its x-derivatives
+    from resolvlab import halfspace
+
+    lam = 3.0 + 0.4j
+    p = SymbolParams.from_fluid(NON_UNIT)
+    ng = NormalGrid(points=24, truncation=20.0)
+    for tg in (TG, TangentialGrid(dims=2, points=8, half_length=8.0)):
+        rng = np.random.default_rng(tg.dims)
+        khat = rng.standard_normal(tg.mode_shape) + 1j * rng.standard_normal(tg.mode_shape)
+        for order in range(3):
+            runs = []
+            for batch in (1, 5, tg.points ** tg.dims):
+                monkeypatch.setattr(halfspace, "LAME_BATCH_MODES", batch)
+                runs.append(surface_mode_profiles(lam, tg, ng, p, khat, order))
+            assert all(np.array_equal(runs[0][0], u) and np.array_equal(runs[0][1], h)
+                       for u, h in runs[1:])
+
+
 def random_lame_data(tg, ng, seed):
     rng = np.random.default_rng(seed)
     shape = tg.mode_shape + (ng.points, tg.dims + 1)

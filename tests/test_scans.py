@@ -155,6 +155,47 @@ def test_nab_scan_samples_each_lambda0_once(monkeypatch, floor):
     assert rep["lambda0Found"] in tried
 
 
+def test_nab_scan_draws_once_and_does_not_depend_on_the_chunk(monkeypatch):
+    # one unit draw per scan, then chunks of at most STENCIL_CHUNK_POINTS
+    # points.  At 5000 samples every array stays below the 256 KiB from
+    # which numpy reuses temporaries, so any chunk gives the same bits.
+    # The floor 0.47 makes the scan double and bisect (see above).
+    monkeypatch.setattr(scans, "NAB_FLOOR", 0.47)
+    draws = []
+
+    def counted(plan):
+        draws.append(plan)
+        return unit_draw(plan)
+
+    unit_draw = scans._unit_draw
+    monkeypatch.setattr(scans, "_unit_draw", counted)
+    reports = []
+    for chunk in (scans.STENCIL_CHUNK_POINTS, 1_000_000, 97):
+        monkeypatch.setattr(scans, "STENCIL_CHUNK_POINTS", chunk)
+        reports.append(nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=5000, seed=4))
+    assert repr(reports[0]) == repr(reports[1]) == repr(reports[2])   # repr: every bit
+    assert len(draws) == 3
+    assert reports[0]["lambda0Found"] > 1
+
+
+def test_nab_scan_holds_the_unit_rows_and_one_chunk():
+    # the traced peak above the unit rows (4 float64 = 32 B per sample) is
+    # a few chunk-sized arrays, whatever the sample count: here at most 32
+    # complex arrays of STENCIL_CHUNK_POINTS points (2.1 MB)
+    import tracemalloc
+
+    bound = 32 * 16 * scans.STENCIL_CHUNK_POINTS
+    nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=100, seed=2)   # one-time set-up
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 32 * n < bound, (n, peak)
+
+
 def test_nab_scan_real_axis_value():
     # at lam = lam0 real, xi = 0 the ratio is |N| / lam0^2 with
     # N = lam0 detL + sigma L11 m, strictly positive
