@@ -6,12 +6,3 @@ time evolution and a bent-half-space perturbation solver.
 """
 
 __version__ = "0.1.0"
-
-from .regions import (  # noqa: F401
-    FluidParams,
-    SectorSpec,
-    in_gamma_region,
-    in_lambda_region,
-    in_sigma,
-)
-from .symbols import LopatinskiMatrix, SymbolParams  # noqa: F401

@@ -9,7 +9,7 @@ whose Jacobian splits as identity + compactly supported perturbation.
 Fields on the curved domain are stored terrain-following, i.e. as arrays
 over the flat grid sampled at Phi(grid), so composition with Phi and
 Phi^-1 along the flat grid is re-indexing.  Curved-domain data are
-callables, evaluated at the terrain points.
+callables, evaluated at the terrain points once per solve (sample_data).
 
 The transformed system is the flat one plus perturbation operators that
 are all weighted by the Jacobian perturbation (first fundamental form,
@@ -111,24 +111,7 @@ def build_geometry(spec: DiffeoSpec, tgrid: TangentialGrid) -> SurfaceGeometry:
 # pullback
 # ---------------------------------------------------------------------------
 
-def pullback_data(f, g, k, spec: DiffeoSpec, geom: SurfaceGeometry,
-                  tgrid: TangentialGrid, ngrid: NormalGrid):
-    """(F+, G+, K+) on the flat half space from curved-domain data.
-
-    f: interior vector data, g: boundary vector data, k: boundary scalar,
-    all callables (x1, x2) -> values, evaluated at the terrain points
-    Phi(grid).
-    """
-    fv, gb, kb = _sample(f, g, k, spec, tgrid, ngrid)
-
-    # A_- is the identity for the shear map; only the area factor enters g
-    Fp = HalfSpaceField(fv, tgrid, ngrid)
-    Gp = BoundaryField(geom.jac_norm[:, None] * gb, tgrid)
-    Kp = BoundaryField(kb, tgrid)
-    return Fp, Gp, Kp
-
-
-def _sample(f, g, k, spec: DiffeoSpec, tgrid: TangentialGrid, ngrid: NormalGrid):
+def sample_data(f, g, k, spec: DiffeoSpec, tgrid: TangentialGrid, ngrid: NormalGrid):
     """Callable curved-domain data at the terrain points, components last.
 
     f is evaluated at Phi(grid), g and k on the boundary curve (x1, b(x1)).
@@ -136,15 +119,20 @@ def _sample(f, g, k, spec: DiffeoSpec, tgrid: TangentialGrid, ngrid: NormalGrid)
     x1 = tgrid.x
     X1 = np.broadcast_to(x1[:, None], (tgrid.points, ngrid.points))
     T1, T2 = spec.forward(X1, np.broadcast_to(ngrid.nodes[None, :], X1.shape))
-
-    def vector(data, *points):
-        out = np.asarray(data(*points), dtype=complex)
-        return np.moveaxis(out, 0, -1) if out.shape[0] == 2 else out
-
-    fv = vector(f, T1, T2)
-    gb = vector(g, x1, spec.bump(x1))
-    kb = np.asarray(k(x1, spec.bump(x1)), dtype=complex)[..., None]
+    b = spec.bump(x1)
+    fv = np.asarray(f(T1, T2), dtype=complex)
+    gb = np.asarray(g(x1, b), dtype=complex)
+    kb = np.asarray(k(x1, b), dtype=complex)[..., None]
     return fv, gb, kb
+
+
+def pullback_data(samples, geom: SurfaceGeometry, tgrid: TangentialGrid,
+                  ngrid: NormalGrid):
+    """(F+, G+, K+) on the flat half space from sample_data's (f, g, k)."""
+    fv, gb, kb = samples
+    # A_- is the identity for the shear map; only the area factor enters g
+    return (HalfSpaceField(fv, tgrid, ngrid), BoundaryField(geom.jac_norm[:, None] * gb, tgrid),
+            BoundaryField(kb, tgrid))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +203,8 @@ def _tensor_split(wp, geom: SurfaceGeometry, params: FluidParams,
     return J, divw, S, Aphi, F1 + F2
 
 
-def apply_perturbation(w: HalfSpaceField, H: BoundaryField, spec: DiffeoSpec,
-                       geom: SurfaceGeometry, params: FluidParams, lam):
+def apply_perturbation(w: HalfSpaceField, H: BoundaryField, geom: SurfaceGeometry,
+                       params: FluidParams):
     """Perturbation data triple (R1, R2, R3), physical, of the iterate (w, H).
 
     w and H may be in either tangential space; the operators act on their
@@ -319,10 +307,10 @@ def data_norm(F: HalfSpaceField, G: BoundaryField, K: BoundaryField, lam) -> flo
             + sobolev(K, 2))
 
 
-def _perturb_of_data(Z, spec, geom, params, lam):
+def _perturb_of_data(Z, geom, params, lam):
     """F_lam R(lam) Z: the perturbation of the flat solution of the data triple Z."""
     u, h = solve_reduced_resolvent(*Z, params, lam)
-    return apply_perturbation(u, h, spec, geom, params, lam)
+    return apply_perturbation(u, h, geom, params)
 
 
 def _with_values(fields, values):
@@ -337,42 +325,37 @@ def neumann_solve(f, g, k, spec: DiffeoSpec, params: FluidParams, lam,
 
     Returns (v, h, state) with v, h physical and terrain-following on the
     flat grid: the composition with Phi^-1 is re-indexing, and A_- = I for
-    the shear map, so the flat solution's arrays carry over unchanged.
-    Raises DivergenceError when the update ratio stays >= 1 for three
-    consecutive iterations.
+    the shear map, so the flat solution's arrays carry over unchanged.  The
+    data are sampled and the geometry built once.  Stops once the update
+    norm is <= tol x the data norm (zero data: at once); raises
+    DivergenceError when the last three update ratios are all >= 1.
     """
     geom = build_geometry(spec, tgrid)
-    Z = Z0 = pullback_data(f, g, k, spec, geom, tgrid, ngrid)
+    samples = sample_data(f, g, k, spec, tgrid, ngrid)
+    Z = Z0 = pullback_data(samples, geom, tgrid, ngrid)
     z0_norm = data_norm(*Z0, lam)
     state = PerturbationState()
 
-    prev_update = None
-    bad_streak = 0
     for it in range(1, max_iter + 1):
-        R = _perturb_of_data(Z, spec, geom, params, lam)
+        R = _perturb_of_data(Z, geom, params, lam)
         Zn = _with_values(Z0, [z0.values - r.values for z0, r in zip(Z0, R)])
         upd = data_norm(*_with_values(Z, [n.values - z.values for n, z in zip(Zn, Z)]), lam)
         state.update_norms.append(upd)
         state.iterations = it
-        if prev_update is not None and prev_update > 0:
-            ratio = upd / prev_update
-            state.ratios.append(ratio)
-            if ratio >= 1.0:
-                bad_streak += 1
-                if bad_streak >= 3:
-                    raise DivergenceError(
-                        f"no contraction after {it} iterations", ratio)
-            else:
-                bad_streak = 0
+        if it > 1 and state.update_norms[-2] > 0:
+            state.ratios.append(upd / state.update_norms[-2])
+            # a NaN ratio is not >= 1, so it ends the streak
+            if len(state.ratios) >= 3 and all(r >= 1.0 for r in state.ratios[-3:]):
+                raise DivergenceError(f"no contraction after {it} iterations",
+                                      state.ratios[-1])
         Z = Zn
-        prev_update = upd
-        if upd < tol * z0_norm:
+        if upd <= tol * z0_norm:
             state.converged = True
             break
 
     sol = solve_reduced_resolvent(*Z, params, lam)
     v, h = _with_values(sol, [physical_values(fld) for fld in sol])
-    state.residuals = bent_residual(v, h, f, g, k, spec, params, lam, tgrid, ngrid)
+    state.residuals = bent_residual(v, h, samples, geom, params, lam)
     return v, h, state
 
 
@@ -393,7 +376,7 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
         Kv = c[4] * envelope[:, 0]
         Z = (HalfSpaceField(Fv, tgrid, ngrid), BoundaryField(Gv, tgrid),
              BoundaryField(Kv, tgrid))
-        num = data_norm(*_perturb_of_data(Z, spec, geom, params, lam), lam)
+        num = data_norm(*_perturb_of_data(Z, geom, params, lam), lam)
         worst = max(worst, num / data_norm(*Z, lam))
     return worst
 
@@ -402,15 +385,14 @@ def contraction_ratio(spec: DiffeoSpec, params: FluidParams, lam,
 # physical-coordinate residual
 # ---------------------------------------------------------------------------
 
-def bent_residual(v: HalfSpaceField, h: BoundaryField, f, g, k,
-                  spec: DiffeoSpec, params: FluidParams, lam,
-                  tgrid: TangentialGrid, ngrid: NormalGrid) -> dict:
+def bent_residual(v: HalfSpaceField, h: BoundaryField, samples,
+                  geom: SurfaceGeometry, params: FluidParams, lam) -> dict:
     """Relative residuals of the curved-domain system at Phi(grid).
 
-    x-derivatives are assembled by the chain rule d_x1 = d_1 - b' d_2,
-    d_x2 = d_2 on the terrain-following representation.
+    samples are sample_data's (f, g, k).  x-derivatives are assembled by the
+    chain rule d_x1 = d_1 - b' d_2, d_x2 = d_2 on the terrain-following grid.
     """
-    geom = build_geometry(spec, tgrid)
+    tgrid, ngrid = v.tgrid, v.ngrid
     bp = geom.bp[:, None]
     vp = v.values
     Hp = h.values[..., 0]
@@ -437,7 +419,7 @@ def bent_residual(v: HalfSpaceField, h: BoundaryField, f, g, k,
         lap[..., j] = dx(Dv[0, j], 0) + dx(Dv[1, j], 1)
         graddiv[..., j] = dx(divv, j)
 
-    fv, gb, kb = _sample(f, g, k, spec, tgrid, ngrid)
+    fv, gb, kb = samples
 
     r_int = (lam * vp - (mu * lap + (nu + zg3) * graddiv) / g1 - fv)
 

@@ -83,14 +83,13 @@ import numpy as np
 
 from .errors import NumericalError
 from .regions import FluidParams, SectorSpec, gamma_points
-from .symbols import (SYMBOLS, SymbolParams, core_values, evaluate_symbols,
-                      lopatinski_values)
+from .symbols import (N_FLOOR, SYMBOLS, SymbolParams, core_values, evaluate_symbols,
+                      lopatinski_values, n_scale)
 
 FD_REL_STEP = 1e-4
 MAX_DERIV_ORDER = 2           # the scans' (kappa, ell) reach |kappa| <= 2, ell <= 1
 LAM_FACTOR = 1e4              # sampled |lambda| ranges over [lam0, LAM_FACTOR * lam0]
 XI_LO, XI_HI = 1e-3, 1e3      # and |xi'| over [XI_LO, XI_HI]
-NAB_FLOOR = 1e-10
 NAB_LAMBDA0_CAP = 2.0**16
 
 STENCIL_CHUNK_POINTS = 4096   # symbol points per stacked call of the sampled pass
@@ -555,7 +554,6 @@ class _Scan:
             "refinedWorstRatio": refined_overall,
             "refinementGrowth": (refined_overall / worst_overall - 1.0
                                  if worst_overall > 0 else 0.0),
-            "violations": [],
         }
         if SYMBOLS[name].exp_decay:
             report["decayConstant"] = float(self.decay_c)
@@ -680,7 +678,7 @@ def fit_exp_decay_constant(lam, xi, sp: SymbolParams) -> float:
 
 def _nab_min_ratio(lambda0: float, u, plan: SamplingPlan, spec: SectorSpec,
                    params: FluidParams, sp: SymbolParams):
-    """min of |N| / ((|lam|+|xi|)(|lam|^1/2+|xi|)^2) over the unit rows u mapped at lambda0.
+    """min of |N| / n_scale(lam, xi) over the unit rows u mapped at lambda0.
 
     The rows are mapped and evaluated STENCIL_CHUNK_POINTS at a time, and
     the chunks' minima are reduced NaN-propagating, as np.min is.
@@ -691,8 +689,7 @@ def _nab_min_ratio(lambda0: float, u, plan: SamplingPlan, spec: SectorSpec,
         lam, xi = _region_points(u[lo:lo + STENCIL_CHUNK_POINTS], plan, region, params)
         xi_norm = np.linalg.norm(xi, axis=-1)
         N = lopatinski_values(lam, xi_norm**2, sp, check=False).N
-        denom = (np.abs(lam) + xi_norm) * (np.sqrt(np.abs(lam)) + xi_norm) ** 2
-        minima.append(np.min(np.abs(N) / denom))
+        minima.append(np.min(np.abs(N) / n_scale(lam, xi_norm)))
     return float(np.min(minima))
 
 
@@ -715,9 +712,9 @@ def nab_lower_bound_scan(params: FluidParams, spec: SectorSpec, sample_budget: i
     def clears(lam0):
         nonlocal found
         min_ratio = _nab_min_ratio(lam0, u, plan, spec, params, sp)
-        if min_ratio > NAB_FLOOR:
+        if min_ratio > N_FLOOR:
             found = min_ratio
-        return min_ratio > NAB_FLOOR
+        return min_ratio > N_FLOOR
 
     hi = 1.0
     if not clears(hi):

@@ -190,10 +190,15 @@ def q_values(lam, xi_sq, p: SymbolParams, core=None):
     return Q, Qp
 
 
-def n_floor(lam, xi_norm):
-    """Certified lower bound N_FLOOR (|lam| + |xi|) (|lam|^1/2 + |xi|)^2 of |N|."""
+def n_scale(lam, xi_norm):
+    """(|lam| + |xi|) (|lam|^1/2 + |xi|)^2, the growth of |N| on Gamma."""
     al = np.abs(np.asarray(lam, dtype=complex))
-    return N_FLOOR * (al + xi_norm) * (np.sqrt(al) + xi_norm) ** 2
+    return (al + xi_norm) * (np.sqrt(al) + xi_norm) ** 2
+
+
+def n_floor(lam, xi_norm):
+    """Certified lower bound N_FLOOR x n_scale of |N|."""
+    return N_FLOOR * n_scale(lam, xi_norm)
 
 
 def njk_values(L: LopatinskiMatrix, Q, xi, p: SymbolParams):

@@ -15,6 +15,7 @@ from resolvlab.bent import (
     data_norm,
     neumann_solve,
     pullback_data,
+    sample_data,
 )
 from resolvlab.grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
 from resolvlab.halfspace import solve_reduced_resolvent
@@ -99,7 +100,7 @@ def test_pullback_identity_map():
     spec = DiffeoSpec(amplitude=0.0)
     geom = build_geometry(spec, TG)
     f, g, k = vector_data()
-    Fp, Gp, Kp = pullback_data(f, g, k, spec, geom, TG, NG)
+    Fp, Gp, Kp = pullback_data(sample_data(f, g, k, spec, TG, NG), geom, TG, NG)
     X1 = TG.x[:, None]
     X2 = NG.nodes[None, :]
     assert np.max(np.abs(Fp.values - f(X1, X2))) <= 1e-14
@@ -114,8 +115,8 @@ def test_pullback_constant_field():
     def f(x1, x2):
         return np.stack([np.ones_like(x1), 2.0 * np.ones_like(x1)], axis=-1)
 
-    Fp, _, _ = pullback_data(f, f, lambda a, b: np.ones_like(a), spec, geom,
-                             TG, NG)
+    samples = sample_data(f, f, lambda a, b: np.ones_like(a), spec, TG, NG)
+    Fp, _, _ = pullback_data(samples, geom, TG, NG)
     assert np.max(np.abs(Fp.values[..., 0] - 1.0)) <= 1e-14
     assert np.max(np.abs(Fp.values[..., 1] - 2.0)) <= 1e-14
 
@@ -126,7 +127,7 @@ def test_pullback_norm_equivalence():
     spec = DiffeoSpec(amplitude=0.05, width=2.0)
     geom = build_geometry(spec, TG)
     f_exact, g, k = vector_data()
-    Fp, Gp, Kp = pullback_data(f_exact, g, k, spec, geom, TG, NG)
+    Fp, Gp, Kp = pullback_data(sample_data(f_exact, g, k, spec, TG, NG), geom, TG, NG)
     X1 = TG.x[:, None]
     T2 = NG.nodes[None, :] + spec.bump(X1)
     assert np.max(np.abs(Fp.values - f_exact(X1, T2))) <= 1e-14
@@ -153,7 +154,7 @@ def test_perturbation_identity_diffeo_is_zero():
     spec = DiffeoSpec(amplitude=0.0)
     geom = build_geometry(spec, TG)
     w, H = smooth_iterate()
-    R1, R2, R3 = apply_perturbation(w, H, spec, geom, BASE, lam=4.0)
+    R1, R2, R3 = apply_perturbation(w, H, geom, BASE)
     assert np.max(np.abs(R1.values)) == 0.0
     assert np.max(np.abs(R2.values)) == 0.0
     assert np.max(np.abs(R3.values)) == 0.0
@@ -165,8 +166,8 @@ def test_perturbation_height_part_linear_in_H():
     w, H = smooth_iterate()
     zero_w = HalfSpaceField(np.zeros_like(w.values), TG, NG, "physical")
     zero_H = BoundaryField(np.zeros_like(H.values), TG, "physical")
-    _, R2_H, _ = apply_perturbation(zero_w, H, spec, geom, BASE, lam=4.0)
-    _, R2_0, _ = apply_perturbation(zero_w, zero_H, spec, geom, BASE, lam=4.0)
+    _, R2_H, _ = apply_perturbation(zero_w, H, geom, BASE)
+    _, R2_0, _ = apply_perturbation(zero_w, zero_H, geom, BASE)
     assert np.max(np.abs(R2_0.values)) == 0.0
     assert np.max(np.abs(R2_H.values)) > 0.0
 
@@ -175,10 +176,10 @@ def test_perturbation_linearity():
     spec = DiffeoSpec(amplitude=0.05, width=2.0)
     geom = build_geometry(spec, TG)
     w, H = smooth_iterate()
-    R1a, R2a, R3a = apply_perturbation(w, H, spec, geom, BASE, lam=4.0)
+    R1a, R2a, R3a = apply_perturbation(w, H, geom, BASE)
     w2 = HalfSpaceField(2.0 * w.values, TG, NG, "physical")
     H2 = BoundaryField(2.0 * H.values, TG, "physical")
-    R1b, R2b, R3b = apply_perturbation(w2, H2, spec, geom, BASE, lam=4.0)
+    R1b, R2b, R3b = apply_perturbation(w2, H2, geom, BASE)
     for a, b in ((R1a, R1b), (R2a, R2b), (R3a, R3b)):
         assert np.max(np.abs(b.values - 2 * a.values)) <= 1e-12 * max(
             1e-30, np.max(np.abs(b.values)))
@@ -194,7 +195,7 @@ def test_neumann_identity_diffeo_matches_flat():
     assert state.iterations <= 1
 
     geom = build_geometry(spec, TG)
-    Fp, Gp, Kp = pullback_data(f, g, k, spec, geom, TG, NG)
+    Fp, Gp, Kp = pullback_data(sample_data(f, g, k, spec, TG, NG), geom, TG, NG)
     from resolvlab.grids import physical_values
     flat_v, flat_h = map(physical_values,
                          solve_reduced_resolvent(Fp, Gp, Kp, BASE, 16.0, zeta=0.0))
@@ -230,6 +231,56 @@ def test_neumann_solves_the_configured_zeta(params):
     assert state.converged
     assert np.max(np.abs(v.values - v0.values)) >= 1e-3 * np.abs(v0.values).max()
     assert max(state.residuals.values()) <= 1e-9, state.residuals
+
+
+def test_neumann_builds_the_geometry_and_samples_the_data_once(monkeypatch):
+    # the pullback and the residual share one geometry and one sampling
+    import resolvlab.bent as bent
+
+    calls = dict.fromkeys(("geometry", "f", "g", "k"), 0)
+    build = bent.build_geometry
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(bent, "build_geometry", counted("geometry", build))
+    f, g, k = (counted(name, fn) for name, fn in zip("fgk", vector_data()))
+    spec = DiffeoSpec(amplitude=0.05, width=2.0)
+    v, h, state = neumann_solve(f, g, k, spec, BASE, 16.0, TG, NG, tol=1e-9)
+    assert calls == {"geometry": 1, "f": 1, "g": 1, "k": 1}
+    samples = sample_data(*vector_data(), spec, TG, NG)
+    assert bent_residual(v, h, samples, build(spec, TG), BASE, 16.0) == state.residuals
+
+
+def test_neumann_zero_data_converge_at_once():
+    # update and data norm are both 0: the first update already meets tol
+    def zero(x1, x2):
+        return np.zeros(np.shape(x1) + (2,))
+
+    spec = DiffeoSpec(amplitude=0.05, width=2.0)
+    v, h, state = neumann_solve(zero, zero, lambda x1, x2: np.zeros_like(x1),
+                                spec, BASE, 16.0, TG, NG)
+    assert state.converged
+    assert state.iterations == 1
+    assert state.residuals == {"interior": 0.0, "stress": 0.0, "kinematic": 0.0}
+    assert not np.any(v.values) and not np.any(h.values)
+
+
+def test_neumann_divergence_needs_three_ratios_in_a_row(monkeypatch):
+    # scripted update norms: the NaN ratio at iteration 4 ends the first
+    # streak, and the NaN norm gives iteration 5 no ratio; the second
+    # streak of ratios >= 1 ends the solve at iteration 8
+    import resolvlab.bent as bent
+
+    norms = iter([1.0, 1.0, 2.0, 4.0, math.nan, 8.0, 16.0, 32.0, 64.0])
+    monkeypatch.setattr(bent, "data_norm", lambda *fields: next(norms))
+    monkeypatch.setattr(bent, "_perturb_of_data", lambda Z, *args: Z)
+    with pytest.raises(DivergenceError, match="after 8 iterations") as err:
+        neumann_solve(*vector_data(), DiffeoSpec(), BASE, 16.0, TG, NG)
+    assert err.value.ratio == 2.0
 
 
 def test_contraction_ratio_monotone_in_amplitude():

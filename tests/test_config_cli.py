@@ -606,7 +606,7 @@ def test_cli_exit_3_names_each_layers_error_class(tmp_path):
         ("solve", {"lambda_re": "0.5"}, "", "RegionError"),     # below lambda0
         ("evolve", {"angle": "1.2", "offset": "0.2"}, "", "ContourError"),
         ("bent", {"amplitude": "5.0", "width": "1.0"}, "", "GeometryError"),
-        ("scan-nab", {"samples": "200"}, "resolvlab.scans.NAB_FLOOR = 1e300", "ScanError"),
+        ("scan-nab", {"samples": "200"}, "resolvlab.scans.N_FLOOR = 1e300", "ScanError"),
         ("rbound", {}, "resolvlab.symbols.N_FLOOR = 1e300", "SingularSymbolError"),
     ]
     code = ["import json, resolvlab.cli, resolvlab.scans, resolvlab.symbols"]

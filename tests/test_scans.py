@@ -136,7 +136,7 @@ def test_nab_scan_baseline():
     assert rep["cFound"] == 0.99 * rep["minRatio"]
 
 
-@pytest.mark.parametrize("floor", [scans.NAB_FLOOR, 0.47])
+@pytest.mark.parametrize("floor", [scans.N_FLOOR, 0.47])
 def test_nab_scan_samples_each_lambda0_once(monkeypatch, floor):
     # the certified constant reuses the samples of the last lambda0 that
     # cleared the floor.  The baseline clears it at 1; at 0.47 the sampled
@@ -149,7 +149,7 @@ def test_nab_scan_samples_each_lambda0_once(monkeypatch, floor):
 
     nab_min_ratio = scans._nab_min_ratio
     monkeypatch.setattr(scans, "_nab_min_ratio", counted)
-    monkeypatch.setattr(scans, "NAB_FLOOR", floor)
+    monkeypatch.setattr(scans, "N_FLOOR", floor)
     rep = nab_lower_bound_scan(BASE, SectorSpec(), sample_budget=2000, seed=0)
     assert len(tried) == len(set(tried)) >= (1 if floor < 0.1 else 5)
     assert rep["lambda0Found"] in tried
@@ -160,7 +160,7 @@ def test_nab_scan_draws_once_and_does_not_depend_on_the_chunk(monkeypatch):
     # points.  At 5000 samples every array stays below the 256 KiB from
     # which numpy reuses temporaries, so any chunk gives the same bits.
     # The floor 0.47 makes the scan double and bisect (see above).
-    monkeypatch.setattr(scans, "NAB_FLOOR", 0.47)
+    monkeypatch.setattr(scans, "N_FLOOR", 0.47)
     draws = []
 
     def counted(plan):
