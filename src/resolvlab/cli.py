@@ -278,9 +278,9 @@ def cmd_evolve(cfg: RunConfig, out_dir, threads):
 
     states, margin, condition, path = evolution.propagate_contour(
         gen.matrix, U0, times, spec, region=cfg.sector)
+    exacts = evolution.matrix_exponential_oracle(gen.matrix, U0, times)
     rows = []
-    for t, approx in zip(times, states):
-        exact = evolution.matrix_exponential_oracle(gen.matrix, U0, t)
+    for t, approx, exact in zip(times, states, exacts):
         rel = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
         rows.append({"t": t, "rel_err": rel, "norm": float(np.linalg.norm(approx))})
     verdicts = [_verdict(f"evolve.t={r['t']:g}", r["rel_err"] <= tol, r["rel_err"], tol)

@@ -9,7 +9,7 @@ them) and returns spectral fields:
     the velocity profiles are combinations of exp(-B x) and the mollified
     exponential M weighted by the n_Jk symbols.  The solves read only the
     profile u, so they build none of its x-derivatives, and the profiles
-    are formed LAME_BATCH_MODES modes at a time into u.
+    are formed PROFILE_BLOCK_MODES modes at a time into u.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per shell |xi'| = r (the literature
     formula the construction delegates to is replaced by this solver;
@@ -23,9 +23,11 @@ them) and returns spectral fields:
     of 27n^3.  The similarity v_r = i w_r makes every block real for real
     lam and zeta, and then the LU runs in float64, with the real and
     imaginary parts of the data as separate columns: a quarter of the
-    complex LU's flops.  The blocks of LAME_BATCH_MODES shells are held
-    at a time.  The evolution generator takes its velocity block and
-    stress rows from the same pair, in its real variables u_r = i w_r.
+    complex LU's flops.  A batch holds as many shells as fit their 2n
+    blocks in LAME_BATCH_BYTES, and at most LAME_BATCH_SHELLS: 4 real
+    shells (1.18 MB) at 96 nodes, 16 (1.18 MB) at 48.  The evolution
+    generator takes its velocity block and stress rows from the same pair,
+    in its real variables u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition u = v + w (in place in the
     Lame solution v) and density recovery.  The solution keeps eta, u
@@ -63,9 +65,14 @@ from .symbols import (
 )
 
 EDGE_SUPPORT_TOL = 1e-10
-# shells per Lame batch: 4.7 MB of real 2n blocks at 96 nodes, 2-D adds 1.2 MB;
-# and modes per block of the surface profiles
-LAME_BATCH_MODES = 16
+# modes per block of the surface profiles
+PROFILE_BLOCK_MODES = 16
+# shells per Lame batch: as many as fit their 2n blocks in LAME_BATCH_BYTES,
+# from 1 to LAME_BATCH_SHELLS.  Real blocks: 4 shells (1.18 MB) at 96 nodes,
+# 16 (1.18 MB) at 48; complex blocks take twice the bytes, and 2-D adds a
+# quarter for the n blocks.
+LAME_BATCH_BYTES = 1_200_000
+LAME_BATCH_SHELLS = 16
 
 
 class SolverError(NumericalError, RuntimeError):
@@ -99,7 +106,7 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     khat holds the per-mode boundary values of the surface datum.
     Returns (u, hhat) with u of shape mode_shape + (nx, N); order 1 or 2
     gives d^order u / dx^order in place of u.  E = exp(-B x), M and
-    their products with the coefficients are formed LAME_BATCH_MODES
+    their products with the coefficients are formed PROFILE_BLOCK_MODES
     modes at a time, into u; each product keeps its operand order, so
     the values do not depend on the block size.
     """
@@ -120,8 +127,8 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
     x = ngrid.nodes
     u = np.empty((nm, ngrid.points, nd + 1), dtype=complex)
-    for lo in range(0, nm, LAME_BATCH_MODES):
-        b = slice(lo, lo + LAME_BATCH_MODES)
+    for lo in range(0, nm, PROFILE_BLOCK_MODES):
+        b = slice(lo, lo + PROFILE_BLOCK_MODES)
         Bx = B[b]
         E = np.exp(-Bx * x)
         if order:
@@ -406,10 +413,10 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     components of F and G' are turned into the frame where xi' = (r, 0)
     (_shell_frames).  There (w_r, v_N) solve lame_operator's 2n block and,
     in 2-D, v_perp solves azimuthal_operator's n block with the stress row
-    a v_perp' = -G'_perp.  Each shell's blocks are factored once,
-    LAME_BATCH_MODES shells at a time, with the shell's modes as the
-    columns of one right-hand side; for real lam and zeta the blocks are
-    real.  The solution is turned back.
+    a v_perp' = -G'_perp.  Each shell's blocks are factored once, in
+    batches of as many shells as LAME_BATCH_BYTES of 2n blocks hold (at
+    most LAME_BATCH_SHELLS), with the shell's modes as the columns of one
+    right-hand side; for real lam and zeta the blocks are real.  The solution is turned back.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
@@ -434,9 +441,11 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     col[order] = np.arange(nm) - first[shell[order]]
     width = int(col.max()) + 1
 
+    batch = min(LAME_BATCH_SHELLS, max(1, LAME_BATCH_BYTES // ((2 * n) ** 2 * coef.itemsize)))
+
     v = np.empty((nm, n, nc), dtype=complex)
-    for lo in range(0, keys.size, LAME_BATCH_MODES):
-        hi = min(lo + LAME_BATCH_MODES, keys.size)
+    for lo in range(0, keys.size, batch):
+        hi = min(lo + batch, keys.size)
         modes = order[first[lo]:first[hi]]
         R = rot[modes]
         # the data in the shell's frame; the stress data at node 0 and v = 0

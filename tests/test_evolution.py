@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from resolvlab.evolution import (
     ContourError,
     ContourSpec,
+    PADE13,
+    THETA13,
     DimensionCapError,
     PerModeGenerator,
     apply_full,
@@ -108,22 +110,22 @@ def test_oracle_identity_and_diagonal():
     U0 = np.array([1.0, 2.0], dtype=complex)
     # t A = 0 takes no scaling and gives the identity to rounding
     for A, t in ((np.zeros((2, 2)), 3.0), (np.eye(2), 0.0)):
-        assert np.allclose(matrix_exponential_oracle(A, U0, t), U0, rtol=1e-15, atol=0)
+        assert np.allclose(matrix_exponential_oracle(A, U0, [t])[0], U0, rtol=1e-15, atol=0)
     gen = np.diag([-1.0, -2.0])
-    out = matrix_exponential_oracle(gen, np.array([1.0, 1.0]), 1.0)
+    out = matrix_exponential_oracle(gen, np.array([1.0, 1.0]), [1.0])[0]
     assert out[0] == pytest.approx(math.exp(-1), rel=1e-14)
     assert out[1] == pytest.approx(math.exp(-2), rel=1e-14)
 
 
 def test_oracle_nilpotent():
     gen = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = matrix_exponential_oracle(gen, np.array([0.0, 1.0]), 1.0)
+    out = matrix_exponential_oracle(gen, np.array([0.0, 1.0]), [1.0])[0]
     assert np.allclose(out, [1.0, 1.0], atol=1e-15)
     # e^{tN} = I + tN + t^2 N^2 / 2 for the 3 x 3 shift, also when tN is scaled
     shift = np.diag([1.0, 1.0], k=1)
     for t in (0.5, 40.0):
         exact = np.eye(3) + t * shift + t * t / 2 * shift @ shift
-        assert np.allclose(matrix_exponential_oracle(shift, np.eye(3), t), exact,
+        assert np.allclose(matrix_exponential_oracle(shift, np.eye(3), [t])[0], exact,
                            rtol=1e-14, atol=1e-14 * t * t)
 
 
@@ -132,7 +134,7 @@ def test_oracle_rotation(omega, t):
     # e^{t [[0, -w], [w, 0]]} is the rotation by w t, scaled or not
     gen = np.array([[0.0, -omega], [omega, 0.0]])
     c, s = math.cos(omega * t), math.sin(omega * t)
-    out = matrix_exponential_oracle(gen, np.eye(2), t)
+    out = matrix_exponential_oracle(gen, np.eye(2), [t])[0]
     assert np.allclose(out, [[c, -s], [s, c]], rtol=0, atol=1e-13)
 
 
@@ -142,7 +144,7 @@ def test_oracle_matches_scipy_on_the_baseline_generator():
     A = build_generator(0.5, BASE, NormalGrid(96, 20.0)).matrix
     eye = np.eye(A.shape[0])
     for t in (0.1, 0.5, 1.0, 2.0):
-        assert _rel(matrix_exponential_oracle(A, eye, t), expm(t * A)) <= 1e-10, t
+        assert _rel(matrix_exponential_oracle(A, eye, [t])[0], expm(t * A)) <= 1e-10, t
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -156,12 +158,95 @@ def test_oracle_matches_scipy_on_random_matrices(seed, norm):
     if seed % 2:
         A = A + 1j * rng.standard_normal((n, n))
     A = A * (norm / np.linalg.norm(A, 1))
-    assert _rel(matrix_exponential_oracle(A, np.eye(n), 1.0), expm(A)) <= 1e-13
+    assert _rel(matrix_exponential_oracle(A, np.eye(n), [1.0])[0], expm(A)) <= 1e-13
 
 
 def test_oracle_dimension_cap():
     with pytest.raises(DimensionCapError):
-        matrix_exponential_oracle(np.eye(2001), np.zeros(2001), 1.0)
+        matrix_exponential_oracle(np.eye(2001), np.zeros(2001), [1.0])
+
+
+def reference_oracle(A, U0, t):
+    """e^{t A} U0 for one t: its own scaling, Pade(13) approximant and squarings."""
+    X = t * A
+    norm = np.linalg.norm(X, 1)
+    s = math.ceil(math.log2(norm / THETA13)) if norm > THETA13 else 0
+    X = X / 2.0 ** s
+    b = PADE13
+    ident = np.eye(X.shape[0])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X2 @ X4
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E @ np.asarray(U0, dtype=complex)
+
+
+def _baseline_generator_and_state():
+    A = build_generator(0.5, BASE, NormalGrid(96, 20.0)).matrix
+    rng = np.random.default_rng(7)
+    return A, rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+
+
+@pytest.mark.parametrize("times", [[0.1, 0.5, 1.0, 2.0], [2.0, 0.1, 1.0, 0.5], [1.0, 1.0],
+                                   [0.3, 0.7], [5e-5]])
+def test_oracle_shared_chains_are_the_per_time_oracle(times):
+    # times whose ratios are powers of two share one approximant and one
+    # squaring chain, and each reads its state off it bit for bit
+    A, U0 = _baseline_generator_and_state()
+    assert np.linalg.norm(A, 1) == pytest.approx(8.70e4, rel=1e-3)
+    if times == [5e-5]:
+        assert np.linalg.norm(5e-5 * A, 1) <= THETA13   # s = 0: no squaring
+    states = matrix_exponential_oracle(A, U0, times)
+    assert states.shape == (len(times), A.shape[0])
+    for t, state in zip(times, states):
+        assert np.array_equal(state, reference_oracle(A, U0, t)), t
+
+
+def test_oracle_shared_chains_on_a_complex_matrix():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    times = [0.25, 3.0, 0.5, 1.0, 0.7]
+    states = matrix_exponential_oracle(A, np.eye(30), times)
+    for t, state in zip(times, states):
+        assert np.array_equal(state, reference_oracle(A, np.eye(30), t)), t
+
+
+@pytest.mark.parametrize("times, chains", [([0.1, 0.5, 1.0, 2.0], 2),
+                                           ([0.1, 0.2, 0.3, 0.6, 1.2, 2.0], 3),
+                                           ([0.3, 0.7], 2)])
+def test_oracle_solves_once_per_chain(monkeypatch, times, chains):
+    # at the baseline, s = 11, 13, 14, 15 for t = 0.1, 0.5, 1, 2: t = 0.1
+    # makes one chain and t = 0.5, 1, 2 the other
+    A, U0 = _baseline_generator_and_state()
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    matrix_exponential_oracle(A, U0, times)
+    assert solves == [A.shape] * chains
+
+
+def test_oracle_working_set():
+    # The traced peak of the oracle at the baseline times, in float64 n x n
+    # arrays (n = 285).  One approximant and squaring chain per time, with
+    # out-of-place sums, peaked at 10.0; the in-place approximant peaks at
+    # 6.0 with X, X^2, X^4, X^6, U and a scaled power alive.
+    import tracemalloc
+
+    A, U0 = _baseline_generator_and_state()
+    unit = A.nbytes
+    tracemalloc.start()
+    try:
+        matrix_exponential_oracle(A, U0, [0.1, 0.5, 1.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * unit, peak / unit
 
 
 # -- contour ----------------------------------------------------------------
@@ -177,7 +262,7 @@ def test_contour_vs_oracle_random_40():
     A, U0 = shifted_stable_matrix(40, seed=0)
     spec = ContourSpec(nodes=48)
     for t in (0.1, 0.5, 1.0, 2.0):
-        exact = matrix_exponential_oracle(A, U0, t)
+        exact = matrix_exponential_oracle(A, U0, [t])[0]
         approx = propagate_one(A, U0, t, spec)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)
@@ -203,7 +288,7 @@ def test_contour_schur_matches_dense_reference(case):
         # one call for all times gives each time's state bit for bit
         assert np.array_equal(approx, propagate_one(A, U0, t, spec))
         assert _rel(approx, reference_propagate_contour(A, U0, t, spec)) <= 1e-11, t
-        assert _rel(approx, matrix_exponential_oracle(A, U0, t)) <= 1e-10, t
+        assert _rel(approx, matrix_exponential_oracle(A, U0, [t])[0]) <= 1e-10, t
 
 
 def test_contour_real_schur_matches_dense_reference():
@@ -267,13 +352,13 @@ def test_contour_strong_continuity_at_zero():
     out = propagate_one(A, U0, 1e-3, spec)
     drift = np.linalg.norm(out - U0) / np.linalg.norm(U0)
     assert drift <= 1e-4
-    exact = matrix_exponential_oracle(A, U0, 1e-3)
+    exact = matrix_exponential_oracle(A, U0, [1e-3])[0]
     assert np.linalg.norm(out - exact) / np.linalg.norm(exact) <= 1e-8
 
 
 def test_contour_node_refinement():
     A, U0 = shifted_stable_matrix(24, seed=2)
-    exact = matrix_exponential_oracle(A, U0, 0.7)
+    exact = matrix_exponential_oracle(A, U0, [0.7])[0]
     errs = []
     for M in (12, 24, 48):
         approx = propagate_one(A, U0, 0.7, ContourSpec(nodes=M))
@@ -433,7 +518,7 @@ def test_generator_evolution_vs_oracle():
     U0 = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
     spec = ContourSpec(nodes=48)
     for t in (0.1, 1.0, 2.0):
-        exact = matrix_exponential_oracle(gen.matrix, U0, t)
+        exact = matrix_exponential_oracle(gen.matrix, U0, [t])[0]
         approx = propagate_one(gen.matrix, U0, t, spec)
         rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6, (t, rel)

@@ -420,8 +420,9 @@ def test_lame_batches_give_the_same_solution(monkeypatch):
     from resolvlab import halfspace
 
     lam = 3.0 + 0.4j
+    ng = NormalGrid(points=24, truncation=20.0)
+    block = (2 * ng.points) ** 2 * 16   # one complex 2n block
     for tg in (TG, TangentialGrid(dims=2, points=8, half_length=8.0)):
-        ng = NormalGrid(points=24, truncation=20.0)
         rng = np.random.default_rng(tg.dims)
         shape = tg.mode_shape + (ng.points, tg.dims + 1)
         F = HalfSpaceField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
@@ -429,10 +430,56 @@ def test_lame_batches_give_the_same_solution(monkeypatch):
         Gp = BoundaryField(rng.standard_normal(shape[:-2] + shape[-1:]) + 0j, tg,
                            "spectral")
         runs = []
-        for batch in (1, 5, tg.points ** tg.dims):
-            monkeypatch.setattr(halfspace, "LAME_BATCH_MODES", batch)
+        # 1 shell (below one block's bytes), 5 shells, and every shell at once
+        for budget, cap in ((1, 16), (5 * block + 1, 16), (10 ** 9, tg.points ** tg.dims)):
+            monkeypatch.setattr(halfspace, "LAME_BATCH_BYTES", budget)
+            monkeypatch.setattr(halfspace, "LAME_BATCH_SHELLS", cap)
             runs.append(solve_lame_bvp(F, Gp, NON_UNIT, lam, zeta=0.3 - 0.1j).values)
         assert all(np.array_equal(runs[0], v) for v in runs[1:])
+
+
+def test_lame_batch_sizes():
+    # the shells of a batch are bounded by the bytes of their 2n blocks,
+    # and never number more than LAME_BATCH_SHELLS
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append((a.shape[0], a.dtype))
+        return solve(a, b)
+
+    tg = TangentialGrid(points=64, half_length=8.0)
+    for points, lam, want in ((96, 16.0, [4] * 8 + [1]), (96, 16.0 + 1.0j, [2] * 16 + [1]),
+                              (48, 16.0, [16, 16, 1]), (24, 16.0, [16, 16, 1])):
+        ng = NormalGrid(points=points, truncation=20.0)
+        F, Gp = random_lame_data(tg, ng, 0)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "solve", counting_solve)
+            solve_lame_bvp(F, Gp, BASE, lam)
+        assert [size for size, _ in calls] == want, (points, lam)
+        assert calls[0][1] == (np.float64 if np.isrealobj(lam) else np.complex128)
+
+
+def test_lame_solve_working_set():
+    # The traced peak of the 1-D solve on 64 modes x 96 nodes at lam = 16,
+    # with the data allocated before tracing, in real 2n x 2n blocks
+    # (0.29 MB).  Batches of 16 shells peaked at 30.1 blocks; batches of 4
+    # shells (1.18 MB of blocks) peak at 8.6.
+    import tracemalloc
+
+    tg = TangentialGrid(points=64, half_length=8.0)
+    ng = NormalGrid(points=96, truncation=20.0)
+    ng.diff, ng.diff2   # the grid's cached matrices are not the solve's
+    F, Gp = random_lame_data(tg, ng, 0)
+    block = (2 * ng.points) ** 2 * 8
+    tracemalloc.start()
+    try:
+        solve_lame_bvp(F, Gp, BASE, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * block, peak / block
 
 
 def test_surface_profile_blocks_give_the_same_profiles(monkeypatch):
@@ -450,7 +497,7 @@ def test_surface_profile_blocks_give_the_same_profiles(monkeypatch):
         for order in range(3):
             runs = []
             for batch in (1, 5, tg.points ** tg.dims):
-                monkeypatch.setattr(halfspace, "LAME_BATCH_MODES", batch)
+                monkeypatch.setattr(halfspace, "PROFILE_BLOCK_MODES", batch)
                 runs.append(surface_mode_profiles(lam, tg, ng, p, khat, order))
             assert all(np.array_equal(runs[0][0], u) and np.array_equal(runs[0][1], h)
                        for u, h in runs[1:])
