@@ -416,7 +416,8 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     a v_perp' = -G'_perp.  Each shell's blocks are factored once, in
     batches of as many shells as LAME_BATCH_BYTES of 2n blocks hold (at
     most LAME_BATCH_SHELLS), with the shell's modes as the columns of one
-    right-hand side; for real lam and zeta the blocks are real.  The solution is turned back.
+    right-hand side; for real lam and zeta the blocks are real.  The
+    solution is turned back.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
@@ -442,7 +443,6 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     width = int(col.max()) + 1
 
     batch = min(LAME_BATCH_SHELLS, max(1, LAME_BATCH_BYTES // ((2 * n) ** 2 * coef.itemsize)))
-
     v = np.empty((nm, n, nc), dtype=complex)
     for lo in range(0, keys.size, batch):
         hi = min(lo + batch, keys.size)

@@ -235,7 +235,7 @@ def test_oracle_working_set():
     # The traced peak of the oracle at the baseline times, in float64 n x n
     # arrays (n = 285).  One approximant and squaring chain per time, with
     # out-of-place sums, peaked at 10.0; the in-place approximant peaks at
-    # 6.0 with X, X^2, X^4, X^6, U and a scaled power alive.
+    # 6.0, with X, X^2, X^4, X^6 and two partial sums of U alive.
     import tracemalloc
 
     A, U0 = _baseline_generator_and_state()
