@@ -23,11 +23,10 @@ them) and returns spectral fields:
     of 27n^3.  The similarity v_r = i w_r makes every block real for real
     lam and zeta, and then the LU runs in float64, with the real and
     imaginary parts of the data as separate columns: a quarter of the
-    complex LU's flops.  A batch holds as many shells as fit their 2n
-    blocks in LAME_BATCH_BYTES, and at most LAME_BATCH_SHELLS: 4 real
-    shells (1.18 MB) at 96 nodes, 16 (1.18 MB) at 48.  The evolution
-    generator takes its velocity block and stress rows from the same pair,
-    in its real variables u_r = i w_r.
+    complex LU's flops.  A batch holds about 1.2 MB of blocks: 4 real
+    shells at 96 nodes, 16 at 48.  The evolution generator takes its
+    velocity block and stress rows from the same pair, in its real
+    variables u_r = i w_r.
   * solve_full_resolvent - density elimination, the Lame solve, the
     surface correction K - v_N, superposition u = v + w (in place in the
     Lame solution v) and density recovery.  The solution keeps eta, u
@@ -68,9 +67,7 @@ EDGE_SUPPORT_TOL = 1e-10
 # modes per block of the surface profiles
 PROFILE_BLOCK_MODES = 16
 # shells per Lame batch: as many as fit their 2n blocks in LAME_BATCH_BYTES,
-# from 1 to LAME_BATCH_SHELLS.  Real blocks: 4 shells (1.18 MB) at 96 nodes,
-# 16 (1.18 MB) at 48; complex blocks take twice the bytes, and 2-D adds a
-# quarter for the n blocks.
+# at most LAME_BATCH_SHELLS: 4 real shells (1.18 MB) at 96 nodes, 16 at 48
 LAME_BATCH_BYTES = 1_200_000
 LAME_BATCH_SHELLS = 16
 
@@ -414,10 +411,9 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     (_shell_frames).  There (w_r, v_N) solve lame_operator's 2n block and,
     in 2-D, v_perp solves azimuthal_operator's n block with the stress row
     a v_perp' = -G'_perp.  Each shell's blocks are factored once, in
-    batches of as many shells as LAME_BATCH_BYTES of 2n blocks hold (at
-    most LAME_BATCH_SHELLS), with the shell's modes as the columns of one
-    right-hand side; for real lam and zeta the blocks are real.  The
-    solution is turned back.
+    batches bounded by LAME_BATCH_BYTES, with the shell's modes as the
+    columns of one right-hand side; for real lam and zeta the blocks are
+    real.  The solution is turned back.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
