@@ -221,8 +221,7 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
     profile at khat = 1: verification.rbound_estimate's quotient for the
     singleton family {lam^(j/2) A(lam)} and that mode's unit vector.
     """
-    from .halfspace import surface_mode_profiles
-    from .symbols import SymbolParams
+    from .halfspace import solve_surface_homogeneous
 
     tg, ng = cfg.grids()
     block = cfg.raw.get("rbound", {})
@@ -232,12 +231,12 @@ def cmd_rbound(cfg: RunConfig, out_dir, threads):
         if not factors:
             raise ValueError("lambda_factors must not be empty")
         j_weight = config_int(block.get("j_weight", 1))
-    p = SymbolParams.from_fluid(cfg.fluid)
+    k = BoundaryField(np.ones(tg.mode_shape), tg, "spectral")
     lams = cfg.sector.lambda0 * np.array(factors)
     _check_in_gamma(cfg, *lams)
     rms = []
     for lam in lams:
-        u = surface_mode_profiles(lam, tg, ng, p, np.ones(tg.mode_shape))[0]
+        u = solve_surface_homogeneous(k, cfg.fluid, lam, ng)[0].values
         rms.append(np.sqrt(np.mean(np.abs(lam ** (j_weight / 2.0) * u) ** 2, axis=(-2, -1))))
     rms = np.reshape(rms, (lams.size, -1))
     maxima = rms.max(axis=1)   # np.max keeps a NaN visible to the verdict

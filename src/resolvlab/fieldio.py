@@ -41,7 +41,7 @@ import numpy as np
 
 from .grids import BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid
 
-CSV_CHUNK_ROWS = 4096   # rows formatted per write
+CSV_CHUNK_ROWS = 1024   # rows formatted per write: 0.2 MB of 32-byte text slots for 3 components
 
 # |x| range formatted by the kernel: a * (2^27 + 1) and 10^p * (2^27 + 1)
 # stay finite and the lo parts stay normal for p = 16 - k in _P_LO.._P_HI.
@@ -72,8 +72,12 @@ def _tables():
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
     powers = np.stack([hi, hi_hi, hi - hi_hi, lo])
-    text = [f"{n:04d}" for n in range(10000)]
-    quads = _packed([text, [t.rstrip("0") for t in text]], 4, np.uint32)
+    digits = np.moveaxis(np.indices((10,) * 4, dtype=np.uint8), 0, -1).reshape(-1, 4)
+    quads = np.empty((2,) + digits.shape, dtype=np.uint8)
+    quads[0] = digits + ord("0")
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=bool)[:, ::-1]
+    quads[1] = np.where(trailing, 0, quads[0])
+    quads = quads.view(np.uint32)[..., 0]
     prefixes = _packed([sign + ("0." + "0" * (z - 1) if z else "")
                         for sign in ("", "-") for z in range(5)], 8, np.uint64)
     exponents = _packed([f"e{k:+03d}".ljust(7, "\0") + "," for k in range(-324, 309)]

@@ -80,17 +80,22 @@ class TangentialGrid:
         return out
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Continuous Fourier transform of box-supported samples."""
+        """Continuous Fourier transform of box-supported samples, into one new array."""
         axes = tuple(range(self.dims))
         extra = values.ndim - self.dims
         phase = self._phase().reshape(self.mode_shape + (1,) * extra)
-        return self.dx**self.dims * phase * np.fft.fftn(values, axes=axes)
+        out = np.fft.fftn(values, axes=axes, out=np.empty(values.shape, dtype=complex))
+        out *= self.dx**self.dims * phase
+        return out
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         axes = tuple(range(self.dims))
         extra = values.ndim - self.dims
         phase = self._phase().reshape(self.mode_shape + (1,) * extra)
-        return np.fft.ifftn(phase * values, axes=axes) / self.dx**self.dims
+        out = np.multiply(phase, values, dtype=complex)
+        np.fft.ifftn(out, axes=axes, out=out)
+        out /= self.dx**self.dims
+        return out
 
 
 def chebyshev_matrix(n_nodes: int):

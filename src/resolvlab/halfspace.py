@@ -9,7 +9,7 @@ them) and returns spectral fields:
     the velocity profiles are combinations of exp(-B x) and the mollified
     exponential M weighted by the n_Jk symbols.  The solves read only the
     profile u, so they build none of its x-derivatives, and the profiles
-    are formed PROFILE_BLOCK_MODES modes at a time into u.
+    are formed PROFILE_BLOCK_MODES modes at a time.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per shell |xi'| = r (the literature
     formula the construction delegates to is replaced by this solver;
@@ -23,14 +23,18 @@ them) and returns spectral fields:
     of 27n^3.  The similarity v_r = i w_r makes every block real for real
     lam and zeta, and then the LU runs in float64, with the real and
     imaginary parts of the data as separate columns: a quarter of the
-    complex LU's flops.  A batch holds about 1.2 MB of blocks: 4 real
-    shells at 96 nodes, 16 at 48.  The evolution generator takes its
-    velocity block and stress rows from the same pair, in its real
-    variables u_r = i w_r.
-  * solve_full_resolvent - density elimination, the Lame solve, the
-    surface correction K - v_N, superposition u = v + w (in place in the
-    Lame solution v) and density recovery.  The solution keeps eta, u
-    and h only; extend_height extends h into the half space.
+    complex LU's flops.  A batch holds about 0.6 MB of blocks: 2 real
+    shells at 96 nodes, 8 at 48.  The solution overwrites the solve's own
+    spectral data batch by batch, after each batch has gathered its data;
+    a caller's spectral field is copied first.  The evolution generator
+    takes its velocity block and stress rows from the same pair, in its
+    real variables u_r = i w_r.
+  * solve_full_resolvent - density elimination in the spectral buffer of
+    F, the Lame solve over that buffer, the surface correction K - v_N,
+    superposition u = v + w (w formed and added into the Lame solution v
+    PROFILE_BLOCK_MODES modes at a time) and density recovery.  The
+    solution keeps eta, u and h only; extend_height extends h into the
+    half space.
 
 solve_surface_volevich is the oracle for the first layer: the same
 operator in its trace-free form, as normal-direction integrals of
@@ -67,9 +71,9 @@ EDGE_SUPPORT_TOL = 1e-10
 # modes per block of the surface profiles
 PROFILE_BLOCK_MODES = 16
 # shells per Lame batch: as many as fit their 2n blocks in LAME_BATCH_BYTES,
-# at most LAME_BATCH_SHELLS: 4 real shells (1.18 MB) at 96 nodes, 16 at 48
-LAME_BATCH_BYTES = 1_200_000
-LAME_BATCH_SHELLS = 16
+# at most LAME_BATCH_SHELLS: 2 real shells (0.59 MB) at 96 nodes, 8 at 48
+LAME_BATCH_BYTES = 600_000
+LAME_BATCH_SHELLS = 8
 
 
 class SolverError(NumericalError, RuntimeError):
@@ -102,10 +106,23 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
 
     khat holds the per-mode boundary values of the surface datum.
     Returns (u, hhat) with u of shape mode_shape + (nx, N); order 1 or 2
-    gives d^order u / dx^order in place of u.  E = exp(-B x), M and
-    their products with the coefficients are formed PROFILE_BLOCK_MODES
-    modes at a time, into u; each product keeps its operand order, so
-    the values do not depend on the block size.
+    gives d^order u / dx^order in place of u.  The profiles are formed
+    PROFILE_BLOCK_MODES modes at a time (_profile_blocks).
+    """
+    hhat, blocks = _profile_blocks(lam, tgrid, ngrid, p, khat, order)
+    u = np.empty((khat.size, ngrid.points, tgrid.dims + 1), dtype=complex)
+    for b, ub in blocks:
+        u[b] = ub
+    return u.reshape(tgrid.mode_shape + u.shape[1:]), hhat
+
+
+def _profile_blocks(lam, tgrid, ngrid, p, khat, order=0):
+    """hhat, and the profiles of surface_mode_profiles as (modes, profiles) blocks.
+
+    The blocks are generated PROFILE_BLOCK_MODES flat modes at a time:
+    E = exp(-B x), M and their products with the coefficients exist for
+    one block only.  Each product keeps its operand order, so the values
+    do not depend on the block size.
     """
     xi_sq = tgrid.xi_sq
     L = lopatinski_values(lam, xi_sq, p)
@@ -121,25 +138,25 @@ def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
     cN1 = nN1.reshape(nm, 1) * mxi2 * kb
     cN2 = nN2.reshape(nm, 1) * mxi2 * kb
     A, B = A.reshape(nm, 1), B.reshape(nm, 1)
-
     x = ngrid.nodes
-    u = np.empty((nm, ngrid.points, nd + 1), dtype=complex)
-    for lo in range(0, nm, PROFILE_BLOCK_MODES):
-        b = slice(lo, lo + PROFILE_BLOCK_MODES)
-        Bx = B[b]
-        E = np.exp(-Bx * x)
-        if order:
-            M = mollified_exp_derivatives(A[b], Bx, x)[order]
-            E = (-Bx) ** order * E
-        else:
-            M = mollified_exp(A[b], Bx, x)
-        ub = u[b]
-        ub[..., :-1] = c1[b] * (Bx * M - E)[..., None]
-        ub[..., :-1] += c2[b] * E[..., None]
-        ub[..., -1] = cN1[b] * Bx * M + cN2[b] * E
 
-    hhat = (L.detL / L.N) * khat
-    return u.reshape(tgrid.mode_shape + u.shape[1:]), hhat
+    def blocks():
+        for lo in range(0, nm, PROFILE_BLOCK_MODES):
+            b = slice(lo, lo + PROFILE_BLOCK_MODES)
+            Bx = B[b]
+            E = np.exp(-Bx * x)
+            if order:
+                M = mollified_exp_derivatives(A[b], Bx, x)[order]
+                E = (-Bx) ** order * E
+            else:
+                M = mollified_exp(A[b], Bx, x)
+            ub = np.empty(Bx.shape[:1] + x.shape + (nd + 1,), dtype=complex)
+            ub[..., :-1] = c1[b] * (Bx * M - E)[..., None]
+            ub[..., :-1] += c2[b] * E[..., None]
+            ub[..., -1] = cN1[b] * Bx * M + cN2[b] * E
+            yield b, ub
+
+    return (L.detL / L.N) * khat, blocks()
 
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
@@ -413,7 +430,8 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     a v_perp' = -G'_perp.  Each shell's blocks are factored once, in
     batches bounded by LAME_BATCH_BYTES, with the shell's modes as the
     columns of one right-hand side; for real lam and zeta the blocks are
-    real.  The solution is turned back.
+    real.  The solution is turned back and written over the data's modes.
+    F and Gprime are not changed.
     """
     p = SymbolParams.from_fluid(params, zeta=zeta)
     tg, ng = F.tgrid, F.ngrid
@@ -427,7 +445,13 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     lam, b, c = coef
     keys, shell, rot = _shell_frames(tg)
     nm = shell.size
-    Fhat = spectral_values(F).reshape(nm, n, nc)
+    # v is written over the data, so the data must be the solve's own: the
+    # forward transform of physical F, the reduced force of
+    # solve_full_resolvent, or else a copy
+    v = spectral_values(F)
+    if v is F.values and not isinstance(F, _ReducedForce):
+        v = v.copy()
+    v = v.reshape(nm, n, nc)
     Ghat = spectral_values(Gprime).reshape(nm, nc, 1)
     r = (np.pi / tg.half_length) * np.sqrt(keys)
     # modes sorted by shell; col is each mode's column in its shell's rhs.
@@ -439,14 +463,14 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     width = int(col.max()) + 1
 
     batch = min(LAME_BATCH_SHELLS, max(1, LAME_BATCH_BYTES // ((2 * n) ** 2 * coef.itemsize)))
-    v = np.empty((nm, n, nc), dtype=complex)
     for lo in range(0, keys.size, batch):
         hi = min(lo + batch, keys.size)
         modes = order[first[lo]:first[hi]]
         R = rot[modes]
-        # the data in the shell's frame; the stress data at node 0 and v = 0
-        # at node n-1 replace the interior rows
-        f = Fhat[modes] @ R.transpose(0, 2, 1)
+        # the data in the shell's frame, gathered before the batch's solution
+        # overwrites them; the stress data at node 0 and v = 0 at node n-1
+        # replace the interior rows
+        f = v[modes] @ R.transpose(0, 2, 1)
         f[:, 0] = -(R @ Ghat[modes])[..., 0]
         f[:, n - 1] = 0.0
         at = (shell[modes] - lo, slice(None), col[modes])
@@ -483,23 +507,33 @@ class ResolventSolution:
     h: BoundaryField
 
 
+class _ReducedForce(HalfSpaceField):
+    """The spectral force that solve_full_resolvent forms and no caller holds.
+
+    solve_lame_bvp writes its solution over these values instead of a copy.
+    """
+
+
 def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryField,
                             params: FluidParams, lam, *, zeta=None):
     """Velocity-height solve without the density row: the spectral (u, h).
 
     zeta is the effective (reduced) compressibility parameter; defaults
     to gamma3 zeta / gamma1 from params.  u = v + w, the Lame solution v
-    plus the surface solution w, is summed in place in v.
+    plus the surface solution w for the datum K - v_N: w is formed and
+    added into v PROFILE_BLOCK_MODES modes at a time.
     """
     tg, ng = F.tgrid, F.ngrid
     Gp = BoundaryField(spectral_values(G) / params.gamma1, tg, "spectral")
     u = solve_lame_bvp(F, Gp, params, lam, zeta=zeta)
 
-    k_surf = BoundaryField(spectral_values(K)[..., 0] - u.values[..., 0, tg.dims], tg,
-                           "spectral")
-    w, h = solve_surface_homogeneous(k_surf, params, lam, ng, zeta=zeta)
-    u.values += w.values
-    return u, h
+    khat = spectral_values(K)[..., 0] - u.values[..., 0, tg.dims]
+    p = SymbolParams.from_fluid(params, zeta=zeta)
+    hhat, blocks = _profile_blocks(lam, tg, ng, p, khat)
+    v = u.values.reshape(khat.size, ng.points, tg.dims + 1)
+    for b, wb in blocks:
+        v[b] += wb
+    return u, BoundaryField(hhat, tg, "spectral")
 
 
 def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> ResolventSolution:
@@ -515,25 +549,33 @@ def solve_full_resolvent(data: ResolventData, params: FluidParams, lam) -> Resol
         if edge_support_ratio(fld) > EDGE_SUPPORT_TOL:
             raise SolverError("data not numerically supported inside the box")
     tg, ng = data.F.tgrid, data.F.ngrid
+    nd = tg.dims
     g1, g2 = params.gamma1, params.gamma2
     zeta_eff = g2 / lam  # gamma3 * (1/lam) / gamma1, the C1 coupling
     dhat = spectral_values(data.d)[..., 0]
+    ixi = 1j * tg.xi
 
-    # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N); the
-    # spectral F and grad d are dropped before the solves
-    fvals = spectral_values(data.F) - (g2 / lam) * np.concatenate(
-        [1j * tg.xi[..., None, :] * dhat[..., None], (dhat @ ng.diff.T)[..., None]],
-        axis=-1)
+    # f = (F - gamma2 grad d / lam)/gamma1, with grad = (i xi', d_N), formed
+    # one component at a time in the spectral buffer of F: F is physical, so
+    # that buffer is a new array
+    fvals = spectral_values(data.F)
+    for j in range(nd):
+        fvals[..., j] -= (g2 / lam) * (ixi[..., j, None] * dhat)
+    fvals[..., nd] -= (g2 / lam) * (dhat @ ng.diff.T)
     fvals /= g1
     # g = G + (gamma2/lam) d n0 at the boundary, n0 = (0, ..., 0, -1)
     gvals = spectral_values(data.G).copy()
-    gvals[..., tg.dims] -= (g2 / lam) * dhat[..., 0]
+    gvals[..., nd] -= (g2 / lam) * dhat[..., 0]
 
-    u, h = solve_reduced_resolvent(HalfSpaceField(fvals, tg, ng, "spectral"),
+    u, h = solve_reduced_resolvent(_ReducedForce(fvals, tg, ng, "spectral"),
                                    BoundaryField(gvals, tg, "spectral"), data.K,
                                    params, lam, zeta=zeta_eff)
 
     uv = u.values
-    div_u = uv[..., -1] @ ng.diff.T + np.sum(1j * tg.xi[..., None, :] * uv[..., :-1], axis=-1)
+    tang = ixi[..., 0, None] * uv[..., 0]
+    for j in range(1, nd):
+        tang += ixi[..., j, None] * uv[..., j]
+    div_u = uv[..., nd] @ ng.diff.T
+    div_u += tang
     eta = HalfSpaceField(((dhat - g1 * div_u) / lam)[..., None], tg, ng, "spectral")
     return ResolventSolution(eta=eta, u=u, h=h)

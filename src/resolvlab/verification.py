@@ -28,7 +28,7 @@ import numpy as np
 
 from .grids import field_weights, spectral_values, sum_sq
 
-RESIDUAL_BLOCK_MODES = 128   # modes per block: 0.6 MB per 3-component block field at 96 nodes
+RESIDUAL_BLOCK_MODES = 64   # modes per block: 0.3 MB per 3-component block field at 96 nodes
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +60,17 @@ def pde_residual(sol, data, params, lam) -> ResidualReport:
     xi' and collocation in x_N, independent of the solver's internal
     closed forms.
 
-    The rows act on each tangential mode alone, so they are evaluated
-    RESIDUAL_BLOCK_MODES modes at a time: the working set is the input
-    fields plus one block.  Per equation, each block adds the weighted
-    sums of squares of the residual and of every term, and records each
-    mode's residual peak.  The norms, their ratios and the worst modes
-    are formed after the last block, since a mode and its mirror may sit
-    in different blocks.
+    The rows act on each tangential mode alone, so the volume rows are
+    evaluated RESIDUAL_BLOCK_MODES modes at a time: the working set is the
+    input fields plus one block.  Per equation, each block adds the
+    weighted sums of squares of the residual and of every term, and
+    records each mode's residual peak.  The boundary rows take one value
+    per mode; they are evaluated once over all modes after the last
+    block, from each block's d_N u and div u at x_N = 0, so that their
+    sums do not depend on the block size (numpy's pairwise sum works in
+    runs of 128 values).  The norms, their ratios and the worst modes are
+    formed after the last block, since a mode and its mirror may sit in
+    different blocks.
     """
     tg = data.F.tgrid
     ng = data.F.ngrid
@@ -94,6 +98,8 @@ def pde_residual(sol, data, params, lam) -> ResidualReport:
     wbdy = np.array([cell / field_weights(data.G).sum()])
 
     sums, peak = {}, {}
+    du0 = np.empty((nm, nd + 1), dtype=complex)   # d_N u and div u at x_N = 0
+    div0 = np.empty(nm, dtype=complex)
 
     def add(name, blk, weights, residual, *terms):
         if blk.start == 0:
@@ -127,24 +133,26 @@ def pde_residual(sol, data, params, lam) -> ResidualReport:
         add("momentum", b, wvol, r_mom, g1 * lam * ub, mu * lap, nu * grad_div,
             g2 * grad_eta, F[b])
 
-        # boundary rows at x_N = 0, outward normal n0 = -e_N
-        du0 = du[..., 0, :]
-        u0 = ub[..., 0, :]
-        div0 = div[..., 0]
-        Gb = G[b]
-        r_tang = np.empty((u0.shape[0], nd), dtype=complex)
-        for j in range(nd):
-            sjN = mu * (du0[..., j] + 1j * xib[..., j] * u0[..., nd])
-            r_tang[..., j] = -sjN - Gb[..., j]
-        add("stress_tangential", b, wbdy, r_tang, r_tang + Gb[..., :nd], Gb[..., :nd])
+        du0[b] = du[..., 0, :]
+        div0[b] = div[..., 0]
 
-        sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * etab[..., 0]
-        surf = sg * (m + xi_sq[b]) * hhat[b]
-        r_norm = -(sNN + surf) - Gb[..., nd]
-        add("stress_normal", b, wbdy, r_norm, sNN, surf, Gb[..., nd])
+    # boundary rows at x_N = 0, outward normal n0 = -e_N, over all modes at
+    # once: their terms are per-mode vectors
+    b = slice(0, nm)
+    u0 = u[:, 0, :]
+    r_tang = np.empty((nm, nd), dtype=complex)
+    for j in range(nd):
+        sjN = mu * (du0[..., j] + 1j * xi[..., j] * u0[..., nd])
+        r_tang[..., j] = -sjN - G[..., j]
+    add("stress_tangential", b, wbdy, r_tang, r_tang + G[..., :nd], G[..., :nd])
 
-        r_kin = lam * hhat[b] + u0[..., nd] - K[b]
-        add("kinematic", b, wbdy, r_kin, lam * hhat[b], u0[..., nd], K[b])
+    sNN = 2 * mu * du0[..., nd] + (nu - mu) * div0 - g2 * eta[..., 0]
+    surf = sg * (m + xi_sq) * hhat
+    r_norm = -(sNN + surf) - G[..., nd]
+    add("stress_normal", b, wbdy, r_norm, sNN, surf, G[..., nd])
+
+    r_kin = lam * hhat + u0[..., nd] - K
+    add("kinematic", b, wbdy, r_kin, lam * hhat, u0[..., nd], K)
 
     relative, worst = {}, {}
     mirror = np.ix_(*[-np.arange(n) % n for n in tg.mode_shape])

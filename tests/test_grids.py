@@ -1,7 +1,11 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolvlab.grids import (
     BoundaryField,
@@ -155,3 +159,59 @@ def test_field_shape_validation():
         BoundaryField(np.zeros(16), g)
     with pytest.raises(ValueError):
         HalfSpaceField(np.full((32, 16, 1), np.nan), g, ng)
+
+
+def reference_forward(g, values):
+    """forward as the two-array formula: fftn's own output, scaled into a third."""
+    axes = tuple(range(g.dims))
+    phase = g._phase().reshape(g.mode_shape + (1,) * (values.ndim - g.dims))
+    return g.dx**g.dims * phase * np.fft.fftn(values, axes=axes)
+
+
+def reference_inverse(g, values):
+    axes = tuple(range(g.dims))
+    phase = g._phase().reshape(g.mode_shape + (1,) * (values.ndim - g.dims))
+    return np.fft.ifftn(phase * values, axes=axes) / g.dx**g.dims
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([1, 2]), points=st.sampled_from([4, 8, 16]),
+       extra=st.lists(st.integers(1, 5), max_size=2),
+       half_length=st.floats(0.5, 20.0), real=st.booleans(), seed=st.integers(0, 2**16))
+def test_transforms_are_bitwise_the_reference_formulas(dims, points, extra, half_length,
+                                                       real, seed):
+    # one output array, scaled in place, holds the same bits as the formula
+    # that scales fftn's output into a new array; the input is not changed
+    g = TangentialGrid(dims=dims, points=points, half_length=half_length)
+    rng = np.random.default_rng(seed)
+    shape = g.mode_shape + tuple(extra)
+    values = rng.standard_normal(shape)
+    if not real:
+        values = values + 1j * rng.standard_normal(shape)
+    before = values.copy()
+    for transform, reference in ((g.forward, reference_forward),
+                                 (g.inverse, reference_inverse)):
+        out = transform(values)
+        want = reference(g, values)
+        assert out.dtype == complex and out.shape == shape
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(values, before)
+        assert not np.shares_memory(out, values)
+
+
+def test_forward_allocates_one_field():
+    # fftn makes one array per axis pass and the scaling another: the
+    # two-array formula peaks at about 2 fields, forward at 1
+    g = TangentialGrid(dims=2, points=32, half_length=8.0)
+    rng = np.random.default_rng(0)
+    shape = g.mode_shape + (48, 3)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g._phase()
+    for transform in (g.forward, g.inverse):
+        tracemalloc.start()
+        try:
+            transform(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * values.nbytes, (transform.__name__, peak / values.nbytes)
