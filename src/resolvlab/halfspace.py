@@ -7,9 +7,10 @@ them) and returns spectral fields:
   * solve_surface_homogeneous - the explicit boundary-symbol formulas for
     the surface-coupled homogeneous system: h's trace is (det L / N) k,
     the velocity profiles are combinations of exp(-B x) and the mollified
-    exponential M weighted by the n_Jk symbols.  The solves read only the
-    profile u, so they build none of its x-derivatives, and the profiles
-    are formed PROFILE_BLOCK_MODES modes at a time.
+    exponential M weighted by the n_Jk symbols.  surface_mode_profiles
+    adds the profile u, PROFILE_BLOCK_MODES modes at a time, into an array
+    of its caller's: zeros here, the Lame solution in the full solve.  No
+    x-derivative of u is formed.
   * solve_lame_bvp - the inhomogeneous system with pure stress data, as a
     dense Chebyshev collocation solve per shell |xi'| = r (the literature
     formula the construction delegates to is replaced by this solver;
@@ -31,10 +32,9 @@ them) and returns spectral fields:
     real variables u_r = i w_r.
   * solve_full_resolvent - density elimination in the spectral buffer of
     F, the Lame solve over that buffer, the surface correction K - v_N,
-    superposition u = v + w (w formed and added into the Lame solution v
-    PROFILE_BLOCK_MODES modes at a time) and density recovery.  The
-    solution keeps eta, u and h only; extend_height extends h into the
-    half space.
+    superposition u = v + w (surface_mode_profiles adds w into the Lame
+    solution v) and density recovery.  The solution keeps eta, u and h
+    only; extend_height extends h into the half space.
 
 solve_surface_volevich is the oracle for the first layer: the same
 operator in its trace-free form, as normal-direction integrals of
@@ -62,7 +62,6 @@ from .symbols import (
     SymbolParams,
     lopatinski_values,
     mollified_exp,
-    mollified_exp_derivatives,
     njk_values,
     q_values,
 )
@@ -71,9 +70,8 @@ EDGE_SUPPORT_TOL = 1e-10
 # modes per block of the surface profiles
 PROFILE_BLOCK_MODES = 16
 # shells per Lame batch: as many as fit their 2n blocks in LAME_BATCH_BYTES,
-# at most LAME_BATCH_SHELLS: 2 real shells (0.59 MB) at 96 nodes, 8 at 48
+# 2 real shells (0.59 MB) at 96 nodes, 8 at 48
 LAME_BATCH_BYTES = 600_000
-LAME_BATCH_SHELLS = 8
 
 
 class SolverError(NumericalError, RuntimeError):
@@ -101,28 +99,15 @@ def smooth_cutoff(s):
 # ---------------------------------------------------------------------------
 
 def surface_mode_profiles(lam, tgrid: TangentialGrid, ngrid: NormalGrid,
-                          p: SymbolParams, khat, order: int = 0):
-    """Spectral solution profile u(x), or its analytic x-derivative, and h.
+                          p: SymbolParams, khat, out):
+    """Add the spectral solution profiles u(x) into out; return the h trace.
 
-    khat holds the per-mode boundary values of the surface datum.
-    Returns (u, hhat) with u of shape mode_shape + (nx, N); order 1 or 2
-    gives d^order u / dx^order in place of u.  The profiles are formed
-    PROFILE_BLOCK_MODES modes at a time (_profile_blocks).
-    """
-    hhat, blocks = _profile_blocks(lam, tgrid, ngrid, p, khat, order)
-    u = np.empty((khat.size, ngrid.points, tgrid.dims + 1), dtype=complex)
-    for b, ub in blocks:
-        u[b] = ub
-    return u.reshape(tgrid.mode_shape + u.shape[1:]), hhat
-
-
-def _profile_blocks(lam, tgrid, ngrid, p, khat, order=0):
-    """hhat, and the profiles of surface_mode_profiles as (modes, profiles) blocks.
-
-    The blocks are generated PROFILE_BLOCK_MODES flat modes at a time:
-    E = exp(-B x), M and their products with the coefficients exist for
-    one block only.  Each product keeps its operand order, so the values
-    do not depend on the block size.
+    khat holds the per-mode boundary values of the surface datum and out
+    is the caller's (modes, nx, N) array.  The profiles are formed
+    PROFILE_BLOCK_MODES flat modes at a time: E = exp(-B x), M and their
+    products with the coefficients exist for one block only.  Each
+    product keeps its operand order, so the values do not depend on the
+    block size.
     """
     xi_sq = tgrid.xi_sq
     L = lopatinski_values(lam, xi_sq, p)
@@ -139,24 +124,17 @@ def _profile_blocks(lam, tgrid, ngrid, p, khat, order=0):
     cN2 = nN2.reshape(nm, 1) * mxi2 * kb
     A, B = A.reshape(nm, 1), B.reshape(nm, 1)
     x = ngrid.nodes
-
-    def blocks():
-        for lo in range(0, nm, PROFILE_BLOCK_MODES):
-            b = slice(lo, lo + PROFILE_BLOCK_MODES)
-            Bx = B[b]
-            E = np.exp(-Bx * x)
-            if order:
-                M = mollified_exp_derivatives(A[b], Bx, x)[order]
-                E = (-Bx) ** order * E
-            else:
-                M = mollified_exp(A[b], Bx, x)
-            ub = np.empty(Bx.shape[:1] + x.shape + (nd + 1,), dtype=complex)
-            ub[..., :-1] = c1[b] * (Bx * M - E)[..., None]
-            ub[..., :-1] += c2[b] * E[..., None]
-            ub[..., -1] = cN1[b] * Bx * M + cN2[b] * E
-            yield b, ub
-
-    return (L.detL / L.N) * khat, blocks()
+    for lo in range(0, nm, PROFILE_BLOCK_MODES):
+        b = slice(lo, lo + PROFILE_BLOCK_MODES)
+        Bx = B[b]
+        E = np.exp(-Bx * x)
+        M = mollified_exp(A[b], Bx, x)
+        ub = np.empty(Bx.shape[:1] + x.shape + (nd + 1,), dtype=complex)
+        ub[..., :-1] = c1[b] * (Bx * M - E)[..., None]
+        ub[..., :-1] += c2[b] * E[..., None]
+        ub[..., -1] = cN1[b] * Bx * M + cN2[b] * E
+        out[b] += ub
+    return (L.detL / L.N) * khat
 
 
 def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
@@ -164,8 +142,9 @@ def solve_surface_homogeneous(k: BoundaryField, params: FluidParams, lam,
     """Surface-driven solve: returns the spectral (u, h-trace)."""
     p = SymbolParams.from_fluid(params, zeta=zeta)
     khat = spectral_values(k)[..., 0]
-    u, hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat)
-    return (HalfSpaceField(u, k.tgrid, ngrid, "spectral"),
+    u = np.zeros((khat.size, ngrid.points, k.tgrid.dims + 1), dtype=complex)
+    hhat = surface_mode_profiles(lam, k.tgrid, ngrid, p, khat, u)
+    return (HalfSpaceField(u.reshape(khat.shape + u.shape[1:]), k.tgrid, ngrid, "spectral"),
             BoundaryField(hhat, k.tgrid, "spectral"))
 
 
@@ -462,7 +441,7 @@ def solve_lame_bvp(F: HalfSpaceField, Gprime: BoundaryField, params: FluidParams
     col[order] = np.arange(nm) - first[shell[order]]
     width = int(col.max()) + 1
 
-    batch = min(LAME_BATCH_SHELLS, max(1, LAME_BATCH_BYTES // ((2 * n) ** 2 * coef.itemsize)))
+    batch = max(1, LAME_BATCH_BYTES // ((2 * n) ** 2 * coef.itemsize))
     for lo in range(0, keys.size, batch):
         hi = min(lo + batch, keys.size)
         modes = order[first[lo]:first[hi]]
@@ -520,19 +499,16 @@ def solve_reduced_resolvent(F: HalfSpaceField, G: BoundaryField, K: BoundaryFiel
 
     zeta is the effective (reduced) compressibility parameter; defaults
     to gamma3 zeta / gamma1 from params.  u = v + w, the Lame solution v
-    plus the surface solution w for the datum K - v_N: w is formed and
-    added into v PROFILE_BLOCK_MODES modes at a time.
+    plus the surface solution w for the datum K - v_N, which
+    surface_mode_profiles adds into v.
     """
     tg, ng = F.tgrid, F.ngrid
     Gp = BoundaryField(spectral_values(G) / params.gamma1, tg, "spectral")
     u = solve_lame_bvp(F, Gp, params, lam, zeta=zeta)
 
     khat = spectral_values(K)[..., 0] - u.values[..., 0, tg.dims]
-    p = SymbolParams.from_fluid(params, zeta=zeta)
-    hhat, blocks = _profile_blocks(lam, tg, ng, p, khat)
-    v = u.values.reshape(khat.size, ng.points, tg.dims + 1)
-    for b, wb in blocks:
-        v[b] += wb
+    hhat = surface_mode_profiles(lam, tg, ng, SymbolParams.from_fluid(params, zeta=zeta), khat,
+                                 u.values.reshape(khat.size, ng.points, tg.dims + 1))
     return u, BoundaryField(hhat, tg, "spectral")
 
 

@@ -97,25 +97,25 @@ class SectorSpec:
             raise ValueError(f"zeta_case must be one of {ZETA_CASES}")
 
 
-def in_sigma(lam, epsilon, lambda0=0.0, tol=BOUNDARY_TOL):
+def in_sigma(lam, epsilon, lambda0=0.0):
     """Membership in Sigma(eps, lam0).  Vectorized over lam."""
     if not (0 < epsilon < math.pi / 2):
         raise ValueError("epsilon must lie in (0, pi/2)")
     lam = np.asarray(lam, dtype=complex)
     nonzero = lam != 0
     # np.angle returns the principal argument in (-pi, pi]
-    arg_ok = np.abs(np.angle(lam)) <= math.pi - epsilon + tol
-    mod_ok = np.abs(lam) >= lambda0 - tol
+    arg_ok = np.abs(np.angle(lam)) <= math.pi - epsilon + BOUNDARY_TOL
+    mod_ok = np.abs(lam) >= lambda0 - BOUNDARY_TOL
     out = nonzero & arg_ok & mod_ok
     return bool(out) if out.ndim == 0 else out
 
 
-def in_lambda_region(lam, spec: SectorSpec, tol=BOUNDARY_TOL):
+def in_lambda_region(lam, spec: SectorSpec):
     """Membership in Lambda(eps, lam0): sector minus the excluded disk."""
     lam = np.asarray(lam, dtype=complex)
     r = spec.rho3_over_nu + spec.epsilon
-    outside_disk = (lam.real + r) ** 2 + lam.imag**2 >= r**2 - tol
-    out = in_sigma(lam, spec.epsilon, spec.lambda0, tol) & outside_disk
+    outside_disk = (lam.real + r) ** 2 + lam.imag**2 >= r**2 - BOUNDARY_TOL
+    out = in_sigma(lam, spec.epsilon, spec.lambda0) & outside_disk
     return bool(out) if out.ndim == 0 else out
 
 
@@ -132,14 +132,14 @@ def check_zeta_case(spec: SectorSpec, params: FluidParams) -> float:
     return slope if spec.zeta_case == "C2" else 0.0
 
 
-def in_gamma_region(lam, spec: SectorSpec, params: FluidParams, tol=BOUNDARY_TOL):
+def in_gamma_region(lam, spec: SectorSpec, params: FluidParams):
     """Membership in Gamma(eps, lam0, zeta), by zeta case."""
     slope = check_zeta_case(spec, params)
     lam = np.asarray(lam, dtype=complex)
     if spec.zeta_case == "C1":
-        return in_lambda_region(lam, spec, tol)
-    out = ((lam != 0) & (lam.real >= slope * np.abs(lam.imag) - tol)
-           & (lam.real >= spec.lambda0 - tol))
+        return in_lambda_region(lam, spec)
+    out = ((lam != 0) & (lam.real >= slope * np.abs(lam.imag) - BOUNDARY_TOL)
+           & (lam.real >= spec.lambda0 - BOUNDARY_TOL))
     return bool(out) if out.ndim == 0 else out
 
 

@@ -130,15 +130,6 @@ def mollified_exp(A, B, x):
     return out if out.ndim else complex(out)
 
 
-def mollified_exp_derivatives(A, B, x):
-    """(M, M', M'') using dM/dx = -e^{-Bx} - A M."""
-    M = mollified_exp(A, B, x)
-    E = np.exp(np.asarray(B, dtype=complex) * (-np.asarray(x)))
-    M1 = -E - A * M
-    M2 = B * E - A * M1
-    return M, M1, M2
-
-
 def lopatinski_values(lam, xi_sq, p: SymbolParams, check: bool = True,
                       core=None) -> LopatinskiMatrix:
     """A, B, the boundary matrix L, its determinant and N(A, B).

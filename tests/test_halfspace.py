@@ -106,15 +106,15 @@ def test_surface_kinematic_identity_all_modes():
 
 
 def profiles_and_derivatives(lam, p, khat):
-    """u, its analytic x-derivatives du and d2u, and hhat, all from surface_mode_profiles."""
-    (u, hhat), (du, _), (d2u, _) = (surface_mode_profiles(lam, TG, NG, p, khat, order)
-                                    for order in range(3))
-    return u, du, d2u, hhat
+    """u and hhat from surface_mode_profiles, and u's collocation x-derivatives du and d2u."""
+    u = np.zeros(khat.shape + (NG.points, TG.dims + 1), dtype=complex)
+    hhat = surface_mode_profiles(lam, TG, NG, p, khat, u)
+    return u, NG.diff @ u, NG.diff2 @ u, hhat
 
 
 def test_surface_boundary_stress_rows():
     # tangential: a(d_N u_j + i xi_j u_N) = 0; normal: 2a d_N u_N +
-    # (b+z) div u + s(m+xi^2) h = 0, all at x = 0, analytically differentiated
+    # (b+z) div u + s(m+xi^2) h = 0, all at x = 0, differentiated by collocation
     lam = 2.0 + 1.5j
     p = SymbolParams.from_fluid(BASE)
     k = gaussian_boundary(TG)
@@ -152,7 +152,8 @@ def test_surface_mode_profiles_evaluates_symbols_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
 
     surface_mode_profiles(2.0 + 1.5j, TG, NG, SymbolParams.from_fluid(BASE),
-                          spectral_values(gaussian_boundary(TG))[..., 0])
+                          spectral_values(gaussian_boundary(TG))[..., 0],
+                          np.zeros((TG.points, NG.points, TG.dims + 1), dtype=complex))
     assert calls["lopatinski_values"] == 1
     assert calls["core_values"] == 1
 
@@ -431,21 +432,21 @@ def test_lame_batches_give_the_same_solution(monkeypatch):
                            "spectral")
         runs = []
         # 1 shell (below one block's bytes), 5 shells, and every shell at once
-        for budget, cap in ((1, 16), (5 * block + 1, 16), (10 ** 9, tg.points ** tg.dims)):
+        for budget in (1, 5 * block + 1, 10 ** 9):
             monkeypatch.setattr(halfspace, "LAME_BATCH_BYTES", budget)
-            monkeypatch.setattr(halfspace, "LAME_BATCH_SHELLS", cap)
             runs.append(solve_lame_bvp(F, Gp, NON_UNIT, lam, zeta=0.3 - 0.1j).values)
         assert all(np.array_equal(runs[0], v) for v in runs[1:])
 
 
 def test_lame_batch_sizes(monkeypatch):
-    # the shells of a batch are bounded by the bytes of their 2n blocks,
-    # and never number more than LAME_BATCH_SHELLS (64 modes: 33 shells)
+    # the shells of a batch are bounded by the bytes of their 2n blocks
+    # alone (64 modes: 33 shells)
     calls = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape[0]) or solve(a, b))
     for points, lam, want in ((96, 16.0, [2] * 16 + [1]), (96, 16.0 + 1.0j, [1] * 33),
-                              (48, 16.0, [8] * 4 + [1]), (24, 16.0, [8] * 4 + [1])):
+                              (48, 16.0, [8] * 4 + [1]), (48, 16.0 + 1.0j, [4] * 8 + [1]),
+                              (24, 16.0, [32, 1])):
         F, Gp = random_lame_data(TG, NormalGrid(points=points, truncation=20.0), 0)
         calls.clear()
         solve_lame_bvp(F, Gp, BASE, lam)
@@ -475,7 +476,7 @@ def test_lame_solve_working_set():
 def test_surface_profile_blocks_give_the_same_profiles(monkeypatch):
     # every product keeps its operand order, and at these sizes no array
     # reaches the 256 KiB from which numpy reuses temporaries, so the block
-    # size cannot change a bit of u or of its x-derivatives
+    # size cannot change a bit of what is added into out
     from resolvlab import halfspace
 
     lam = 3.0 + 0.4j
@@ -484,13 +485,15 @@ def test_surface_profile_blocks_give_the_same_profiles(monkeypatch):
     for tg in (TG, TangentialGrid(dims=2, points=8, half_length=8.0)):
         rng = np.random.default_rng(tg.dims)
         khat = rng.standard_normal(tg.mode_shape) + 1j * rng.standard_normal(tg.mode_shape)
-        for order in range(3):
-            runs = []
-            for batch in (1, 5, tg.points ** tg.dims):
-                monkeypatch.setattr(halfspace, "PROFILE_BLOCK_MODES", batch)
-                runs.append(surface_mode_profiles(lam, tg, ng, p, khat, order))
-            assert all(np.array_equal(runs[0][0], u) and np.array_equal(runs[0][1], h)
-                       for u, h in runs[1:])
+        shape = (khat.size, ng.points, tg.dims + 1)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        runs = []
+        for batch in (1, 5, khat.size):
+            monkeypatch.setattr(halfspace, "PROFILE_BLOCK_MODES", batch)
+            out = base.copy()
+            runs.append((out, surface_mode_profiles(lam, tg, ng, p, khat, out)))
+        assert all(np.array_equal(runs[0][0], u) and np.array_equal(runs[0][1], h)
+                   for u, h in runs[1:])
 
 
 def random_lame_data(tg, ng, seed):
@@ -672,6 +675,29 @@ def test_full_resolvent_k_only_reduces_to_surface_solver():
     # the Lame solution of zero data is exactly 0, so u = 0 + w is the surface solve
     assert np.array_equal(sol.u.values.view(np.uint64), u_ref.values.view(np.uint64))
     assert np.array_equal(sol.h.values.view(np.uint64), h_ref.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_reduced_resolvent_is_the_lame_plus_the_surface_solution(dims):
+    # surface_mode_profiles adds each block of w into the Lame solution v,
+    # so u is the sum of the two solves exactly
+    from resolvlab.halfspace import solve_reduced_resolvent
+    from tests.test_verification import gaussian_data_2d
+
+    if dims == 1:
+        ng = NormalGrid(points=24, truncation=20.0)
+        data = gaussian_data(TG, ng)
+    else:
+        ng = NormalGrid(points=16, truncation=20.0)
+        data = gaussian_data_2d(TangentialGrid(dims=2, points=8, half_length=8.0), ng)
+    tg, lam, zeta = data.F.tgrid, 4.0 + 0.5j, 0.3 - 0.1j
+    u, h = solve_reduced_resolvent(data.F, data.G, data.K, NON_UNIT, lam, zeta=zeta)
+    Gp = BoundaryField(spectral_values(data.G) / NON_UNIT.gamma1, tg, "spectral")
+    v = solve_lame_bvp(data.F, Gp, NON_UNIT, lam, zeta=zeta).values
+    k = BoundaryField(spectral_values(data.K)[..., 0] - v[..., 0, tg.dims], tg, "spectral")
+    w, h_ref = solve_surface_homogeneous(k, NON_UNIT, lam, ng, zeta=zeta)
+    assert np.array_equal(u.values, v + w.values)
+    assert np.array_equal(h.values, h_ref.values)
 
 
 def spectral_copy(fld):

@@ -1,19 +1,24 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resolvlab.scans import SamplingPlan, draw_samples
 from resolvlab.symbols import (
     NearSingularError,
     SymbolParams,
     core_values,
     lopatinski_values,
     mollified_exp,
-    mollified_exp_derivatives,
     njk_values,
     q_values,
 )
+
+from tests.test_scans import admissible_regions
 
 SQ2 = math.sqrt(2.0)
 BASELINE = SymbolParams(alpha=1.0, beta=0.0, zeta=0.0, sigma=1.0, m=1.0)
@@ -122,19 +127,6 @@ def test_M_taylor_branch_matches_direct():
         assert abs(via_code - direct) <= 1e-6 * max(abs(direct), 1e-300)
 
 
-def test_M_derivative_identity():
-    # central differences are the oracle for M' and M''
-    lam, xi = sample_region_points(100, seed=9, lam_hi=10.0, xi_hi=3.0)
-    A, B = core_values(lam, xi**2, BASELINE)
-    x = np.linspace(0.5, 3.0, 6)[None, :]
-    h = 1e-5
-    M, M1, M2 = mollified_exp_derivatives(A[:, None], B[:, None], x)
-    Mp = mollified_exp(A[:, None], B[:, None], x + h)
-    Mm = mollified_exp(A[:, None], B[:, None], x - h)
-    assert np.max(np.abs(M1 - (Mp - Mm) / (2 * h))) < 1e-8
-    assert np.max(np.abs(M2 - (Mp - 2 * M + Mm) / h**2)) < 1e-4
-
-
 def test_lopatinski_baseline_values():
     L = lopatinski_values(1.0, 0.0, BASELINE)
     F = factored_form(1.0, 0.0, BASELINE, L)
@@ -163,8 +155,28 @@ def test_lopatinski_baseline_values():
 ])
 def test_lopatinski_factorizations_bulk(params):
     lam, xi = sample_region_points(10_000, seed=17)
-    L = lopatinski_values(lam, xi**2, params)
-    F = factored_form(lam, xi**2, params, L)
+    assert_direct_form_is_factored(lam, xi**2, params)
+
+
+@settings(max_examples=100, deadline=2000, derandomize=True)
+@given(region=admissible_regions(), sigma=st.floats(0.0, 2.0), m=st.floats(0.3, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_lopatinski_factorizations_admissible(region, sigma, m, seed):
+    # drawn fluids, epsilon and zeta cases, with lambda in their Gamma region.
+    # At lambda0 = 0 the region reaches lambda = 1e-12, where the
+    # near-singular guard fires; the identity holds there too, so it is
+    # checked without the guards
+    spec, fluid = region
+    fluid = dataclasses.replace(fluid, sigma=sigma, m=m)
+    lam, xi = draw_samples(SamplingPlan(n_samples=200, seed=seed), spec, fluid)
+    assert_direct_form_is_factored(lam, xi[:, 0] ** 2, SymbolParams.from_fluid(fluid),
+                                   check=False)
+
+
+def assert_direct_form_is_factored(lam, xi_sq, params, check=True):
+    """lopatinski_values' entries, det L and N against factored_form, to 1e-12."""
+    L = lopatinski_values(lam, xi_sq, params, check=check)
+    F = factored_form(lam, xi_sq, params, L)
     assert F["form_rel_diff"] < 1e-12
     scale = np.abs(L.N)
     assert np.max(np.abs(L.N - F["P"] * F["Ntilde"]) / scale) < 1e-12

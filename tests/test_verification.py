@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resolvlab import verification
+from resolvlab import halfspace, verification
 from resolvlab.cli import cmd_rbound
 from resolvlab.config import RunConfig
 from resolvlab.grids import (BoundaryField, HalfSpaceField, NormalGrid, TangentialGrid,
@@ -313,14 +313,18 @@ def test_residual_report_is_bitwise_the_same_for_power_of_two_blocks(monkeypatch
 def test_2d_solve_and_residual_working_set(monkeypatch):
     # The traced peak of the 2-D solve and its residual oracle, with the
     # data allocated before tracing, in copies of one 3-component field
-    # (16^2 modes x 24 nodes, 0.29 MB).  The block is 32 modes, 1/8 of the
-    # modes, as 128 was of the 32^2 grid's.  The whole-array oracle, with a
-    # solution that kept v = u - w and w and a surface solve that built du
-    # and d2u, peaked at 17.8 fields; blocked, 6.4 fields, in the solve.
-    # With one-array transforms, the Lame solution written over the
-    # reduced force and w added into it block by block, the solve peaks
-    # at 3.8 fields and the oracle sets the peak at 4.8.
+    # (16^2 modes x 24 nodes, 0.29 MB, 1/8 of a 32^2 x 48 field).  The
+    # residual block is 32 modes, 1/8 of the modes, as 128 was of the 32^2
+    # grid's, and the Lame batch budget is 1/8 of LAME_BATCH_BYTES: 4 real
+    # shells.  The whole-array oracle, with a solution that kept v = u - w
+    # and w and a surface solve that built du and d2u, peaked at 17.8
+    # fields; blocked, 6.4 fields, in the solve.  With one-array
+    # transforms, the Lame solution written over the reduced force and w
+    # added into it block by block, the solve peaks at 2.8 fields and the
+    # oracle sets the peak at 4.4.  The unscaled budget, 32 shells at 24
+    # nodes, takes the solve to 7.7 fields.
     monkeypatch.setattr(verification, "RESIDUAL_BLOCK_MODES", 32)
+    monkeypatch.setattr(halfspace, "LAME_BATCH_BYTES", halfspace.LAME_BATCH_BYTES // 8)
     tg = TangentialGrid(dims=2, points=16, half_length=8.0)
     ng = NormalGrid(points=24, truncation=20.0)
     data = gaussian_data_2d(tg, ng)
