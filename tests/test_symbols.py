@@ -163,9 +163,9 @@ def test_lopatinski_factorizations_bulk(params):
        seed=st.integers(0, 2**32 - 1))
 def test_lopatinski_factorizations_admissible(region, sigma, m, seed):
     # drawn fluids, epsilon and zeta cases, with lambda in their Gamma region.
-    # At lambda0 = 0 the region reaches lambda = 1e-12, where the
-    # near-singular guard fires; the identity holds there too, so it is
-    # checked without the guards
+    # At lambda0 = 0 the region reaches down to lambda = 1e-12, and the
+    # near-singular guard fires below about 1e-8 at large xi; the identity
+    # holds there too, so it is checked without the guards
     spec, fluid = region
     fluid = dataclasses.replace(fluid, sigma=sigma, m=m)
     lam, xi = draw_samples(SamplingPlan(n_samples=200, seed=seed), spec, fluid)
