@@ -10,7 +10,9 @@ in its bases, decorators and dunder methods, not its other members.  The
 walk starts from cli.main and cli.COMMANDS, and separately from ORACLES:
 code the CLI never runs that tests use as an independent check of code it
 does run.  Whatever neither walk reaches is dead code and should be
-deleted.
+deleted.  An oracle may also live in the tests alone, with no src/
+function behind it: the surface layer's is the collocation-residual
+property in tests/test_halfspace.py, so ORACLES does not list it.
 
 Members are matched by name alone, so a member that shares its name with
 a reached one counts as reached too, whatever its class: a dead
@@ -39,10 +41,9 @@ DISPATCHED = ("summarize", "report")
 # fields of an oracle's result: the tests that check against the oracle read them
 ORACLE_RESULTS = ("estimate", "band")
 
+# the src/ oracles; an oracle that lives in the tests alone, such as the
+# surface layer's collocation-residual property, has no entry here
 ORACLES = (
-    # the trace-free (Volevich) form of the surface solve and its datum
-    "solve_surface_volevich",
-    "extend_boundary_datum",
     # nested finite differences, the reference for the shared-offset stencils
     "_tangential_derivative",
     "_tau_scaled_derivative",
